@@ -45,8 +45,6 @@ from .numeric import (
     inf_norm,
     sensitivity_matrix,
     rank_field,
-    det_field,
-    kernel_field,
     generic_rank,
     generic_det_nonzero,
 )
@@ -93,7 +91,6 @@ from .oracle import (
     symbolic_closed_loop,
     symbolic_det,
     coefficient,
-    eval_poly,
     terms_sorted,
 )
 from .generate import GenerationError, random_network

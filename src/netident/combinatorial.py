@@ -32,6 +32,7 @@ from .identifiability import (
     NOT_IDENTIFIABLE,
     NoUnknownEdgesError,
     Verdict,
+    _structural_zero_columns,
 )
 from .netmodel import (
     Edge,
@@ -76,7 +77,8 @@ def monomial_of(edge_indices: Iterable[int]) -> Monomial:
     return tuple(sorted(Counter(edge_indices).items()))
 
 
-def monomial_degree(mu: Monomial) -> int:
+def monomial_degree(mu: Iterable[tuple[int, int]]) -> int:
+    """Total degree of (variable, power) pairs: a Monomial, or an oracle polynomial key."""
     return sum(mult for _, mult in mu)
 
 
@@ -276,18 +278,6 @@ class RepetitionTable:
         return sorted(self.entries.items(), key=lambda kv: (monomial_degree(kv[0]), kv[0]))
 
 
-def _reachable(starts: Iterable[int], adj: dict[int, list[int]]) -> set[int]:
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def _topo_order(nodes: Iterable[int], edges: list[Edge]) -> list[int] | None:
     """Kahn topological order of the block subgraph, or None when it has a cycle."""
     nodes = list(nodes)
@@ -310,21 +300,8 @@ def _topo_order(nodes: Iterable[int], edges: list[Edge]) -> list[int] | None:
 
 def _completeness(net: NetworkModel, blocks: SeparableBlocks) -> tuple[tuple[int, ...], int | None]:
     """(unknown edges with no walk at any bound, max collection degree or None if a block is cyclic)."""
-    fwd_b: dict[int, list[int]] = {}
-    for e in blocks.gb_edges:
-        fwd_b.setdefault(e.src, []).append(e.dst)
-    bwd_c: dict[int, list[int]] = {}
-    for e in blocks.gc_edges:
-        bwd_c.setdefault(e.dst, []).append(e.src)
-    from_excited = _reachable(net.excited, fwd_b)
-    to_measured = _reachable(net.measured, bwd_c)
-
     idx_of = {e: i for i, e in enumerate(net.edges)}
-    infeasible = tuple(
-        idx_of[e]
-        for e in net.unknown_edges
-        if e.src not in from_excited or e.dst not in to_measured
-    )
+    infeasible = tuple(idx_of[e] for e in _structural_zero_columns(net))
 
     topo_b = _topo_order(blocks.b_part, list(blocks.gb_edges))
     topo_c = _topo_order(blocks.c_part, list(blocks.gc_edges))

@@ -12,8 +12,9 @@ matrix:
   necessary condition for the local notion, and exactly what the 2n-node
   decoupled construction turns into a separable problem.
 * global-separable: for separable networks the local and global questions
-  coincide, and a nonzero generic determinant of the (square) sensitivity
-  matrix certifies global identifiability.
+  coincide.  On a square sensitivity matrix a nonzero generic determinant
+  is full generic rank, so this is the local rank test under the
+  separable-square guard, and full rank certifies global identifiability.
 
 Every verdict carries its evidence (rank, trial count, seed, witness), so a
 decision can be replayed.
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netmodel import NetworkModel, NotSquareError, decouple, separate, validate
-from .numeric import DEFAULT_TRIALS, generic_det_nonzero, generic_rank
+from .netmodel import Edge, NetworkModel, NotSquareError, decouple, separate, validate
+from .numeric import DEFAULT_TRIALS, generic_rank
 
 __all__ = [
     "IDENTIFIABLE",
@@ -91,13 +92,17 @@ def _require_unknowns(net: NetworkModel) -> None:
         raise NoUnknownEdgesError()
 
 
-def _structural_zero_columns(net: NetworkModel) -> list[str]:
+def _structural_zero_columns(net: NetworkModel) -> list[Edge]:
     """Unknown edges whose sensitivity column is zero for every edge value.
 
     The column for an unknown edge is a product of two closed-loop entries:
     excitation to the edge's tail, and the edge's head to a measurement.
     Either factor is identically zero exactly when the corresponding walk
     does not exist, so a reachability sweep finds the structural zeros.
+    On a separable network no edge runs from the measured part to the
+    excited part, so the sweep over all edges reaches the same tails and
+    heads as one over the known blocks: these are also the unknown edges
+    no excitation-to-measurement walk can serve.
     """
     fwd: dict[int, list[int]] = {}
     bwd: dict[int, list[int]] = {}
@@ -119,7 +124,7 @@ def _structural_zero_columns(net: NetworkModel) -> list[str]:
     from_excited = sweep(net.excited, fwd)
     to_measured = sweep(net.measured, bwd)
     return [
-        str(e)
+        e
         for e in net.unknown_edges
         if e.src not in from_excited or e.dst not in to_measured
     ]
@@ -132,7 +137,7 @@ def _rank_verdict(net: NetworkModel, notion: str, rank: int, trials: int, seed: 
     witness = None
     zero_cols = _structural_zero_columns(net)
     if zero_cols:
-        witness = {"zero_columns": zero_cols}
+        witness = {"zero_columns": [str(e) for e in zero_cols]}
     return Verdict(NOT_IDENTIFIABLE, notion, m_unknown=m, trials=trials, seed=seed, rank=rank, witness=witness)
 
 
@@ -158,26 +163,20 @@ def decoupled_identifiability(net: NetworkModel, trials: int = DEFAULT_TRIALS, s
 
 
 def separable_global_identifiability(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Verdict:
-    """Global identifiability for separable square networks via the generic determinant.
+    """Global identifiability for separable square networks: full generic rank under the guard.
 
     Refuses non-separable input rather than falling back to the local test:
     the global claim is only licensed by the separable block structure,
-    where local and global identifiability coincide.
+    where local and global identifiability coincide.  On square input a
+    nonzero generic determinant and full generic rank are the same test.
     """
     validate(net)
     _require_unknowns(net)
     separate(net)
     if not net.is_square:
         raise NotSquareError(net)
-    nonzero = generic_det_nonzero(net, trials=trials, seed=seed)
-    m = net.m_unknown
-    if nonzero:
-        return Verdict(IDENTIFIABLE, GLOBAL_SEPARABLE, m_unknown=m, trials=trials, seed=seed)
-    witness = None
-    zero_cols = _structural_zero_columns(net)
-    if zero_cols:
-        witness = {"zero_columns": zero_cols}
-    return Verdict(NOT_IDENTIFIABLE, GLOBAL_SEPARABLE, m_unknown=m, trials=trials, seed=seed, witness=witness)
+    rank, _ = generic_rank(net, trials=trials, seed=seed)
+    return _rank_verdict(net, GLOBAL_SEPARABLE, rank, trials, seed)
 
 
 def check_decoupling_equivalence(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> bool:

@@ -14,7 +14,7 @@ computation.  Node indices are 0-based in memory and 1-based in files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "separate",
     "is_separable",
     "decouple",
-    "permute",
     "network_from_dict",
     "network_to_dict",
     "load_network",
@@ -337,16 +336,6 @@ def decouple(net: NetworkModel, seed: int = 0) -> NetworkModel:
         edges=edges,
         excited=tuple(n + b for b in net.excited),
         measured=net.measured,
-    )
-
-
-def permute(net: NetworkModel, perm: list[int]) -> NetworkModel:
-    """Renumber nodes by ``perm`` (old index -> new index), preserving list orders."""
-    return NetworkModel(
-        n=net.n,
-        edges=tuple(replace(e, src=perm[e.src], dst=perm[e.dst]) for e in net.edges),
-        excited=tuple(perm[v] for v in net.excited),
-        measured=tuple(perm[v] for v in net.measured),
     )
 
 

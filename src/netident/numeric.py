@@ -39,11 +39,7 @@ __all__ = [
     "neumann_series",
     "inf_norm",
     "sensitivity_matrix",
-    "identity_field",
-    "mat_mul_field",
     "rank_field",
-    "det_field",
-    "kernel_field",
     "generic_rank",
     "generic_det_nonzero",
 ]
@@ -119,50 +115,47 @@ def network_matrix(ev: Evaluation):
     return G
 
 
-def identity_field(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _row_reduce(A: list[list[int]]) -> tuple[int, int, list[int], list[list[int]]]:
+    """Gauss-Jordan elimination modulo PRIME: (rank, det, pivot columns, reduced rows).
 
-
-def mat_mul_field(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        row = out[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(cols):
-                    row[j] = (row[j] + a * Bk[j]) % PRIME
-    return out
-
-
-def _invert_field(M: list[list[int]]) -> list[list[int]]:
-    """Gauss-Jordan inverse modulo PRIME; raises SingularMatrixError."""
-    n = len(M)
-    aug = [[x % PRIME for x in row] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
+    Pivots are scaled to 1 and cleared above and below, column by column,
+    stopping once every row holds a pivot.  ``det`` is the determinant when
+    A is square, and 0 whenever some row is left without a pivot.
+    """
+    rows = [[x % PRIME for x in row] for row in A]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivot_cols: list[int] = []
+    det = 1
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
         if piv is None:
-            raise SingularMatrixError("matrix not invertible over the prime field")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, PRIME)
-        aug[col] = [(x * inv) % PRIME for x in aug[col]]
-        prow = aug[col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % PRIME for x, y in zip(aug[r], prow)]
-    return [row[n:] for row in aug]
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = PRIME - det
+        pivot = rows[rank][col]
+        det = (det * pivot) % PRIME
+        inv = pow(pivot, -1, PRIME)
+        prow = rows[rank] = [(x * inv) % PRIME for x in rows[rank]]
+        for r in range(nrows):
+            f = rows[r][col]
+            if f and r != rank:
+                rows[r] = [(x - f * y) % PRIME for x, y in zip(rows[r], prow)]
+        pivot_cols.append(col)
+    if len(pivot_cols) < nrows:
+        det = 0
+    return len(pivot_cols), det, pivot_cols, rows
 
 
 def closed_loop(G):
     """(I - G)^{-1} in the scalar variant of G.
 
-    Exact (list of lists): exact field inverse.  Float (ndarray): solved to
-    machine precision.  Raises SingularMatrixError when I - G is not
-    invertible, a non-generic sample the caller should redraw.
+    Exact (list of lists): [I - G | I] row-reduced over the field.  Float
+    (ndarray): solved to machine precision.  Raises SingularMatrixError when
+    I - G is not invertible, a non-generic sample the caller should redraw.
     """
     if isinstance(G, np.ndarray):
         n = G.shape[0]
@@ -175,8 +168,11 @@ def closed_loop(G):
             raise SingularMatrixError("non-finite entries in closed loop")
         return T
     n = len(G)
-    M = [[(-G[i][j]) % PRIME if i != j else (1 - G[i][j]) % PRIME for j in range(n)] for i in range(n)]
-    return _invert_field(M)
+    aug = [[(i == j) - G[i][j] for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
+    _, _, pivot_cols, rows = _row_reduce(aug)
+    if pivot_cols != list(range(n)):
+        raise SingularMatrixError("matrix not invertible over the prime field")
+    return [row[n:] for row in rows]
 
 
 def neumann_series(G: NDArray, terms: int) -> NDArray:
@@ -199,7 +195,9 @@ def inf_norm(G: NDArray) -> float:
     return float(np.abs(G).sum(axis=1).max())
 
 
-def sensitivity_matrix(net: NetworkModel, T_left, T_right):
+def sensitivity_matrix(
+    net: NetworkModel, T_left: list[list[int]], T_right: list[list[int]]
+) -> list[list[int]]:
     """The derivative of the measured closed-loop map with respect to the unknown edges.
 
     Rows are (excitation, measurement) pairs at flat index
@@ -211,103 +209,16 @@ def sensitivity_matrix(net: NetworkModel, T_left, T_right):
     sampled closed loops.
     """
     unknowns = net.unknown_edges
-    exact = not isinstance(T_left, np.ndarray)
-    rows = net.n_excited * net.n_measured
-    if exact:
-        K = [[0] * len(unknowns) for _ in range(rows)]
-    else:
-        K = np.zeros((rows, len(unknowns)), dtype=complex)
-    for bi, b in enumerate(net.excited):
-        for ci, c in enumerate(net.measured):
-            r = bi * net.n_measured + ci
-            for k, e in enumerate(unknowns):
-                if exact:
-                    K[r][k] = (T_left[c][e.dst] * T_right[e.src][b]) % PRIME
-                else:
-                    K[r][k] = T_left[c][e.dst] * T_right[e.src][b]
-    return K
+    return [
+        [(T_left[c][e.dst] * T_right[e.src][b]) % PRIME for e in unknowns]
+        for b in net.excited
+        for c in net.measured
+    ]
 
 
 def rank_field(A: list[list[int]]) -> int:
-    """Rank over the prime field by Gaussian elimination."""
-    if not A or not A[0]:
-        return 0
-    rows = [[x % PRIME for x in row] for row in A]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, PRIME)
-        prow = rows[rank]
-        for r in range(rank + 1, nrows):
-            if rows[r][col]:
-                f = (rows[r][col] * inv) % PRIME
-                rows[r] = [(x - f * y) % PRIME for x, y in zip(rows[r], prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def det_field(A: list[list[int]]) -> int:
-    """Determinant over the prime field; 0 on singular input."""
-    n = len(A)
-    if n == 0:
-        return 1
-    rows = [[x % PRIME for x in row] for row in A]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = PRIME - det
-        pivot = rows[col][col]
-        det = (det * pivot) % PRIME
-        inv = pow(pivot, -1, PRIME)
-        prow = rows[col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = (rows[r][col] * inv) % PRIME
-                rows[r] = [(x - f * y) % PRIME for x, y in zip(rows[r], prow)]
-    return det % PRIME
-
-
-def kernel_field(A: list[list[int]]) -> list[list[int]]:
-    """Basis of the right null space over the prime field (one vector per free column)."""
-    if not A or not A[0]:
-        return []
-    rows = [[x % PRIME for x in row] for row in A]
-    nrows, ncols = len(rows), len(rows[0])
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, PRIME)
-        rows[rank] = [(x * inv) % PRIME for x in rows[rank]]
-        prow = rows[rank]
-        for r in range(nrows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % PRIME for x, y in zip(rows[r], prow)]
-        pivot_cols.append(col)
-        rank += 1
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    for free in free_cols:
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = (-rows[r][free]) % PRIME
-        basis.append(vec)
-    return basis
+    """Rank over the prime field."""
+    return _row_reduce(A)[0]
 
 
 def _sample_sensitivity(net: NetworkModel, rng: np.random.Generator, decoupled: bool):
@@ -342,9 +253,11 @@ def generic_rank(
     The rank of the sensitivity matrix, as a function of the edge values,
     attains its maximum off a proper algebraic subset, so the max over a few
     random field samples is the generic rank except with probability bounded
-    by Schwartz-Zippel.  Decoupled mode draws two independent evaluations
-    per trial, one per closed-loop factor.  Deterministic in (net, decoupled,
-    trials, seed).
+    by Schwartz-Zippel.  ``trials`` is an upper bound on the samples drawn:
+    the loop stops at the first sample of full column rank, since the
+    maximum cannot go higher.  Decoupled mode draws two independent
+    evaluations per trial, one per closed-loop factor.  Deterministic in
+    (net, decoupled, trials, seed).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -352,8 +265,11 @@ def generic_rank(
     best = -1
     for _ in range(trials):
         K = _sample_sensitivity(net, rng, decoupled)
-        if K is not None:
-            best = max(best, rank_field(K))
+        if K is None:
+            continue
+        best = max(best, rank_field(K))
+        if best == net.m_unknown:
+            break
     if best < 0:
         raise AllSamplesSingularError(
             f"all {trials} trials exhausted {RESAMPLE_BUDGET} resamples on singular closed loops"
@@ -364,28 +280,15 @@ def generic_rank(
 def generic_det_nonzero(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> bool:
     """Whether det of the (square) sensitivity matrix is nonzero at some random sample.
 
-    True means the determinant is generically nonzero; false means it
-    vanished at every sample, which by the generic dichotomy makes it
-    identically zero up to the Schwartz-Zippel failure probability.
-    Requires a separable network with one unknown edge per (excitation,
-    measurement) pair.
+    A square matrix has a nonzero determinant exactly when it has full
+    rank, so this is the full-rank test of ``generic_rank`` under the
+    separable-square guard.  True means the determinant is generically
+    nonzero; false means it vanished at every sample, which by the generic
+    dichotomy makes it identically zero up to the Schwartz-Zippel failure
+    probability.  Requires a separable network with one unknown edge per
+    (excitation, measurement) pair.
     """
     separate(net)
     if not net.is_square:
         raise NotSquareError(net)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    sampled = False
-    for _ in range(trials):
-        K = _sample_sensitivity(net, rng, decoupled=False)
-        if K is None:
-            continue
-        sampled = True
-        if det_field(K) != 0:
-            return True
-    if not sampled:
-        raise AllSamplesSingularError(
-            f"all {trials} trials exhausted {RESAMPLE_BUDGET} resamples on singular closed loops"
-        )
-    return False
+    return generic_rank(net, trials=trials, seed=seed)[0] == net.m_unknown

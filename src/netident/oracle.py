@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .combinatorial import Monomial
+from .combinatorial import Monomial, _parity, monomial_degree
 from .netmodel import NetworkModel, NotSquareError, SeparableBlocks, separate
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "symbolic_det",
     "coefficient",
     "terms_sorted",
-    "eval_poly",
 ]
 
 MAX_UNKNOWNS = 6
@@ -36,10 +35,6 @@ MAX_UNKNOWNS = 6
 
 class TooLargeError(ValueError):
     """The permutation expansion is factorial in the unknown count; refuse big inputs."""
-
-
-def _key_degree(key: frozenset) -> int:
-    return sum(power for _, power in key)
 
 
 class Poly:
@@ -80,9 +75,9 @@ class Poly:
     def mul(self, other: "Poly", max_degree: int | None = None) -> "Poly":
         out: dict[frozenset, int] = {}
         for k1, c1 in self.terms.items():
-            d1 = _key_degree(k1)
+            d1 = monomial_degree(k1)
             for k2, c2 in other.terms.items():
-                if max_degree is not None and d1 + _key_degree(k2) > max_degree:
+                if max_degree is not None and d1 + monomial_degree(k2) > max_degree:
                     continue
                 powers = dict(k1)
                 for var, p in k2:
@@ -183,22 +178,13 @@ def symbolic_det(net: NetworkModel, max_degree: int) -> Poly:
             K.append([t_c[c][e.dst].mul(t_b[e.src][b], max_degree) for e in unknowns])
     det = Poly.zero()
     for perm in itertools.permutations(range(m)):
-        prod = Poly.constant(_perm_sign(perm))
+        prod = Poly.constant(_parity(perm))
         for r in range(m):
             prod = prod.mul(K[r][perm[r]], max_degree)
             if prod.is_zero():
                 break
         det = det.add(prod)
     return det
-
-
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return 1 if inv % 2 == 0 else -1
 
 
 def coefficient(poly: Poly, mu: Monomial) -> int:
@@ -209,20 +195,5 @@ def coefficient(poly: Poly, mu: Monomial) -> int:
 def terms_sorted(poly: Poly) -> list[tuple[Monomial, int]]:
     """(monomial, coefficient) pairs in (degree, monomial) order."""
     items = [(tuple(sorted(key)), c) for key, c in poly.terms.items()]
-    items.sort(key=lambda kv: (monomial_total(kv[0]), kv[0]))
+    items.sort(key=lambda kv: (monomial_degree(kv[0]), kv[0]))
     return items
-
-
-def monomial_total(mu: Monomial) -> int:
-    return sum(p for _, p in mu)
-
-
-def eval_poly(poly: Poly, values: dict[int, int], modulus: int) -> int:
-    """Evaluate at integer points modulo ``modulus`` (variables are edge indices)."""
-    total = 0
-    for key, c in poly.terms.items():
-        term = c % modulus
-        for var, p in key:
-            term = (term * pow(values[var], p, modulus)) % modulus
-        total = (total + term) % modulus
-    return total

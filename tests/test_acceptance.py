@@ -138,12 +138,16 @@ class TestAcceptance:
         _report(5, "decoupled equivalence", started, failures)
 
     def test_criterion_6_separable_local_is_global(self):
-        """Local and global decisions coincide on 100 separable square nets."""
+        """Local and global decisions coincide on 100 separable square nets.
+
+        Global is the rank test under the separable-square guard, so it reads
+        a disjoint seed: at the same seed both would see the same samples.
+        """
         started = time.perf_counter()
         failures = []
         for net in separable_square_corpus(100, acyclic=False, start_seed=6000):
-            loc = local_identifiability(net).decision
-            glob = separable_global_identifiability(net).decision
+            loc = local_identifiability(net, seed=0).decision
+            glob = separable_global_identifiability(net, seed=0x5EED).decision
             if loc != glob:
                 failures.append(f"local {loc} but global {glob} on {net}")
         _report(6, "separable local is global", started, failures)

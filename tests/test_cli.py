@@ -172,6 +172,22 @@ class TestOracle:
         assert "comparing 0 monomials" in out
         assert "agreement: yes" in out
 
+    def test_non_separable_input_is_an_error(self, tmp_path, capsys):
+        net = NetworkModel(2, [Edge(0, 1, known=False)], [0, 1], [1])
+        path = write_net(tmp_path, net)
+        code, out, err = run(capsys, ["oracle", path])
+        assert code == 3
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_too_many_unknowns_is_an_error(self, tmp_path, capsys):
+        net = NetworkModel(8, [Edge(i, 7, known=False) for i in range(7)], list(range(7)), [7])
+        path = write_net(tmp_path, net)
+        code, out, err = run(capsys, ["oracle", path, "--max-degree", "2"])
+        assert code == 3
+        assert err.startswith("error:") and "7 unknown edges" in err
+        assert out == ""
+
 
 class TestGen:
     def test_writes_loadable_network(self, tmp_path, capsys):

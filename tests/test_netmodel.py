@@ -24,9 +24,9 @@ from netident import (
     separate,
     validate,
 )
-from netident.netmodel import permute
 
 from corpus import chain_net, fan_net, minimal_net
+from helpers import permute
 
 
 class TestValidate:

@@ -12,11 +12,9 @@ from netident import (
     PRIME,
     SingularMatrixError,
     closed_loop,
-    det_field,
     generic_det_nonzero,
     generic_rank,
     inf_norm,
-    kernel_field,
     neumann_series,
     network_matrix,
     random_field_evaluation,
@@ -24,9 +22,10 @@ from netident import (
     rank_field,
     sensitivity_matrix,
 )
-from netident.numeric import identity_field, mat_mul_field
+from netident import numeric
 
 from corpus import chain_net, fan_net, minimal_net, unreachable_net
+from helpers import det_field, identity_field, kernel_field, mat_mul_field
 
 rng = np.random.default_rng
 
@@ -210,6 +209,24 @@ class TestGenericRank:
     def test_deterministic_in_seed(self):
         net = fan_net()
         assert generic_rank(net, trials=3, seed=42) == generic_rank(net, trials=3, seed=42)
+
+    def test_stops_at_first_full_rank_sample(self, monkeypatch):
+        """Full column rank cannot be exceeded, so the trial budget is spent only on deficient samples."""
+        draws = []
+        sample = numeric._sample_sensitivity
+
+        def counting(*args, **kwargs):
+            draws.append(1)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(numeric, "_sample_sensitivity", counting)
+        for net, expected_draws, nonzero in ((fan_net(), 1, True), (unreachable_net(), 5, False)):
+            draws.clear()
+            assert generic_rank(net, trials=5)[0] == (net.m_unknown if nonzero else 0)
+            assert len(draws) == expected_draws
+            draws.clear()
+            assert generic_det_nonzero(net, trials=5) is nonzero
+            assert len(draws) == expected_draws
 
     def test_single_trial_already_generic(self):
         """Each trial alone hits the generic rank; instability would be a bug."""

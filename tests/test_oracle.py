@@ -11,9 +11,8 @@ from netident import (
     TooLargeError,
     closed_loop,
     coefficient,
-    det_field,
-    eval_poly,
     exhaustive_degree_bound,
+    monomial_degree,
     network_matrix,
     random_field_evaluation,
     repetition_table,
@@ -23,7 +22,6 @@ from netident import (
     symbolic_det,
     terms_sorted,
 )
-from netident.oracle import monomial_total
 
 from corpus import (
     chain_net,
@@ -33,6 +31,7 @@ from corpus import (
     separable_square_corpus,
     unreachable_net,
 )
+from helpers import det_field, eval_poly
 from test_combinatorial import cancel_net
 
 
@@ -106,7 +105,7 @@ class TestSymbolicClosedLoop:
         t = symbolic_closed_loop(net, separate(net), "B", 4)
         for row in t:
             for p in row:
-                assert all(monomial_total(mu) <= 4 for mu, _ in terms_sorted(p))
+                assert all(monomial_degree(mu) <= 4 for mu, _ in terms_sorted(p))
 
     def test_rejects_unknown_side(self):
         net = chain_net()
