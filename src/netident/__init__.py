@@ -65,19 +65,12 @@ from .identifiability import (
 from .combinatorial import (
     Monomial,
     Walk,
-    Assignment,
-    PathCollection,
     RepetitionTable,
-    NotBijectiveError,
     monomial_of,
     monomial_degree,
     format_monomial,
     walk_nodes,
     format_walk,
-    sign_of,
-    collection_assignment,
-    collection_monomial,
-    collection_sign,
     enumerate_walks,
     repetition_table,
     exhaustive_degree_bound,

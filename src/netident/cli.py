@@ -230,8 +230,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     max_degree = args.max_degree if args.max_degree is not None else 2 * net.n
     if net.m_unknown == 0:
         raise NoUnknownEdgesError()
-    table = repetition_table(net, max_degree)
+    # The determinant first: its size guard must refuse before the walk table is enumerated.
     poly = symbolic_det(net, max_degree)
+    table = repetition_table(net, max_degree)
     monomials = set(table.entries) | {mu for mu, _ in terms_sorted(poly)}
     rows = sorted(monomials, key=lambda mu: (monomial_degree(mu), mu))
     agree = True

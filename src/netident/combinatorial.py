@@ -19,9 +19,8 @@ edge no walk can reach at all).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .identifiability import (
@@ -52,13 +51,6 @@ __all__ = [
     "Walk",
     "walk_nodes",
     "format_walk",
-    "NotBijectiveError",
-    "Assignment",
-    "sign_of",
-    "PathCollection",
-    "collection_assignment",
-    "collection_monomial",
-    "collection_sign",
     "enumerate_walks",
     "RepetitionTable",
     "repetition_table",
@@ -134,23 +126,6 @@ def format_walk(net: NetworkModel, walk: Walk) -> str:
     return " ".join(out)
 
 
-class NotBijectiveError(ValueError):
-    """The assignment does not pair the unknown edges with all (excitation, measurement) pairs."""
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """(excitation slot, measurement slot) per unknown edge, in canonical edge order.
-
-    Slots are positions within the network's excited and measured lists, so
-    the flat row index of a pair is excitation_slot * n_measured +
-    measurement_slot, matching the sensitivity-matrix row order.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    n_measured: int
-
-
 def _parity(rows: Sequence[int]) -> int:
     inversions = 0
     for i in range(len(rows)):
@@ -158,40 +133,6 @@ def _parity(rows: Sequence[int]) -> int:
             if rows[i] > rows[j]:
                 inversions += 1
     return 1 if inversions % 2 == 0 else -1
-
-
-def sign_of(assignment: Assignment) -> int:
-    """Permutation parity of the map from canonical unknown-edge order to row order."""
-    rows = [b * assignment.n_measured + c for b, c in assignment.pairs]
-    if sorted(rows) != list(range(len(rows))):
-        raise NotBijectiveError(
-            "assignment must hit every (excitation, measurement) pair exactly once"
-        )
-    return _parity(rows)
-
-
-@dataclass(frozen=True)
-class PathCollection:
-    """One walk per unknown edge, in canonical edge order."""
-
-    walks: tuple[Walk, ...]
-
-
-def collection_assignment(net: NetworkModel, collection: PathCollection) -> Assignment:
-    b_slot = {b: i for i, b in enumerate(net.excited)}
-    c_slot = {c: i for i, c in enumerate(net.measured)}
-    pairs = tuple((b_slot[w.start], c_slot[w.end]) for w in collection.walks)
-    return Assignment(pairs=pairs, n_measured=net.n_measured)
-
-
-def collection_monomial(collection: PathCollection) -> Monomial:
-    return monomial_of(
-        itertools.chain.from_iterable(w.known_edge_indices() for w in collection.walks)
-    )
-
-
-def collection_sign(net: NetworkModel, collection: PathCollection) -> int:
-    return sign_of(collection_assignment(net, collection))
 
 
 def _adjacency(net: NetworkModel, edges: Iterable[Edge]) -> dict[int, list[tuple[int, int]]]:
@@ -214,7 +155,7 @@ def _walks_between(
     def dfs(node: int, remaining: int) -> None:
         if node == goal:
             out.append(tuple(path))
-        if remaining == 0:
+        if remaining <= 0:
             return
         for eidx, nxt in adj.get(node, ()):
             path.append(eidx)
@@ -229,22 +170,30 @@ def enumerate_walks(
     net: NetworkModel,
     blocks: SeparableBlocks,
     pivot: Edge,
-    max_prefix: int,
-    max_suffix: int,
+    max_degree: int,
 ) -> list[Walk]:
-    """All bounded walks through ``pivot``: excited block prefix, pivot, measured block suffix."""
+    """All walks through ``pivot`` with at most ``max_degree`` known edges.
+
+    A walk is an excited-block prefix, the pivot, then a measured-block
+    suffix.  The one bound caps prefix and suffix together, so no walk
+    above it is ever built.
+    """
     idx_of = {e: i for i, e in enumerate(net.edges)}
     pivot_idx = idx_of[pivot]
     adj_b = _adjacency(net, blocks.gb_edges)
+    prefixes = {b: sorted(_walks_between(adj_b, b, pivot.src, max_degree), key=len) for b in net.excited}
+    shortest = min((len(ps[0]) for ps in prefixes.values() if ps), default=None)
+    if shortest is None:
+        return []
     adj_c = _adjacency(net, blocks.gc_edges)
     walks: list[Walk] = []
-    for b in net.excited:
-        prefixes = _walks_between(adj_b, b, pivot.src, max_prefix)
-        if not prefixes:
-            continue
-        for c in net.measured:
-            for suffix in _walks_between(adj_c, pivot.dst, c, max_suffix):
-                for prefix in prefixes:
+    for c in net.measured:
+        for suffix in _walks_between(adj_c, pivot.dst, c, max_degree - shortest):
+            room = max_degree - len(suffix)
+            for b, ps in prefixes.items():
+                for prefix in ps:
+                    if len(prefix) > room:
+                        break
                     walks.append(
                         Walk(
                             edges=prefix + (pivot_idx,) + suffix,
@@ -267,11 +216,15 @@ class RepetitionTable:
     acyclic with the bound at least the longest possible collection degree,
     or some unknown edge admitting no walk at any length (so no collection
     exists at all; those edges are listed in ``infeasible_pivots``).
+    ``walks`` keeps the walks the count ran over: per unknown edge, in
+    net.edges order, every walk of degree <= ``max_degree``, sorted by
+    (degree, edges).  The witness search reuses them.
     """
 
     entries: dict[Monomial, int]
     max_degree: int
     exhaustive: bool
+    walks: tuple[tuple[Walk, ...], ...] = field(repr=False, compare=False)
     infeasible_pivots: tuple[int, ...] = ()
 
     def sorted_items(self) -> list[tuple[Monomial, int]]:
@@ -371,12 +324,11 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
 
     pivots = [i for i, e in enumerate(net.edges) if not e.known]
     m = len(pivots)
-    walk_lists: list[list[Walk]] = []
+    walk_lists: list[tuple[Walk, ...]] = []
     for i in pivots:
-        ws = enumerate_walks(net, blocks, net.edges[i], max_degree, max_degree)
-        ws = [w for w in ws if w.degree <= max_degree]
+        ws = enumerate_walks(net, blocks, net.edges[i], max_degree)
         ws.sort(key=lambda w: (w.degree, w.edges))
-        walk_lists.append(ws)
+        walk_lists.append(tuple(ws))
 
     # Minimum attainable degree of the remaining unknown edges, for pruning.
     min_rest = [0] * (m + 1)
@@ -423,26 +375,24 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
         entries=entries,
         max_degree=max_degree,
         exhaustive=exhaustive,
+        walks=tuple(walk_lists),
         infeasible_pivots=infeasible,
     )
 
 
 def _witness_collection(
     net: NetworkModel,
-    blocks: SeparableBlocks,
+    table_walks: Sequence[Sequence[Walk]],
     mu: Monomial,
     want_sign: int,
-    max_degree: int,
-) -> PathCollection | None:
-    """Lexicographically smallest collection with monomial mu and the given sign."""
-    pivots = [i for i, e in enumerate(net.edges) if not e.known]
-    m = len(pivots)
-    walk_lists = []
-    for i in pivots:
-        ws = enumerate_walks(net, blocks, net.edges[i], max_degree, max_degree)
-        ws = [w for w in ws if w.degree <= max_degree]
-        ws.sort(key=lambda w: w.edges)
-        walk_lists.append(ws)
+) -> tuple[Walk, ...] | None:
+    """Lexicographically smallest collection with monomial mu and the given sign.
+
+    Searches the walks a repetition table counted over, re-sorted by edge
+    sequence: one walk per unknown edge, in canonical edge order.
+    """
+    walk_lists = [sorted(ws, key=lambda w: w.edges) for ws in table_walks]
+    m = len(walk_lists)
 
     budget = Counter(dict(mu))
     b_slot = {b: i for i, b in enumerate(net.excited)}
@@ -456,10 +406,10 @@ def _witness_collection(
         need = Counter(w.known_edge_indices())
         return all(budget[idx] >= cnt for idx, cnt in need.items())
 
-    def dfs(k: int) -> PathCollection | None:
+    def dfs(k: int) -> tuple[Walk, ...] | None:
         if k == m:
             if sum(budget.values()) == 0 and _parity(rows) == want_sign:
-                return PathCollection(walks=tuple(chosen))
+                return tuple(chosen)
             return None
         for w in walk_lists[k]:
             row = b_slot[w.start] * n_c + c_slot[w.end]
@@ -493,14 +443,12 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
     surviving = [(mu, r) for mu, r in table.sorted_items() if r != 0]
     if surviving:
         mu, r = surviving[0]
-        blocks = separate(net)
-        want = 1 if r > 0 else -1
-        coll = _witness_collection(net, blocks, mu, want, table.max_degree)
+        coll = _witness_collection(net, table.walks, mu, 1 if r > 0 else -1)
         witness = {"monomial": format_monomial(net, mu), "repetition": r}
         if coll is not None:
             witness["walks"] = [
                 {"nodes": [v + 1 for v in walk_nodes(net, w)], "pivot": str(net.edges[w.pivot])}
-                for w in coll.walks
+                for w in coll
             ]
         return Verdict(
             IDENTIFIABLE,

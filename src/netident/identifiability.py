@@ -150,7 +150,7 @@ def local_identifiability(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed:
     """
     validate(net)
     _require_unknowns(net)
-    rank, _ = generic_rank(net, decoupled=False, trials=trials, seed=seed)
+    rank = generic_rank(net, decoupled=False, trials=trials, seed=seed)
     return _rank_verdict(net, LOCAL_GENERIC, rank, trials, seed)
 
 
@@ -158,7 +158,7 @@ def decoupled_identifiability(net: NetworkModel, trials: int = DEFAULT_TRIALS, s
     """Generic decoupled identifiability: the two closed-loop factors sampled independently."""
     validate(net)
     _require_unknowns(net)
-    rank, _ = generic_rank(net, decoupled=True, trials=trials, seed=seed)
+    rank = generic_rank(net, decoupled=True, trials=trials, seed=seed)
     return _rank_verdict(net, DECOUPLED_GENERIC, rank, trials, seed)
 
 
@@ -175,7 +175,7 @@ def separable_global_identifiability(net: NetworkModel, trials: int = DEFAULT_TR
     separate(net)
     if not net.is_square:
         raise NotSquareError(net)
-    rank, _ = generic_rank(net, trials=trials, seed=seed)
+    rank = generic_rank(net, trials=trials, seed=seed)
     return _rank_verdict(net, GLOBAL_SEPARABLE, rank, trials, seed)
 
 

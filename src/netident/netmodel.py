@@ -14,6 +14,7 @@ computation.  Node indices are 0-based in memory and 1-based in files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,12 +354,17 @@ def _require(cond: bool, msg: str) -> None:
         raise NetworkFormatError(msg)
 
 
+def _is_int(v: object) -> bool:
+    """An integer, but not a bool (JSON ``true`` would otherwise read as 1)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def network_from_dict(data: dict) -> NetworkModel:
     """Parse the JSON dict form, raising NetworkFormatError naming the bad field."""
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("nodes", "edges", "excited", "measured"):
         _require(key in data, f"missing field '{key}'")
-    _require(isinstance(data["nodes"], int) and data["nodes"] >= 0, "field 'nodes' must be a non-negative integer")
+    _require(_is_int(data["nodes"]) and data["nodes"] >= 0, "field 'nodes' must be a non-negative integer")
     _require(isinstance(data["edges"], list), "field 'edges' must be a list")
 
     edges = []
@@ -367,11 +373,14 @@ def network_from_dict(data: dict) -> NetworkModel:
         _require(isinstance(raw, dict), f"{where} must be an object")
         for key in ("from", "to", "known"):
             _require(key in raw, f"{where} missing field '{key}'")
-        _require(isinstance(raw["from"], int), f"{where}.from must be an integer")
-        _require(isinstance(raw["to"], int), f"{where}.to must be an integer")
+        _require(_is_int(raw["from"]), f"{where}.from must be an integer")
+        _require(_is_int(raw["to"]), f"{where}.to must be an integer")
         _require(isinstance(raw["known"], bool), f"{where}.known must be a boolean")
         value = raw.get("value")
-        _require(value is None or isinstance(value, (int, float)), f"{where}.value must be a number")
+        _require(
+            value is None or (isinstance(value, (int, float)) and math.isfinite(value)),
+            f"{where}.value must be a finite number",
+        )
         edges.append(
             Edge(
                 src=raw["from"] - 1,
@@ -383,7 +392,7 @@ def network_from_dict(data: dict) -> NetworkModel:
 
     for key in ("excited", "measured"):
         _require(isinstance(data[key], list), f"field '{key}' must be a list")
-        _require(all(isinstance(v, int) for v in data[key]), f"field '{key}' must hold integers")
+        _require(all(_is_int(v) for v in data[key]), f"field '{key}' must hold integers")
 
     net = NetworkModel(
         n=data["nodes"],

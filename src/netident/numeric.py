@@ -247,8 +247,8 @@ def generic_rank(
     decoupled: bool = False,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-) -> tuple[int, int]:
-    """(max rank of the sensitivity matrix over random samples, unknown-edge count).
+) -> int:
+    """Max rank of the sensitivity matrix over random samples.
 
     The rank of the sensitivity matrix, as a function of the edge values,
     attains its maximum off a proper algebraic subset, so the max over a few
@@ -274,7 +274,7 @@ def generic_rank(
         raise AllSamplesSingularError(
             f"all {trials} trials exhausted {RESAMPLE_BUDGET} resamples on singular closed loops"
         )
-    return best, net.m_unknown
+    return best
 
 
 def generic_det_nonzero(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> bool:
@@ -291,4 +291,4 @@ def generic_det_nonzero(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: i
     separate(net)
     if not net.is_square:
         raise NotSquareError(net)
-    return generic_rank(net, trials=trials, seed=seed)[0] == net.m_unknown
+    return generic_rank(net, trials=trials, seed=seed) == net.m_unknown

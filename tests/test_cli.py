@@ -1,12 +1,14 @@
 """Command-line behavior: reports, exit codes, determinism, error handling."""
 
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from netident import Edge, NetworkModel, load_network, save_network, validate
+from netident import Edge, NetworkModel, load_network, network_to_dict, random_network, save_network, validate
 from netident.cli import main
 
 from corpus import cyclic9_net, fan_net, minimal_net, unreachable_net
@@ -188,6 +190,19 @@ class TestOracle:
         assert err.startswith("error:") and "7 unknown edges" in err
         assert out == ""
 
+    def test_size_guard_runs_before_the_walk_table(self, tmp_path, capsys):
+        """Eight unknown edges exceed the guard; the refusal must not wait for a 2n-bound walk table."""
+        net = random_network(
+            nodes=12, unknowns=8, excited=4, measured=2, known_density=0.4, separable=True, seed=1
+        )
+        path = write_net(tmp_path, net)
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["oracle", path])
+        assert time.perf_counter() - started < 5
+        assert code == 3
+        assert err.startswith("error:") and "8 unknown edges" in err
+        assert out == ""
+
 
 class TestGen:
     def test_writes_loadable_network(self, tmp_path, capsys):
@@ -226,6 +241,17 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, ["check", str(path)])
         assert code == 3
         assert "invalid JSON" in err
+
+    def test_non_finite_edge_value(self, tmp_path, capsys):
+        """json reads the literal NaN; the parser must still refuse it."""
+        data = network_to_dict(fan_net())
+        data["edges"][0]["value"] = math.nan
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["check", str(path)])
+        assert code == 3
+        assert err.startswith("error: edges[0].value")
+        assert out == ""
 
     def test_no_unknown_edges(self, tmp_path, capsys):
         net = NetworkModel(2, [Edge(0, 1, known=True)], [0], [1])

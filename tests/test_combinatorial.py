@@ -1,9 +1,12 @@
 """Walk enumeration, signed counting and the verdicts they support."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from netident import (
-    Assignment,
     Edge,
     IDENTIFIABLE,
     INCONCLUSIVE,
@@ -11,13 +14,9 @@ from netident import (
     DECOUPLED_GENERIC,
     GLOBAL_SEPARABLE,
     NetworkModel,
+    GenerationError,
     NoUnknownEdgesError,
-    NotBijectiveError,
     NotSquareError,
-    PathCollection,
-    collection_assignment,
-    collection_monomial,
-    collection_sign,
     combinatorial_verdict,
     enumerate_walks,
     exhaustive_degree_bound,
@@ -28,14 +27,17 @@ from netident import (
     monomial_degree,
     monomial_of,
     necessary_condition_any_topology,
+    random_network,
     repetition_table,
     separate,
-    sign_of,
     verdict_from_table,
     walk_nodes,
 )
+from netident import combinatorial
+from netident.combinatorial import _parity, _witness_collection
 
 from corpus import (
+    SQUARE_COMBOS,
     bipartite_net,
     chain_net,
     cyclic9_net,
@@ -78,28 +80,22 @@ class TestMonomials:
 
 
 class TestSign:
+    """Parity of the row order a collection's (excitation, measurement) pairs hit."""
+
     def test_identity_assignment_is_positive(self):
-        assert sign_of(Assignment(pairs=((0, 0), (0, 1)), n_measured=2)) == 1
-        assert sign_of(Assignment(pairs=((0, 0), (0, 1), (1, 0), (1, 1)), n_measured=2)) == 1
+        assert _parity([0, 1]) == 1
+        assert _parity([0, 1, 2, 3]) == 1
 
     def test_single_swap_is_negative(self):
-        assert sign_of(Assignment(pairs=((0, 1), (0, 0)), n_measured=2)) == -1
-        assert sign_of(Assignment(pairs=((0, 0), (0, 1), (1, 1), (1, 0)), n_measured=2)) == -1
-
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(NotBijectiveError):
-            sign_of(Assignment(pairs=((0, 0), (0, 0)), n_measured=2))
-
-    def test_gap_in_rows_rejected(self):
-        with pytest.raises(NotBijectiveError):
-            sign_of(Assignment(pairs=((0, 0), (1, 1)), n_measured=3))
+        assert _parity([1, 0]) == -1
+        assert _parity([0, 1, 3, 2]) == -1
 
 
 class TestEnumerateWalks:
     def test_chain_single_walk(self):
         net = chain_net()
         blocks = separate(net)
-        walks = enumerate_walks(net, blocks, net.edges[1], 3, 3)
+        walks = enumerate_walks(net, blocks, net.edges[1], 3)
         assert len(walks) == 1
         w = walks[0]
         assert w.edges == (0, 1)
@@ -111,52 +107,60 @@ class TestEnumerateWalks:
 
     def test_minimal_degree_zero_walk(self):
         net = minimal_net()
-        walks = enumerate_walks(net, separate(net), net.edges[0], 2, 2)
+        walks = enumerate_walks(net, separate(net), net.edges[0], 2)
         assert [format_walk(net, w) for w in walks] == ["1 => 2"]
         assert walks[0].degree == 0
 
     def test_fan_two_prefixes_per_pivot(self):
         net = fan_net()
         blocks = separate(net)
-        walks = enumerate_walks(net, blocks, net.edges[4], 2, 2)
+        walks = enumerate_walks(net, blocks, net.edges[4], 2)
         assert sorted((w.start, w.edges) for w in walks) == [(0, (0, 4)), (1, (2, 4))]
 
     def test_prefix_bound_respected(self):
         net = chain_net()
-        walks = enumerate_walks(net, separate(net), net.edges[1], 0, 3)
-        assert walks == []
+        assert enumerate_walks(net, separate(net), net.edges[1], 0) == []
+        assert len(enumerate_walks(net, separate(net), net.edges[1], 1)) == 1
 
     def test_cyclic_block_walks_grow_with_bound(self):
         net = cyclic9_net()
         blocks = separate(net)
         pivot = net.edges[9]
-        short = enumerate_walks(net, blocks, pivot, 3, 0)
-        long = enumerate_walks(net, blocks, pivot, 5, 0)
+        short = enumerate_walks(net, blocks, pivot, 3)
+        long = enumerate_walks(net, blocks, pivot, 5)
         assert len(long) > len(short)
         assert all(w.degree <= 5 for w in long)
+        assert sorted(w.edges for w in long if w.degree <= 3) == sorted(w.edges for w in short)
+
+    def test_no_walk_above_the_bound_is_built(self, monkeypatch):
+        """The bound caps prefix and suffix together, so nothing is built and then dropped."""
+        built = []
+        walk = combinatorial.Walk
+
+        def recording_walk(**fields):
+            built.append(len(fields["edges"]) - 1)
+            return walk(**fields)
+
+        monkeypatch.setattr(combinatorial, "Walk", recording_walk)
+        for net in separable_square_corpus(6, acyclic=False, start_seed=700):
+            blocks = separate(net)
+            for pivot in net.unknown_edges:
+                built.clear()
+                walks = enumerate_walks(net, blocks, pivot, 4)
+                assert len(built) == len(walks)
+                assert all(d <= 4 for d in built)
 
 
 class TestCollections:
     def test_fan_crossing_collection(self):
-        net = fan_net()
-        blocks = separate(net)
-        w4 = {w.start: w for w in enumerate_walks(net, blocks, net.edges[4], 2, 2)}
-        w5 = {w.start: w for w in enumerate_walks(net, blocks, net.edges[5], 2, 2)}
-        straight = PathCollection(walks=(w4[0], w5[1]))
-        crossed = PathCollection(walks=(w4[1], w5[0]))
-        assert collection_assignment(net, straight) == Assignment(((0, 0), (1, 0)), 1)
-        assert collection_monomial(straight) == ((0, 1), (3, 1))
-        assert collection_sign(net, straight) == 1
-        assert collection_monomial(crossed) == ((1, 1), (2, 1))
-        assert collection_sign(net, crossed) == -1
+        """Straight pairing g(1->3) g(2->4) counts +1, crossed g(1->4) g(2->3) counts -1."""
+        assert repetition_table(fan_net(), 2).entries == {((0, 1), (3, 1)): 1, ((1, 1), (2, 1)): -1}
 
     def test_shared_pair_rejected(self):
-        net = fan_net()
-        blocks = separate(net)
-        w4 = {w.start: w for w in enumerate_walks(net, blocks, net.edges[4], 2, 2)}
-        w5 = {w.start: w for w in enumerate_walks(net, blocks, net.edges[5], 2, 2)}
-        with pytest.raises(NotBijectiveError):
-            collection_sign(net, PathCollection(walks=(w4[0], w5[0])))
+        """Both walks leaving excitation 1 share its one pair, so g(1->3) g(1->4) is never counted."""
+        table = repetition_table(fan_net(), 2)
+        assert ((0, 1), (1, 1)) not in table.entries
+        assert ((2, 1), (3, 1)) not in table.entries
 
 
 class TestRepetitionTable:
@@ -213,6 +217,65 @@ class TestRepetitionTable:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             repetition_table(minimal_net(), -1)
+
+
+def _square_separable(draw_seed: int, combo: int, extra_nodes: int, density: float):
+    e, m = SQUARE_COMBOS[combo]
+    try:
+        return random_network(
+            nodes=e + m + extra_nodes,
+            unknowns=e * m,
+            excited=e,
+            measured=m,
+            known_density=density,
+            separable=True,
+            seed=draw_seed,
+        )
+    except GenerationError:
+        return None
+
+
+def _rows(net: NetworkModel, walks) -> list[int]:
+    return [net.excited.index(w.start) * net.n_measured + net.measured.index(w.end) for w in walks]
+
+
+class TestTableProperties:
+    @settings(derandomize=True, max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        draw_seed=st.integers(0, 10_000),
+        combo=st.integers(0, 5),
+        extra_nodes=st.integers(0, 3),
+        density=st.sampled_from([0.3, 0.45, 0.6]),
+        d=st.integers(0, 4),
+    )
+    def test_bound_restricts_and_witnesses_rebuild_the_monomial(self, draw_seed, combo, extra_nodes, density, d):
+        net = _square_separable(draw_seed, combo, extra_nodes, density)
+        assume(net is not None)
+        lo = repetition_table(net, d)
+        hi = repetition_table(net, d + 2)
+        assert lo.entries == {mu: r for mu, r in hi.entries.items() if monomial_degree(mu) <= d}
+
+        pivots = [i for i, e in enumerate(net.edges) if not e.known]
+
+        def is_collection(walks, mu, sign):
+            rows = _rows(net, walks)
+            return (
+                sorted(rows) == list(range(len(pivots)))
+                and _parity(rows) == sign
+                and monomial_of(i for w in walks for i in w.known_edge_indices()) == mu
+            )
+
+        for mu, r in hi.entries.items():
+            if r == 0:
+                continue
+            sign = 1 if r > 0 else -1
+            walks = _witness_collection(net, hi.walks, mu, sign)
+            assert walks is not None
+            assert [w.pivot for w in walks] == pivots
+            assert is_collection(walks, mu, sign)
+            if math.prod(map(len, hi.walks)) <= 5000:
+                matching = [c for c in itertools.product(*hi.walks) if is_collection(c, mu, sign)]
+                assert min(matching, key=lambda c: [w.edges for w in c]) == walks
 
 
 class TestExhaustiveBound:

@@ -1,6 +1,7 @@
 """Network model construction, validation, separability and decoupling."""
 
 import json
+import math
 
 import pytest
 
@@ -229,6 +230,30 @@ class TestJsonFormat:
             "measured": [2],
         }
         with pytest.raises(NetworkFormatError, match="self-loop"):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, patch",
+        [
+            ("nodes", lambda d: d.update(nodes=True)),
+            ("from", lambda d: d["edges"][0].update({"from": True})),
+            ("to", lambda d: d["edges"][0].update(to=True)),
+            ("excited", lambda d: d.update(excited=[True])),
+            ("measured", lambda d: d.update(measured=[True])),
+        ],
+    )
+    def test_bool_node_index_rejected(self, field, patch):
+        """JSON true is a Python int; read as node 1 it would silently pass validation."""
+        data = network_to_dict(minimal_net())
+        patch(data)
+        with pytest.raises(NetworkFormatError, match=field):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        data = network_to_dict(chain_net())
+        data["edges"][0]["value"] = value
+        with pytest.raises(NetworkFormatError, match=r"edges\[0\]\.value"):
             network_from_dict(data)
 
     def test_malformed_json_reports_location(self, tmp_path):

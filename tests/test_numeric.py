@@ -197,14 +197,13 @@ class TestFieldElimination:
 
 class TestGenericRank:
     def test_minimal_net(self):
-        assert generic_rank(minimal_net()) == (1, 1)
+        assert generic_rank(minimal_net()) == 1
 
     def test_unreachable_rank_deficient(self):
-        rank, m = generic_rank(unreachable_net())
-        assert rank == 0 and m == 1
+        assert generic_rank(unreachable_net()) == 0
 
     def test_fan_full_rank(self):
-        assert generic_rank(fan_net()) == (2, 2)
+        assert generic_rank(fan_net()) == 2
 
     def test_deterministic_in_seed(self):
         net = fan_net()
@@ -222,7 +221,7 @@ class TestGenericRank:
         monkeypatch.setattr(numeric, "_sample_sensitivity", counting)
         for net, expected_draws, nonzero in ((fan_net(), 1, True), (unreachable_net(), 5, False)):
             draws.clear()
-            assert generic_rank(net, trials=5)[0] == (net.m_unknown if nonzero else 0)
+            assert generic_rank(net, trials=5) == (net.m_unknown if nonzero else 0)
             assert len(draws) == expected_draws
             draws.clear()
             assert generic_det_nonzero(net, trials=5) is nonzero
@@ -233,7 +232,7 @@ class TestGenericRank:
         from corpus import general_square_corpus
 
         for net in general_square_corpus(15, start_seed=100):
-            per_trial = {generic_rank(net, trials=1, seed=s)[0] for s in range(5)}
+            per_trial = {generic_rank(net, trials=1, seed=s) for s in range(5)}
             assert len(per_trial) == 1
 
 
