@@ -23,6 +23,7 @@ from .netmodel import (
     NotSeparableError,
     NotSquareError,
     NetworkFormatError,
+    MAX_NODES,
     validate,
     separate,
     is_separable,

@@ -64,12 +64,30 @@ _DECISION_EXIT = {
 }
 
 
+class OptionError(ValueError):
+    """A command-line option or NETIDENT_SEED lies outside its range."""
+
+
+# Smallest value each numeric option accepts; seeds feed numpy, which refuses negatives.
+_OPTION_MINIMUM = {"trials": 1, "max_degree": 0, "seed": 0}
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    for name, minimum in _OPTION_MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < minimum:
+            raise OptionError(f"--{name.replace('_', '-')} must be >= {minimum}, got {value}")
+
+
 def _default_seed() -> int:
     raw = os.environ.get("NETIDENT_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise NetworkFormatError(f"NETIDENT_SEED must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise OptionError(f"NETIDENT_SEED must be >= 0, got {seed}")
+    return seed
 
 
 def _net_summary(net: NetworkModel) -> dict:
@@ -323,8 +341,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_options(args)
         code = args.func(args)
     except (
+        OptionError,
         NetworkFormatError,
         ValidationError,
         NoUnknownEdgesError,

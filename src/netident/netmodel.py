@@ -32,6 +32,7 @@ __all__ = [
     "NotSeparableError",
     "NotSquareError",
     "NetworkFormatError",
+    "MAX_NODES",
     "validate",
     "separate",
     "is_separable",
@@ -348,6 +349,11 @@ def decouple(net: NetworkModel, seed: int = 0) -> NetworkModel:
 #
 # Node indices in files are 1-based.
 
+# Largest node count a file may declare.  The exact routes hold n x n field
+# matrices (2n x 2n after decoupling), so the loader refuses a larger count
+# before anything of that size is built.
+MAX_NODES = 1000
+
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -365,6 +371,7 @@ def network_from_dict(data: dict) -> NetworkModel:
     for key in ("nodes", "edges", "excited", "measured"):
         _require(key in data, f"missing field '{key}'")
     _require(_is_int(data["nodes"]) and data["nodes"] >= 0, "field 'nodes' must be a non-negative integer")
+    _require(data["nodes"] <= MAX_NODES, f"field 'nodes' must be at most {MAX_NODES}, got {data['nodes']}")
     _require(isinstance(data["edges"], list), "field 'edges' must be a list")
 
     edges = []

@@ -5,7 +5,12 @@ Two scalar variants that never mix inside one matrix:
 * exact: integers modulo the prime 2^61 - 1, held as plain Python ints in
   lists of lists.  Rank and determinant answers are exact per sample, and
   the probability that a random sample misses the generic value is bounded
-  by Schwartz-Zippel.  Every verdict rests on this variant only.
+  by Schwartz-Zippel.  Every verdict rests on this variant only.  One
+  forward elimination (``_factor``) serves every exact question: it gives
+  rank and determinant, and its LU factors of I - G give rows and columns
+  of the closed loop by triangular solves, so a sample of the sensitivity
+  matrix needs one factorization plus one solve per excited and per
+  measured node instead of the full inverse.
 * float: numpy complex128 arrays, used solely to verify the truncated
   power-series expansion of the closed loop, where convergence (spectral
   radius below 1) matters.  Float results never feed a verdict.
@@ -19,6 +24,7 @@ not a model of the signals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from numpy.typing import NDArray
@@ -115,15 +121,26 @@ def network_matrix(ev: Evaluation):
     return G
 
 
-def _row_reduce(A: list[list[int]]) -> tuple[int, int, list[int], list[list[int]]]:
-    """Gauss-Jordan elimination modulo PRIME: (rank, det, pivot columns, reduced rows).
+def _factor(A: list[list[int]]) -> tuple[int, int, list[int], list[int], list[list[int]]]:
+    """Forward elimination modulo PRIME: (rank, det, pivot columns, row order, factor rows).
 
-    Pivots are scaled to 1 and cleared above and below, column by column,
-    stopping once every row holds a pivot.  ``det`` is the determinant when
-    A is square, and 0 whenever some row is left without a pivot.
+    Column by column, the first row at or below the current one with a
+    nonzero entry is swapped up as pivot, and each row below it is cleared
+    by subtracting a multiple of the pivot row from the columns right of
+    the pivot; the multiple itself is stored in the cleared entry.  Nothing
+    above a pivot is touched, and elimination stops once every row holds a
+    pivot.
+
+    Row k of the result holds U (the echelon form) from column
+    ``pivot_cols[k]`` on, and L's multipliers in the pivot columns to its
+    left; ``perm[k]`` is the row of A moved to row k.  For square
+    nonsingular A that is A[perm[k]] = (L U)[k] with L unit lower
+    triangular.  ``det`` is the determinant when A is square, and 0
+    whenever some row is left without a pivot.
     """
     rows = [[x % PRIME for x in row] for row in A]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    perm = list(range(nrows))
     pivot_cols: list[int] = []
     det = 1
     for col in range(ncols):
@@ -135,27 +152,96 @@ def _row_reduce(A: list[list[int]]) -> tuple[int, int, list[int], list[list[int]
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
+            perm[rank], perm[piv] = perm[piv], perm[rank]
             det = PRIME - det
         pivot = rows[rank][col]
         det = (det * pivot) % PRIME
         inv = pow(pivot, -1, PRIME)
-        prow = rows[rank] = [(x * inv) % PRIME for x in rows[rank]]
-        for r in range(nrows):
-            f = rows[r][col]
-            if f and r != rank:
-                rows[r] = [(x - f * y) % PRIME for x, y in zip(rows[r], prow)]
+        right = rows[rank][col + 1 :]
+        for r in range(rank + 1, nrows):
+            row = rows[r]
+            f = row[col]
+            if f:
+                f = row[col] = (f * inv) % PRIME
+                row[col + 1 :] = [(x - f * y) % PRIME for x, y in zip(row[col + 1 :], right)]
         pivot_cols.append(col)
     if len(pivot_cols) < nrows:
         det = 0
-    return len(pivot_cols), det, pivot_cols, rows
+    return len(pivot_cols), det, pivot_cols, perm, rows
+
+
+class _LoopFactors:
+    """I - G = P^T L U over the field, with what the solves for T = (I - G)^{-1} read.
+
+    A plain class: a dataclass would generate its methods at import, which
+    every CLI start pays for.
+    """
+
+    __slots__ = ("perm", "lu", "inv_diag")
+
+    def __init__(self, perm: list[int], lu: list[list[int]], inv_diag: list[int]):
+        self.perm = perm  # row k of L U is row perm[k] of I - G
+        self.lu = lu  # L strictly below the diagonal (unit diagonal implied), U on and above
+        self.inv_diag = inv_diag  # inverses of U's diagonal
+
+    def columns(self, targets) -> dict[int, list[int]]:
+        """T[:, b] for each b in ``targets``: solve L z = P e_b, then U x = z."""
+        lu, inv_diag, n = self.lu, self.inv_diag, len(self.lu)
+        where = {p: k for k, p in enumerate(self.perm)}
+        out = {}
+        for b in targets:
+            # P e_b is the unit vector at row where[b], and z is zero above it
+            k0 = where[b]
+            z = [0] * n
+            z[k0] = 1
+            for i in range(k0 + 1, n):
+                z[i] = -sum(map(mul, lu[i][k0:i], z[k0:i])) % PRIME
+            x = [0] * n
+            for i in range(n - 1, -1, -1):
+                x[i] = (z[i] - sum(map(mul, lu[i][i + 1 :], x[i + 1 :]))) * inv_diag[i] % PRIME
+            out[b] = x
+        return out
+
+    def rows(self, targets) -> dict[int, list[int]]:
+        """T[c, :] for each c in ``targets``: solve U^T w = e_c, then L^T v = w, and undo P."""
+        inv_diag, perm, n = self.inv_diag, self.perm, len(self.lu)
+        # cols[i][j] = lu[j][i]: U^T below the diagonal, L^T above.  Lists, not
+        # zip's tuples: slices of tuples would fill the interpreter's tuple free lists.
+        cols = [list(col) for col in zip(*self.lu)]
+        out = {}
+        for c in targets:
+            # w is zero above row c
+            w = [0] * n
+            w[c] = inv_diag[c]
+            for i in range(c + 1, n):
+                w[i] = -sum(map(mul, cols[i][c:i], w[c:i])) * inv_diag[i] % PRIME
+            v = [0] * n
+            for i in range(n - 1, -1, -1):
+                v[i] = (w[i] - sum(map(mul, cols[i][i + 1 :], v[i + 1 :]))) % PRIME
+            y = [0] * n
+            for k, p in enumerate(perm):
+                y[p] = v[k]
+            out[c] = y
+        return out
+
+
+def _factor_closed_loop(G: list[list[int]]) -> _LoopFactors:
+    """Factor I - G once; raises SingularMatrixError when it is not invertible over the field."""
+    n = len(G)
+    rank, _, _, perm, lu = _factor([[(i == j) - G[i][j] for j in range(n)] for i in range(n)])
+    if rank < n:
+        raise SingularMatrixError("matrix not invertible over the prime field")
+    return _LoopFactors(perm, lu, [pow(lu[i][i], -1, PRIME) for i in range(n)])
 
 
 def closed_loop(G):
     """(I - G)^{-1} in the scalar variant of G.
 
-    Exact (list of lists): [I - G | I] row-reduced over the field.  Float
-    (ndarray): solved to machine precision.  Raises SingularMatrixError when
-    I - G is not invertible, a non-generic sample the caller should redraw.
+    Exact (list of lists): I - G factored once over the field, then one
+    solve per row of the inverse.  Float (ndarray): solved to machine
+    precision.  Raises SingularMatrixError when I - G is not invertible, a
+    non-generic sample the caller should redraw.  The rank route never
+    forms the whole inverse; it solves for the ports it needs.
     """
     if isinstance(G, np.ndarray):
         n = G.shape[0]
@@ -167,12 +253,8 @@ def closed_loop(G):
         if not np.all(np.isfinite(T)):
             raise SingularMatrixError("non-finite entries in closed loop")
         return T
-    n = len(G)
-    aug = [[(i == j) - G[i][j] for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
-    _, _, pivot_cols, rows = _row_reduce(aug)
-    if pivot_cols != list(range(n)):
-        raise SingularMatrixError("matrix not invertible over the prime field")
-    return [row[n:] for row in rows]
+    rows = _factor_closed_loop(G).rows(range(len(G)))
+    return [rows[i] for i in range(len(G))]
 
 
 def neumann_series(G: NDArray, terms: int) -> NDArray:
@@ -206,38 +288,57 @@ def sensitivity_matrix(
     T_left[c, head(a)] * T_right[tail(a), b]: T_left propagates the edge's
     head to the measurement, T_right the excitation to its tail.  The local
     test uses T_left = T_right; the decoupled test feeds two independently
-    sampled closed loops.
+    sampled closed loops.  Only the measured rows of T_left and the excited
+    columns of T_right are read.
     """
-    unknowns = net.unknown_edges
+    return _sensitivity(
+        net,
+        {c: T_left[c] for c in net.measured},
+        {b: [row[b] for row in T_right] for b in net.excited},
+    )
+
+
+def _sensitivity(net: NetworkModel, rows: dict, cols: dict) -> list[list[int]]:
+    """``sensitivity_matrix`` from T_left's measured rows and T_right's excited columns."""
+    heads = [e.dst for e in net.unknown_edges]
+    tails = [e.src for e in net.unknown_edges]
+    at_head = {c: [rows[c][h] for h in heads] for c in net.measured}
+    at_tail = {b: [cols[b][t] for t in tails] for b in net.excited}
     return [
-        [(T_left[c][e.dst] * T_right[e.src][b]) % PRIME for e in unknowns]
+        [(x * y) % PRIME for x, y in zip(at_head[c], at_tail[b])]
         for b in net.excited
         for c in net.measured
     ]
 
 
 def rank_field(A: list[list[int]]) -> int:
-    """Rank over the prime field."""
-    return _row_reduce(A)[0]
+    """Rank over the prime field.
+
+    A tall matrix is eliminated as its transpose, which has the same rank:
+    the same multiplies then come in fewer, longer row updates.
+    """
+    if A and len(A) > len(A[0]):
+        A = [list(col) for col in zip(*A)]
+    return _factor(A)[0]
 
 
 def _sample_sensitivity(net: NetworkModel, rng: np.random.Generator, decoupled: bool):
     """One exact sample of the sensitivity matrix, resampling singular draws.
 
-    Returns None when the resample budget is exhausted.
+    Each draw factors I - G once and solves for the measured rows and the
+    excited columns of its inverse; in decoupled mode the rows come from
+    the first draw and the columns from the second.  Returns None when the
+    resample budget is exhausted.
     """
     for _ in range(RESAMPLE_BUDGET):
-        ev_left = random_field_evaluation(net, rng)
         try:
-            T_left = closed_loop(network_matrix(ev_left))
+            left = _factor_closed_loop(network_matrix(random_field_evaluation(net, rng)))
+            right = left
             if decoupled:
-                ev_right = random_field_evaluation(net, rng)
-                T_right = closed_loop(network_matrix(ev_right))
-            else:
-                T_right = T_left
+                right = _factor_closed_loop(network_matrix(random_field_evaluation(net, rng)))
         except SingularMatrixError:
             continue
-        return sensitivity_matrix(net, T_left, T_right)
+        return _sensitivity(net, left.rows(net.measured), right.columns(net.excited))
     return None
 
 
@@ -253,7 +354,9 @@ def generic_rank(
     The rank of the sensitivity matrix, as a function of the edge values,
     attains its maximum off a proper algebraic subset, so the max over a few
     random field samples is the generic rank except with probability bounded
-    by Schwartz-Zippel.  ``trials`` is an upper bound on the samples drawn:
+    by Schwartz-Zippel.  Each sample factors I - G once and solves for the
+    excited columns and measured rows of the closed loop it needs.
+    ``trials`` is an upper bound on the samples drawn:
     the loop stops at the first sample of full column rank, since the
     maximum cannot go higher.  Decoupled mode draws two independent
     evaluations per trial, one per closed-loop factor.  Deterministic in

@@ -1,16 +1,18 @@
 """Test-only arithmetic and relabeling helpers, kept out of the library API.
 
 The field determinant and null space read the library's own elimination
-(``numeric._row_reduce``); the product, identity and polynomial evaluation
-are written out independently so tests can check the library against them.
+(``numeric._factor``); the product, identity, polynomial evaluation, the
+permutation-expansion determinant and the largest-minor rank are written out
+independently so tests can check the library against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations, permutations
 
 from netident import NetworkModel, Poly
-from netident.numeric import PRIME, _row_reduce
+from netident.numeric import PRIME, _factor
 
 
 def identity_field(n: int) -> list[list[int]]:
@@ -34,23 +36,52 @@ def mat_mul_field(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
 
 def det_field(A: list[list[int]]) -> int:
     """Determinant of a square matrix over the prime field; 0 on singular input."""
-    return _row_reduce(A)[1]
+    return _factor(A)[1]
 
 
 def kernel_field(A: list[list[int]]) -> list[list[int]]:
-    """Basis of the right null space over the prime field (one vector per free column)."""
+    """Basis of the right null space over the prime field (one vector per free column).
+
+    Back-substitutes each free column through the echelon rows of the factor.
+    """
     if not A or not A[0]:
         return []
     ncols = len(A[0])
-    _, _, pivot_cols, rows = _row_reduce(A)
+    _, _, pivot_cols, _, rows = _factor(A)
     basis = []
     for free in (c for c in range(ncols) if c not in pivot_cols):
         vec = [0] * ncols
         vec[free] = 1
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = (-rows[r][free]) % PRIME
+        for r in range(len(pivot_cols) - 1, -1, -1):
+            pc = pivot_cols[r]
+            s = sum(rows[r][j] * vec[j] for j in range(pc + 1, ncols))
+            vec[pc] = (-s * pow(rows[r][pc], -1, PRIME)) % PRIME
         basis.append(vec)
     return basis
+
+
+def leibniz_det(A: list[list[int]]) -> int:
+    """Determinant modulo PRIME as the signed sum over all permutations."""
+    n = len(A)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * A[i][p[i]] % PRIME
+        total = (total + term) % PRIME
+    return total
+
+
+def minor_rank(A: list[list[int]]) -> int:
+    """Rank modulo PRIME as the size of the largest square submatrix with nonzero ``leibniz_det``."""
+    nrows, ncols = len(A), len(A[0]) if A else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in combinations(range(nrows), k):
+            for cs in combinations(range(ncols), k):
+                if leibniz_det([[A[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
 
 
 def eval_poly(poly: Poly, values: dict[int, int], modulus: int) -> int:

@@ -8,7 +8,16 @@ import time
 
 import pytest
 
-from netident import Edge, NetworkModel, load_network, network_to_dict, random_network, save_network, validate
+from netident import (
+    MAX_NODES,
+    Edge,
+    NetworkModel,
+    load_network,
+    network_to_dict,
+    random_network,
+    save_network,
+    validate,
+)
 from netident.cli import main
 
 from corpus import cyclic9_net, fan_net, minimal_net, unreachable_net
@@ -251,6 +260,44 @@ class TestErrorsAndDeterminism:
         code, out, err = run(capsys, ["check", str(path)])
         assert code == 3
         assert err.startswith("error: edges[0].value")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["combinatorial", "{path}", "--max-degree", "-1"], "error: --max-degree must be >= 0, got -1"),
+            (["oracle", "{path}", "--max-degree", "-1"], "error: --max-degree must be >= 0, got -1"),
+            (["check", "{path}", "--trials", "0"], "error: --trials must be >= 1, got 0"),
+            (["check", "{path}", "--seed", "-1"], "error: --seed must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_option(self, tmp_path, capsys, argv, message):
+        """An option below its range is a usage error, not a traceback that exits 1 (not identifiable)."""
+        path = write_net(tmp_path, fan_net())
+        code, out, err = run(capsys, [a.format(path=path) for a in argv])
+        assert code == 3
+        assert err.startswith(message + "\n")
+        assert out == ""
+
+    def test_negative_environment_seed_is_an_error(self, tmp_path, capsys, monkeypatch):
+        path = write_net(tmp_path, fan_net())
+        monkeypatch.setenv("NETIDENT_SEED", "-1")
+        code, out, err = run(capsys, ["check", path])
+        assert code == 3
+        assert err.startswith("error: NETIDENT_SEED must be >= 0")
+        assert out == ""
+
+    @pytest.mark.parametrize("nodes", [20000, 10**12])
+    def test_node_count_above_the_ceiling(self, tmp_path, capsys, nodes):
+        """Refused at load, before any n x n matrix exists; the parent ran out of memory on both."""
+        data = {"nodes": nodes, "edges": [{"from": 1, "to": 2, "known": False}], "excited": [1], "measured": [2]}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["check", str(path)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert err.startswith(f"error: field 'nodes' must be at most {MAX_NODES}")
         assert out == ""
 
     def test_no_unknown_edges(self, tmp_path, capsys):

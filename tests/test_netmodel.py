@@ -11,6 +11,7 @@ from netident import (
     DuplicateMeasurementError,
     Edge,
     IndexOutOfRangeError,
+    MAX_NODES,
     NetworkFormatError,
     NetworkModel,
     NotSeparableError,
@@ -255,6 +256,18 @@ class TestJsonFormat:
         data["edges"][0]["value"] = value
         with pytest.raises(NetworkFormatError, match=r"edges\[0\]\.value"):
             network_from_dict(data)
+
+    @pytest.mark.parametrize("nodes", [MAX_NODES + 1, 20000, 10**12])
+    def test_node_count_ceiling(self, nodes):
+        data = network_to_dict(minimal_net())
+        data["nodes"] = nodes
+        with pytest.raises(NetworkFormatError, match="'nodes' must be at most"):
+            network_from_dict(data)
+
+    def test_node_count_at_the_ceiling_loads(self):
+        data = network_to_dict(minimal_net())
+        data["nodes"] = MAX_NODES
+        assert network_from_dict(data).n == MAX_NODES
 
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -19,13 +19,22 @@ from netident import (
     network_matrix,
     random_field_evaluation,
     random_float_evaluation,
+    random_network,
     rank_field,
     sensitivity_matrix,
 )
 from netident import numeric
 
-from corpus import chain_net, fan_net, minimal_net, unreachable_net
-from helpers import det_field, identity_field, kernel_field, mat_mul_field
+from corpus import (
+    bipartite_net,
+    chain_net,
+    cyclic9_net,
+    fan_net,
+    general_square_corpus,
+    minimal_net,
+    unreachable_net,
+)
+from helpers import det_field, identity_field, kernel_field, leibniz_det, mat_mul_field, minor_rank
 
 rng = np.random.default_rng
 
@@ -193,6 +202,135 @@ class TestFieldElimination:
         for seed in range(20):
             A = [[int(x) for x in row] for row in rng(seed).integers(0, 5, size=(3, 3))]
             assert (det_field(A) == 0) == (rank_field(A) < 3)
+
+
+def small_matrices():
+    """Seeded small matrices, mostly zeros: every shape up to 4 x 4, with zero rows and columns and row swaps."""
+    gen = rng(11)
+    palette = [1, 2, 3, PRIME - 1, PRIME - 2]
+
+    def entry():
+        if gen.random() < 0.45:
+            return 0
+        return int(gen.choice(palette)) if gen.random() < 0.5 else int(gen.integers(1, PRIME))
+
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            for _ in range(12):
+                A = [[entry() for _ in range(cols)] for _ in range(rows)]
+                yield A
+                # a duplicated row (rank deficiency) and a zero leading column (a swap or a skip)
+                yield A + [list(A[0])] if rows < 4 else [list(A[-1])] + A[1:]
+                yield [[0] + row[1:] for row in A]
+
+
+class TestFactorAgainstReferences:
+    def test_rank_and_det_match_leibniz_and_minors(self):
+        swapped = skipped = 0
+        for A in small_matrices():
+            rank, det, pivot_cols, perm, rows = numeric._factor(A)
+            assert rank == minor_rank(A) == rank_field(A) == len(pivot_cols)
+            if len(A) == len(A[0]):
+                assert det == leibniz_det(A)
+            assert sorted(perm) == list(range(len(A)))
+            swapped += perm != list(range(len(A)))
+            skipped += pivot_cols != list(range(rank))
+        assert swapped > 50 and skipped > 50
+
+    def test_square_nonsingular_factor_reproduces_the_permuted_rows(self):
+        """Row k of L U is row perm[k] of A, with L's unit diagonal implied."""
+        checked = 0
+        for A in small_matrices():
+            n = len(A)
+            rank, _, _, perm, rows = numeric._factor(A)
+            if n != len(A[0]) or rank < n:
+                continue
+            L = [[rows[i][j] if j < i else int(i == j) for j in range(n)] for i in range(n)]
+            U = [[rows[i][j] if j >= i else 0 for j in range(n)] for i in range(n)]
+            assert mat_mul_field(L, U) == [[x % PRIME for x in A[perm[k]]] for k in range(n)]
+            checked += 1
+        assert checked >= 20
+
+    def test_zero_and_empty_shapes(self):
+        assert numeric._factor([[0, 0], [0, 0], [0, 0]])[:3] == (0, 0, [])
+        assert numeric._factor([[0, 5], [0, 0]])[:3] == (1, 0, [1])
+        assert numeric._factor([])[:3] == (0, 1, [])
+        assert rank_field([[0], [0], [7]]) == 1
+
+
+def same_draws(net, seed, decoupled):
+    """The closed loops ``_sample_sensitivity`` draws at ``seed`` (no singular draw expected), in full."""
+    gen = rng(seed)
+    Gs = [network_matrix(random_field_evaluation(net, gen)) for _ in range(2 if decoupled else 1)]
+    return Gs, [closed_loop(G) for G in Gs]
+
+
+def solve_path_nets():
+    yield from (minimal_net(), unreachable_net(), chain_net(), fan_net(), bipartite_net(), cyclic9_net())
+    yield from general_square_corpus(6, start_seed=40)
+    for seed in range(4):
+        yield random_network(nodes=9, unknowns=5, excited=3, measured=2, known_density=0.4, seed=seed)
+
+
+class TestSolvePath:
+    def test_solves_equal_the_full_inverse(self):
+        """The rows and columns solved from one factor give the matrix built from the whole inverse."""
+        for net in solve_path_nets():
+            for seed in (0, 1):
+                for decoupled in (False, True):
+                    Gs, Ts = same_draws(net, seed, decoupled)
+                    for G, T in zip(Gs, Ts):
+                        M = [[int(i == j) - G[i][j] for j in range(net.n)] for i in range(net.n)]
+                        assert mat_mul_field(T, M) == identity_field(net.n)
+                    T_left, T_right = Ts[0], Ts[-1]
+                    K = numeric._sample_sensitivity(net, rng(seed), decoupled)
+                    assert K == sensitivity_matrix(net, T_left, T_right)
+
+    def test_solves_through_row_exchanges(self):
+        """g(0->1) * g(1->0) = 1 zeroes the second pivot of a nonsingular I - G, forcing a row exchange."""
+        gen = rng(8)
+        for _ in range(10):
+            a, c, d = (int(x) for x in gen.integers(1, PRIME, size=3))
+            G = [[0, pow(a, -1, PRIME), 0, 0], [a, 0, c, 0], [0, d, 0, 5], [7, 0, 0, 0]]
+            factors = numeric._factor_closed_loop(G)
+            assert factors.perm != list(range(4))
+            T = closed_loop(G)
+            M = [[(int(i == j) - G[i][j]) % PRIME for j in range(4)] for i in range(4)]
+            assert mat_mul_field(T, M) == identity_field(4)
+            assert mat_mul_field(M, T) == identity_field(4)
+            columns = factors.columns(range(4))
+            assert [[columns[j][i] for j in range(4)] for i in range(4)] == T
+
+    @pytest.mark.parametrize("decoupled, singular_call", [(False, 0), (True, 0), (True, 1)])
+    def test_singular_draw_is_resampled_from_the_next_draws(self, monkeypatch, decoupled, singular_call):
+        """A singular I - G discards its draw (and, on the left, skips the right one) and draws again."""
+        net = NetworkModel(
+            3,
+            [Edge(0, 1, known=True), Edge(1, 0, known=True), Edge(1, 2, known=False)],
+            [0],
+            [2],
+        )
+        draw = numeric.random_field_evaluation
+        calls = []
+
+        def patched(net_, gen):
+            ev = draw(net_, gen)
+            calls.append(ev)
+            if len(calls) - 1 == singular_call:
+                # g(0->1) * g(1->0) = 1 makes det(I - G) = 0
+                values = {e: 1 if e.known else v for e, v in ev.values.items()}
+                return Evaluation(net=net_, values=values, mode="exact")
+            return ev
+
+        monkeypatch.setattr(numeric, "random_field_evaluation", patched)
+        K = numeric._sample_sensitivity(net, rng(3), decoupled)
+        # the real draws from the same stream, with the singular round dropped
+        gen = rng(3)
+        real = [draw(net, gen) for _ in range(len(calls))]
+        kept = real[2:] if (decoupled and singular_call == 1) else real[1:]
+        Ts = [closed_loop(network_matrix(ev)) for ev in kept]
+        assert len(calls) == (4 if singular_call == 1 else 3 if decoupled else 2)
+        assert K == sensitivity_matrix(net, Ts[0], Ts[-1])
 
 
 class TestGenericRank:
