@@ -15,17 +15,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .combinatorial import (
+    _degree_bound,
+    _walk_route,
     format_monomial,
     monomial_degree,
     repetition_table,
-    verdict_from_table,
 )
 from .generate import GenerationError, random_network
 from .identifiability import (
-    DECOUPLED_GENERIC,
     IDENTIFIABLE,
     INCONCLUSIVE,
     NOT_IDENTIFIABLE,
@@ -208,14 +207,8 @@ def cmd_decouple(args: argparse.Namespace) -> int:
 
 def cmd_combinatorial(args: argparse.Namespace) -> int:
     net = load_network(args.path)
-    target = decouple(net, _default_seed()) if args.decouple_first else net
-    max_degree = args.max_degree if args.max_degree is not None else 2 * target.n
-    if target.m_unknown == 0:
-        raise NoUnknownEdgesError()
-    table = repetition_table(target, max_degree)
-    verdict = verdict_from_table(target, table)
-    if args.decouple_first:
-        verdict = replace(verdict, notion=DECOUPLED_GENERIC)
+    seed = _default_seed() if args.decouple_first else 0
+    target, table, verdict = _walk_route(net, args.max_degree, args.decouple_first, seed)
     if args.json:
         _json_report(
             {
@@ -245,7 +238,7 @@ def cmd_combinatorial(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     net = load_network(args.path)
-    max_degree = args.max_degree if args.max_degree is not None else 2 * net.n
+    max_degree = _degree_bound(net, args.max_degree)
     if net.m_unknown == 0:
         raise NoUnknownEdgesError()
     # The determinant first: its size guard must refuse before the walk table is enumerated.
@@ -294,7 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="local and decoupled identifiability of a network file")
     check.add_argument("path")
-    check.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    check.add_argument(
+        "--trials",
+        type=int,
+        default=DEFAULT_TRIALS,
+        help="cap on the random samples per verdict (default %(default)s); sampling stops earlier"
+        " at a full-rank sample or once the failure bound 2^-40 is met",
+    )
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_check)

@@ -485,20 +485,39 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
     )
 
 
-def combinatorial_verdict(net: NetworkModel, max_degree: int | None = None) -> Verdict:
-    """Identifiability of a separable square network by signed walk counting.
+def _degree_bound(net: NetworkModel, max_degree: int | None) -> int:
+    """The walk route's degree bound: ``max_degree``, or 2n when it is None.
 
-    Default degree bound is 2n, enough to traverse every simple path twice
-    over in each block; cyclic blocks may need more before a monomial
-    survives, in which case the verdict is inconclusive rather than wrong.
+    2n is enough to traverse every simple path twice over in each block;
+    cyclic blocks may need more before a monomial survives, in which case
+    the verdict is inconclusive rather than wrong.
+    """
+    return 2 * net.n if max_degree is None else max_degree
+
+
+def _walk_route(
+    net: NetworkModel, max_degree: int | None, decouple_first: bool = False, seed: int = 0
+) -> tuple[NetworkModel, RepetitionTable, Verdict]:
+    """(network analyzed, repetition table, verdict) of the walk-counting route.
+
+    With ``decouple_first`` the table is built on ``decouple(net, seed)``
+    and the verdict carries the decoupled notion; the default bound is 2n
+    of the network analyzed.
     """
     validate(net)
-    if net.m_unknown == 0:
+    target = decouple(net, seed) if decouple_first else net
+    if target.m_unknown == 0:
         raise NoUnknownEdgesError()
-    if max_degree is None:
-        max_degree = 2 * net.n
-    table = repetition_table(net, max_degree)
-    return verdict_from_table(net, table)
+    table = repetition_table(target, _degree_bound(target, max_degree))
+    verdict = verdict_from_table(target, table)
+    if decouple_first:
+        verdict = replace(verdict, notion=DECOUPLED_GENERIC)
+    return target, table, verdict
+
+
+def combinatorial_verdict(net: NetworkModel, max_degree: int | None = None) -> Verdict:
+    """Identifiability of a separable square network by signed walk counting, at bound 2n by default."""
+    return _walk_route(net, max_degree)[2]
 
 
 def necessary_condition_any_topology(
@@ -512,7 +531,4 @@ def necessary_condition_any_topology(
     (the decoupled notion is necessary for the local one); an identifiable
     outcome certifies the decoupled notion only.
     """
-    validate(net)
-    decoupled = decouple(net, seed)
-    verdict = combinatorial_verdict(decoupled, max_degree)
-    return replace(verdict, notion=DECOUPLED_GENERIC)
+    return _walk_route(net, max_degree, decouple_first=True, seed=seed)[2]

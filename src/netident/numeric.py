@@ -35,6 +35,7 @@ __all__ = [
     "PRIME",
     "DEFAULT_TRIALS",
     "RESAMPLE_BUDGET",
+    "FAILURE_BOUND",
     "SingularMatrixError",
     "AllSamplesSingularError",
     "Evaluation",
@@ -53,6 +54,8 @@ __all__ = [
 PRIME = (1 << 61) - 1
 DEFAULT_TRIALS = 5
 RESAMPLE_BUDGET = 10
+# Largest probability that a rank sampled by ``generic_rank`` is below the generic rank.
+FAILURE_BOUND = 2.0**-40
 
 
 class SingularMatrixError(ArithmeticError):
@@ -79,8 +82,12 @@ class Evaluation:
 
 
 def random_field_evaluation(net: NetworkModel, rng: np.random.Generator) -> Evaluation:
-    """Draw a nonzero field element for every edge."""
-    values = {e: int(rng.integers(1, PRIME)) for e in net.edges}
+    """Draw a nonzero field element for every edge, in edge order.
+
+    One batched call: it yields the values, and leaves ``rng`` in the state,
+    of one scalar ``rng.integers(1, PRIME)`` per edge.
+    """
+    values = dict(zip(net.edges, rng.integers(1, PRIME, size=len(net.edges)).tolist()))
     return Evaluation(net=net, values=values, mode="exact")
 
 
@@ -342,6 +349,25 @@ def _sample_sensitivity(net: NetworkModel, rng: np.random.Generator, decoupled: 
     return None
 
 
+def _samples_needed(n: int, m: int) -> int:
+    """Fewest samples s with q^s <= FAILURE_BOUND, for q = 2m(n - 1) / (p - 1 - 2n).
+
+    q bounds the chance that one sample of an n-node net with m unknown
+    edges misses the generic rank (derived in ``generic_rank``).  Exact
+    integer comparison; raises ValueError when q >= 1, which takes over a
+    million nodes.
+    """
+    degree = 2 * m * (n - 1)
+    room = PRIME - 1 - 2 * n
+    if degree >= room:
+        raise ValueError(f"no sample count bounds the failure probability at n={n}, m={m}")
+    num, den = FAILURE_BOUND.as_integer_ratio()
+    s = 1
+    while degree**s * den > num * room**s:
+        s += 1
+    return s
+
+
 def generic_rank(
     net: NetworkModel,
     *,
@@ -349,29 +375,55 @@ def generic_rank(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> int:
-    """Max rank of the sensitivity matrix over random samples.
+    """Max rank of the sensitivity matrix K over random samples, drawn until the failure bound is met.
 
-    The rank of the sensitivity matrix, as a function of the edge values,
-    attains its maximum off a proper algebraic subset, so the max over a few
-    random field samples is the generic rank except with probability bounded
-    by Schwartz-Zippel.  Each sample factors I - G once and solves for the
-    excited columns and measured rows of the closed loop it needs.
-    ``trials`` is an upper bound on the samples drawn:
-    the loop stops at the first sample of full column rank, since the
-    maximum cannot go higher.  Decoupled mode draws two independent
-    evaluations per trial, one per closed-loop factor.  Deterministic in
-    (net, decoupled, trials, seed).
+    Each sample draws every edge value uniformly from the p - 1 nonzero
+    field elements, redrawing while I - G is singular, factors I - G once
+    and solves for the excited columns and measured rows of
+    T = (I - G)^{-1} that K reads.  Decoupled mode draws two independent
+    evaluations per sample, one per closed-loop factor.
+
+    Failure bound.  No sample exceeds the generic rank r <= m, so the
+    maximum falls short of r only if every sample is a zero of a nonzero
+    r x r minor of K.  T = adj(I - G) / det(I - G), and each cofactor has
+    degree at most n - 1 in the edge values, so an entry
+    T[c, head] * T[tail, b] of K is a polynomial of degree at most 2(n - 1)
+    over det(I - G)^2; in decoupled mode it is over det(I - G_1) det(I - G_2),
+    the two draws being separate sets of variables.  With its denominator
+    cleared, the minor is a polynomial P of degree at most
+    2r(n - 1) <= 2m(n - 1), and Schwartz-Zippel over the nonzero values
+    gives Pr[P = 0] <= 2m(n - 1) / (p - 1).  The redraw rule conditions on
+    Q != 0, Q = det(I - G) (the product of both determinants in decoupled
+    mode): a polynomial of degree at most 2n with constant term 1, so
+    Pr[Q != 0] >= 1 - 2n / (p - 1) and
+
+        Pr[P = 0 | Q != 0] <= Pr[P = 0] / Pr[Q != 0] <= 2m(n - 1) / (p - 1 - 2n) = q.
+
+    Samples are independent, so s of them all miss with probability at
+    most q^s.
+
+    Stop rule.  A sample of rank m certifies full rank, and the loop stops
+    there.  Otherwise it stops after s* samples, the fewest with
+    q^s* <= FAILURE_BOUND (2^-40).  s* uses m, not the running rank, so it
+    is fixed by (n, m) before any sample is drawn and needs no
+    optional-stopping argument; it also bounds the reported rank, whatever
+    r is.  s* is 1 until m(n - 1) exceeds about 2^20.  ``trials`` caps
+    the samples: a deficient net draws min(trials, s*) of them.
+    Deterministic in (net, decoupled, trials, seed).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    needed = _samples_needed(net.n, net.m_unknown)
     rng = np.random.default_rng(seed)
     best = -1
+    drawn = 0
     for _ in range(trials):
         K = _sample_sensitivity(net, rng, decoupled)
         if K is None:
             continue
         best = max(best, rank_field(K))
-        if best == net.m_unknown:
+        drawn += 1
+        if best == net.m_unknown or drawn == needed:
             break
     if best < 0:
         raise AllSamplesSingularError(
@@ -385,10 +437,10 @@ def generic_det_nonzero(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: i
 
     A square matrix has a nonzero determinant exactly when it has full
     rank, so this is the full-rank test of ``generic_rank`` under the
-    separable-square guard.  True means the determinant is generically
-    nonzero; false means it vanished at every sample, which by the generic
-    dichotomy makes it identically zero up to the Schwartz-Zippel failure
-    probability.  Requires a separable network with one unknown edge per
+    separable-square guard, with its stop rule.  True means the determinant
+    is generically nonzero; false means it vanished at every sample, which
+    makes it identically zero except with probability at most
+    FAILURE_BOUND.  Requires a separable network with one unknown edge per
     (excitation, measurement) pair.
     """
     separate(net)

@@ -1,11 +1,14 @@
 """Exact field arithmetic, closed loops, series truncation and generic rank/determinant."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from netident import (
     Edge,
     Evaluation,
+    MAX_NODES,
     NetworkModel,
     NotSeparableError,
     NotSquareError,
@@ -55,6 +58,24 @@ class TestNetworkMatrix:
         net = chain_net()
         ev = exact_eval(net, {(0, 1): 7, (1, 2): 11})
         assert network_matrix(ev) == [[0, 0, 0], [7, 0, 0], [0, 11, 0]]
+
+
+class TestFieldEvaluation:
+    def test_values_follow_the_scalar_draw_stream(self):
+        """The batched draw equals one scalar draw per edge, in edge order, and leaves the same state.
+
+        The golden K digests rest on this stream; a numpy that moves it fails here first.
+        """
+        nets = [minimal_net(), cyclic9_net(), NetworkModel(3, [], [0], [1])]
+        nets.append(random_network(nodes=30, unknowns=20, excited=4, measured=4, known_density=0.15, seed=3))
+        for net in nets:
+            for seed in (0, 1, 9, 2**40):
+                batched, scalar = rng(seed), rng(seed)
+                ev = random_field_evaluation(net, batched)
+                expected = [int(scalar.integers(1, PRIME)) for _ in net.edges]
+                assert [ev.values[e] for e in net.edges] == expected
+                assert all(type(v) is int for v in ev.values.values())
+                assert int(batched.integers(1, PRIME)) == int(scalar.integers(1, PRIME))
 
 
 class TestClosedLoop:
@@ -347,8 +368,8 @@ class TestGenericRank:
         net = fan_net()
         assert generic_rank(net, trials=3, seed=42) == generic_rank(net, trials=3, seed=42)
 
-    def test_stops_at_first_full_rank_sample(self, monkeypatch):
-        """Full column rank cannot be exceeded, so the trial budget is spent only on deficient samples."""
+    @staticmethod
+    def _count_draws(monkeypatch) -> list:
         draws = []
         sample = numeric._sample_sensitivity
 
@@ -357,13 +378,55 @@ class TestGenericRank:
             return sample(*args, **kwargs)
 
         monkeypatch.setattr(numeric, "_sample_sensitivity", counting)
-        for net, expected_draws, nonzero in ((fan_net(), 1, True), (unreachable_net(), 5, False)):
+        return draws
+
+    def test_stops_at_first_full_rank_sample(self, monkeypatch):
+        """A full-rank sample is a certificate; a deficient net draws s* samples, 1 at this size."""
+        draws = self._count_draws(monkeypatch)
+        for net, expected_draws, nonzero in ((fan_net(), 1, True), (unreachable_net(), 1, False)):
             draws.clear()
             assert generic_rank(net, trials=5) == (net.m_unknown if nonzero else 0)
             assert len(draws) == expected_draws
             draws.clear()
             assert generic_det_nonzero(net, trials=5) is nonzero
             assert len(draws) == expected_draws
+
+    def test_trials_cap_the_samples(self, monkeypatch):
+        """A deficient net draws min(trials, s*) samples; a full-rank one still stops at its first."""
+        draws = self._count_draws(monkeypatch)
+        monkeypatch.setattr(numeric, "_samples_needed", lambda n, m: 3)
+        for trials, expected in ((1, 1), (2, 2), (3, 3), (5, 3)):
+            draws.clear()
+            assert generic_rank(unreachable_net(), trials=trials) == 0
+            assert len(draws) == expected
+            draws.clear()
+            assert generic_rank(unreachable_net(), decoupled=True, trials=trials) == 0
+            assert len(draws) == expected
+        draws.clear()
+        assert generic_rank(fan_net(), trials=5) == 2
+        assert len(draws) == 1
+
+    def test_one_sample_meets_the_bound_at_benchmark_sizes(self):
+        # the ``check`` workload draws up to 40 nodes and 24 unknown edges
+        assert all(numeric._samples_needed(n, m) == 1 for n in range(2, 41) for m in range(1, 25))
+
+    def test_largest_nets_need_more_than_one_sample(self):
+        n = MAX_NODES
+        assert numeric._samples_needed(n, n * (n - 1)) >= 2
+        assert numeric._samples_needed(n, n * (n - 1) // 2) >= 2
+
+    def test_chosen_sample_count_meets_the_bound(self):
+        """q^s* <= FAILURE_BOUND < q^(s* - 1), in exact arithmetic."""
+        eps = Fraction(numeric.FAILURE_BOUND)
+        assert eps == Fraction(1, 1 << 40)
+        for n in (2, 10, 40, 160, MAX_NODES):
+            # the largest m one sample covers, and the next
+            one = (PRIME - 1 - 2 * n) // (2 * (n - 1) << 40)
+            for m in sorted({1, n, one, one + 1, n * (n - 1) // 4, n * (n - 1)}):
+                q = Fraction(2 * m * (n - 1), PRIME - 1 - 2 * n)
+                s = numeric._samples_needed(n, m)
+                assert q**s <= eps
+                assert s == 1 or q ** (s - 1) > eps
 
     def test_single_trial_already_generic(self):
         """Each trial alone hits the generic rank; instability would be a bug."""
