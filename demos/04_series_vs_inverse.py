@@ -10,20 +10,13 @@ dropped tail is bounded by norm^(L+1) / (1 - norm).
 
 import numpy as np
 
-from netident import (
-    closed_loop,
-    inf_norm,
-    network_matrix,
-    neumann_series,
-    random_float_evaluation,
-    random_network,
-)
+from netident import network_matrix, random_network
+from netident.series import float_closed_loop, inf_norm, neumann_series, random_float_values
 
 rng = np.random.default_rng(7)
 net = random_network(nodes=6, unknowns=2, excited=1, measured=1, known_density=0.6, seed=7)
-ev = random_float_evaluation(net, rng)
-G = network_matrix(ev)
-T = closed_loop(G)
+G = network_matrix(net, random_float_values(net, rng))
+T = float_closed_loop(G)
 norm = inf_norm(G)
 print(f"cyclic network on {net.n} nodes, row-sum norm {norm:.3f}")
 print(f"{'terms':>6} {'error':>12} {'tail bound':>12}")
@@ -35,7 +28,6 @@ for L in (1, 2, 5, 10, 20, 30):
 # On an acyclic network the series terminates: no walk is longer than
 # n - 1 edges, so the truncation error hits floating-point noise.
 acyclic = random_network(nodes=6, unknowns=2, excited=1, measured=1, known_density=0.6, acyclic=True, seed=8)
-ev = random_float_evaluation(acyclic, rng)
-G = network_matrix(ev)
-err = np.max(np.abs(neumann_series(G, acyclic.n - 1) - closed_loop(G)))
+G = network_matrix(acyclic, random_float_values(acyclic, rng))
+err = np.max(np.abs(neumann_series(G, acyclic.n - 1) - float_closed_loop(G)))
 print(f"\nacyclic network, {acyclic.n - 1} terms: error {err:.3e}")

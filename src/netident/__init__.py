@@ -35,15 +35,11 @@ from .netmodel import (
 )
 from .numeric import (
     PRIME,
-    Evaluation,
     SingularMatrixError,
     AllSamplesSingularError,
-    random_field_evaluation,
-    random_float_evaluation,
+    random_field_values,
     network_matrix,
     closed_loop,
-    neumann_series,
-    inf_norm,
     sensitivity_matrix,
     rank_field,
     generic_rank,

@@ -67,7 +67,7 @@ class OptionError(ValueError):
     """A command-line option or NETIDENT_SEED lies outside its range."""
 
 
-# Smallest value each numeric option accepts; seeds feed numpy, which refuses negatives.
+# Smallest value each numeric option accepts; seeds feed numpy in `gen` and `decouple`, which refuses negatives.
 _OPTION_MINIMUM = {"trials": 1, "max_degree": 0, "seed": 0}
 
 

@@ -1,12 +1,10 @@
 """Seeded random network instances for experiments and property tests.
 
-All draws go through one generator seeded up front, so a (flags, seed) pair
-always yields the same network, edge order included.
+All draws go through one numpy generator, imported and seeded per call, so
+a (flags, seed) pair always yields the same network, edge order included.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .netmodel import Edge, NetworkModel, validate
 
@@ -17,7 +15,7 @@ class GenerationError(ValueError):
     """The requested flag combination admits no network."""
 
 
-def _block_known_edges(nodes: list[int], density: float, acyclic: bool, rng: np.random.Generator) -> list[Edge]:
+def _block_known_edges(nodes: list[int], density: float, acyclic: bool, rng) -> list[Edge]:
     """Random known edges within one node set; acyclic mode only follows a random order."""
     order = [nodes[i] for i in rng.permutation(len(nodes))]
     pos = {v: i for i, v in enumerate(order)}
@@ -59,6 +57,8 @@ def random_network(
         raise GenerationError("excited and measured counts must be between 1 and the node count")
     if not (0.0 <= known_density <= 1.0):
         raise GenerationError("known density must lie in [0, 1]")
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
 

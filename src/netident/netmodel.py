@@ -14,10 +14,8 @@ computation.  Node indices are 0-based in memory and 1-based in files.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "Edge",
@@ -317,11 +315,14 @@ def decouple(net: NetworkModel, seed: int = 0) -> NetworkModel:
 
     ``seed`` only matters when the input edges carry concrete values: the
     measured copy inherits them and the excited copy gets fresh ones drawn
-    from the seed, so the two copies never share coefficient values.
+    from the seed by numpy, so the two copies never share coefficient values.
     """
     n = net.n
-    has_values = any(e.value is not None for e in net.edges)
-    rng = np.random.default_rng(seed) if has_values else None
+    rng = None
+    if any(e.value is not None for e in net.edges):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
 
     edges: list[Edge] = []
     for e in net.edges:
@@ -384,8 +385,9 @@ def network_from_dict(data: dict) -> NetworkModel:
         _require(_is_int(raw["to"]), f"{where}.to must be an integer")
         _require(isinstance(raw["known"], bool), f"{where}.known must be a boolean")
         value = raw.get("value")
+        # int-float comparison is exact, so an integer past the float range fails here, not in float()
         _require(
-            value is None or (isinstance(value, (int, float)) and math.isfinite(value)),
+            value is None or (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max),
             f"{where}.value must be a finite number",
         )
         edges.append(
@@ -431,11 +433,15 @@ def network_to_dict(net: NetworkModel) -> dict:
 
 
 def load_network(path: str) -> NetworkModel:
+    """Read a network file; content that does not parse raises NetworkFormatError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise NetworkFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            # bytes that are not UTF-8, an integer literal past the interpreter's digit limit, or nesting past its stack
+            raise NetworkFormatError(f"{path}: unreadable JSON: {exc}") from exc
     return network_from_dict(data)
 
 

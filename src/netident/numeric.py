@@ -1,33 +1,25 @@
-"""Matrix arithmetic for identifiability testing, exact and floating.
+"""Exact matrix arithmetic over a prime field for identifiability testing.
 
-Two scalar variants that never mix inside one matrix:
-
-* exact: integers modulo the prime 2^61 - 1, held as plain Python ints in
-  lists of lists.  Rank and determinant answers are exact per sample, and
-  the probability that a random sample misses the generic value is bounded
-  by Schwartz-Zippel.  Every verdict rests on this variant only.  One
-  forward elimination (``_factor``) serves every exact question: it gives
-  rank and determinant, and its LU factors of I - G give rows and columns
-  of the closed loop by triangular solves, so a sample of the sensitivity
-  matrix needs one factorization plus one solve per excited and per
-  measured node instead of the full inverse.
-* float: numpy complex128 arrays, used solely to verify the truncated
-  power-series expansion of the closed loop, where convergence (spectral
-  radius below 1) matters.  Float results never feed a verdict.
+One scalar kind: integers modulo the prime 2^61 - 1, held as plain Python
+ints in lists of lists.  Rank and determinant answers are exact per
+sample, and the probability that a random sample misses the generic value
+is bounded by Schwartz-Zippel.  One forward elimination (``_factor``)
+serves every question: it gives rank and determinant, and its LU factors
+of I - G give rows and columns of the closed loop by triangular solves, so
+a sample of the sensitivity matrix needs one factorization plus one solve
+per excited and per measured node instead of the full inverse.
 
 The identifiability test is a polynomial identity in the edge values, so
 drawing the values from a large prime field instead of the complex numbers
 decides the same rank/determinant dichotomy; the field is a test device,
-not a model of the signals.
+not a model of the signals.  The floating-point power-series check of the
+closed loop lives in ``netident.series``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 from operator import mul
-
-import numpy as np
-from numpy.typing import NDArray
 
 from .netmodel import NetworkModel, NotSquareError, separate
 
@@ -38,13 +30,9 @@ __all__ = [
     "FAILURE_BOUND",
     "SingularMatrixError",
     "AllSamplesSingularError",
-    "Evaluation",
-    "random_field_evaluation",
-    "random_float_evaluation",
+    "random_field_values",
     "network_matrix",
     "closed_loop",
-    "neumann_series",
-    "inf_norm",
     "sensitivity_matrix",
     "rank_field",
     "generic_rank",
@@ -66,65 +54,31 @@ class AllSamplesSingularError(ArithmeticError):
     """Every trial exhausted its resample budget on singular samples."""
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """A network together with one concrete value per edge.
+def random_field_values(net: NetworkModel, rng: random.Random) -> list[int]:
+    """One value per edge, in edge order, uniform over the p - 1 nonzero field elements.
 
-    Known and unknown edges alike get random values: identifiability is a
-    generic property over all nonzero entries, and "known" only means the
-    identification procedure is told the value, not that the value is a
-    fixed constant of the problem class.
+    Known edges get random values too: identifiability is generic over all
+    nonzero entries, and "known" only means the procedure is told the value.
+    ``getrandbits(61)`` is uniform on 0..2^61 - 1 = 0..PRIME; redrawing 0
+    and PRIME leaves 1..PRIME - 1 equally likely.
     """
+    values = []
+    for _ in net.edges:
+        v = rng.getrandbits(61)
+        while v == 0 or v == PRIME:
+            v = rng.getrandbits(61)
+        values.append(v)
+    return values
 
-    net: NetworkModel
-    values: dict
-    mode: str  # "exact" | "float"
 
+def network_matrix(net: NetworkModel, values) -> list[list]:
+    """n x n matrix with entry [i][j] = ``values[k]`` for edge k = j->i, 0 where absent.
 
-def random_field_evaluation(net: NetworkModel, rng: np.random.Generator) -> Evaluation:
-    """Draw a nonzero field element for every edge, in edge order.
-
-    One batched call: it yields the values, and leaves ``rng`` in the state,
-    of one scalar ``rng.integers(1, PRIME)`` per edge.
+    Entries are placed as given; the field routines reduce them modulo PRIME.
     """
-    values = dict(zip(net.edges, rng.integers(1, PRIME, size=len(net.edges)).tolist()))
-    return Evaluation(net=net, values=values, mode="exact")
-
-
-def random_float_evaluation(
-    net: NetworkModel, rng: np.random.Generator, norm_bound: float = 0.5
-) -> Evaluation:
-    """Draw real values, then rescale so the row-sum norm of G stays below ``norm_bound``.
-
-    The row-sum norm dominates the spectral radius, so the bound keeps the
-    closed-loop power series convergent without touching the zero pattern.
-    """
-    values = {e: complex(rng.standard_normal()) for e in net.edges}
-    ev = Evaluation(net=net, values=values, mode="float")
-    norm = inf_norm(network_matrix(ev))
-    while norm > norm_bound:
-        # shave a few ulps so rounding in the row sums cannot land back above
-        scale = norm_bound / norm * (1.0 - 4e-16)
-        values = {e: v * scale for e, v in values.items()}
-        ev = Evaluation(net=net, values=values, mode="float")
-        norm = inf_norm(network_matrix(ev))
-    return ev
-
-
-def network_matrix(ev: Evaluation):
-    """n x n matrix with entry [i, j] = value of edge j->i, 0 where absent.
-
-    Exact mode returns a list of lists of ints; float mode a complex array.
-    """
-    n = ev.net.n
-    if ev.mode == "exact":
-        G = [[0] * n for _ in range(n)]
-        for e in ev.net.edges:
-            G[e.dst][e.src] = ev.values[e] % PRIME
-        return G
-    G = np.zeros((n, n), dtype=complex)
-    for e in ev.net.edges:
-        G[e.dst, e.src] = ev.values[e]
+    G = [[0] * net.n for _ in range(net.n)]
+    for e, v in zip(net.edges, values):
+        G[e.dst][e.src] = v
     return G
 
 
@@ -241,47 +195,15 @@ def _factor_closed_loop(G: list[list[int]]) -> _LoopFactors:
     return _LoopFactors(perm, lu, [pow(lu[i][i], -1, PRIME) for i in range(n)])
 
 
-def closed_loop(G):
-    """(I - G)^{-1} in the scalar variant of G.
+def closed_loop(G: list[list[int]]) -> list[list[int]]:
+    """(I - G)^{-1} over the field: I - G factored once, then one solve per row.
 
-    Exact (list of lists): I - G factored once over the field, then one
-    solve per row of the inverse.  Float (ndarray): solved to machine
-    precision.  Raises SingularMatrixError when I - G is not invertible, a
-    non-generic sample the caller should redraw.  The rank route never
-    forms the whole inverse; it solves for the ports it needs.
+    Raises SingularMatrixError when I - G is not invertible, a non-generic
+    sample the caller should redraw.  The rank route never forms the whole
+    inverse; it solves for the ports it needs.
     """
-    if isinstance(G, np.ndarray):
-        n = G.shape[0]
-        A = np.eye(n, dtype=complex) - G
-        try:
-            T = np.linalg.solve(A, np.eye(n, dtype=complex))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(str(exc)) from exc
-        if not np.all(np.isfinite(T)):
-            raise SingularMatrixError("non-finite entries in closed loop")
-        return T
     rows = _factor_closed_loop(G).rows(range(len(G)))
     return [rows[i] for i in range(len(G))]
-
-
-def neumann_series(G: NDArray, terms: int) -> NDArray:
-    """I + G + G^2 + ... + G^terms; converges to the closed loop when the spectral radius is below 1."""
-    n = G.shape[0]
-    total = np.eye(n, dtype=complex)
-    power = np.eye(n, dtype=complex)
-    for _ in range(terms):
-        power = power @ G
-        total = total + power
-        if not power.any():
-            break
-    return total
-
-
-def inf_norm(G: NDArray) -> float:
-    """Row-sum norm; an upper bound on the spectral radius."""
-    if G.size == 0:
-        return 0.0
-    return float(np.abs(G).sum(axis=1).max())
 
 
 def sensitivity_matrix(
@@ -329,7 +251,7 @@ def rank_field(A: list[list[int]]) -> int:
     return _factor(A)[0]
 
 
-def _sample_sensitivity(net: NetworkModel, rng: np.random.Generator, decoupled: bool):
+def _sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool):
     """One exact sample of the sensitivity matrix, resampling singular draws.
 
     Each draw factors I - G once and solves for the measured rows and the
@@ -339,10 +261,10 @@ def _sample_sensitivity(net: NetworkModel, rng: np.random.Generator, decoupled: 
     """
     for _ in range(RESAMPLE_BUDGET):
         try:
-            left = _factor_closed_loop(network_matrix(random_field_evaluation(net, rng)))
+            left = _factor_closed_loop(network_matrix(net, random_field_values(net, rng)))
             right = left
             if decoupled:
-                right = _factor_closed_loop(network_matrix(random_field_evaluation(net, rng)))
+                right = _factor_closed_loop(network_matrix(net, random_field_values(net, rng)))
         except SingularMatrixError:
             continue
         return _sensitivity(net, left.rows(net.measured), right.columns(net.excited))
@@ -381,7 +303,10 @@ def generic_rank(
     field elements, redrawing while I - G is singular, factors I - G once
     and solves for the excited columns and measured rows of
     T = (I - G)^{-1} that K reads.  Decoupled mode draws two independent
-    evaluations per sample, one per closed-loop factor.
+    value lists per sample, one per closed-loop factor.  The draws come
+    from one ``random.Random(seed)`` stream: 61 random bits per edge, in
+    edge order, drawn again when they read 0 or p (p = 2^61 - 1), which
+    leaves the nonzero elements equally likely (``random_field_values``).
 
     Failure bound.  No sample exceeds the generic rank r <= m, so the
     maximum falls short of r only if every sample is a zero of a nonzero
@@ -414,7 +339,7 @@ def generic_rank(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     needed = _samples_needed(net.n, net.m_unknown)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     best = -1
     drawn = 0
     for _ in range(trials):

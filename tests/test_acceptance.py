@@ -15,18 +15,14 @@ from netident import (
     IDENTIFIABLE,
     INCONCLUSIVE,
     NOT_IDENTIFIABLE,
-    closed_loop,
     coefficient,
     combinatorial_verdict,
     decouple,
     decoupled_identifiability,
     exhaustive_degree_bound,
     generic_det_nonzero,
-    inf_norm,
     local_identifiability,
     network_matrix,
-    neumann_series,
-    random_float_evaluation,
     random_network,
     repetition_table,
     separable_global_identifiability,
@@ -34,6 +30,7 @@ from netident import (
     terms_sorted,
     verdict_from_table,
 )
+from netident.series import float_closed_loop, inf_norm, neumann_series, random_float_values
 
 from corpus import (
     general_square_corpus,
@@ -104,13 +101,12 @@ class TestAcceptance:
                     continue
                 seed += 1
                 made += 1
-                ev = random_float_evaluation(net, rng)
-                G = network_matrix(ev)
+                G = network_matrix(net, random_float_values(net, rng))
                 if inf_norm(G) > 0.5:
                     failures.append(f"norm {inf_norm(G)} above 0.5 on {net}")
                     continue
                 L = terms if terms is not None else net.n - 1
-                err = np.max(np.abs(neumann_series(G, L) - closed_loop(G)))
+                err = np.max(np.abs(neumann_series(G, L) - float_closed_loop(G)))
                 if err > tol:
                     failures.append(f"truncation error {err:.2e} above {tol} on {net}")
         _report(3, "series truncation bounds", started, failures)

@@ -300,6 +300,34 @@ class TestErrorsAndDeterminism:
         assert err.startswith(f"error: field 'nodes' must be at most {MAX_NODES}")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{"nodes": 2, "edges": [], "excited": [1], "measured": [2], "x": "\xff"}', id="not-utf8"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
+            pytest.param(b'{"nodes": 1' + b"0" * 5000 + b', "edges": [], "excited": [], "measured": []}', id="5001-digits"),
+        ],
+    )
+    def test_unreadable_file_content(self, tmp_path, capsys, content):
+        """Each of these raised out of json (exit 1, the not-identifiable code) before load_network caught it."""
+        path = tmp_path / "net.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, ["check", str(path)])
+        assert code == 3
+        assert err.startswith(f"error: {path}: unreadable JSON: ")
+        assert out == ""
+
+    def test_integer_edge_value_past_the_float_range(self, tmp_path, capsys):
+        """math.isfinite raised OverflowError on it; the parser names the field instead."""
+        data = network_to_dict(fan_net())
+        data["edges"][0]["value"] = 10**400
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["check", str(path)])
+        assert code == 3
+        assert err.startswith("error: edges[0].value must be a finite number")
+        assert out == ""
+
     def test_no_unknown_edges(self, tmp_path, capsys):
         net = NetworkModel(2, [Edge(0, 1, known=True)], [0], [1])
         path = write_net(tmp_path, net)
@@ -331,3 +359,38 @@ class TestErrorsAndDeterminism:
         )
         assert proc.returncode == 0
         assert "identifiable" in proc.stdout
+
+
+# Runs ``netident.cli.main`` on its arguments (none: import only), then fails if numpy was loaded.
+NUMPY_FREE_CHILD = """
+import sys
+import netident
+import netident.cli
+code = netident.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+assert "numpy" not in sys.modules, "numpy was imported"
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["check", "{path}", "--json"],
+        ["separable", "{path}", "--json"],
+        ["combinatorial", "{path}", "--json"],
+        ["combinatorial", "{path}", "--decouple-first"],
+        ["oracle", "{path}"],
+    ],
+    ids=["import", "check", "separable", "combinatorial", "decouple-first", "oracle"],
+)
+def test_verdict_commands_never_import_numpy(tmp_path, cli_env, argv):
+    """numpy is for ``gen``, ``decouple`` of valued files and ``netident.series``; the verdict path is exact."""
+    path = write_net(tmp_path, fan_net())
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHILD, *(a.format(path=path) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
-
-import numpy as np
 
 from netident import (
     decoupled_identifiability,
@@ -41,7 +40,7 @@ SHAPES = [
 
 
 def _k_digest(net, seed: int, decoupled: bool) -> str | None:
-    K = _sample_sensitivity(net, np.random.default_rng(seed), decoupled)
+    K = _sample_sensitivity(net, random.Random(seed), decoupled)
     return None if K is None else hashlib.sha256(json.dumps(K).encode()).hexdigest()
 
 

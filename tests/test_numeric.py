@@ -1,5 +1,6 @@
 """Exact field arithmetic, closed loops, series truncation and generic rank/determinant."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from netident import (
     Edge,
-    Evaluation,
     MAX_NODES,
     NetworkModel,
     NotSeparableError,
@@ -17,16 +17,14 @@ from netident import (
     closed_loop,
     generic_det_nonzero,
     generic_rank,
-    inf_norm,
-    neumann_series,
     network_matrix,
-    random_field_evaluation,
-    random_float_evaluation,
+    random_field_values,
     random_network,
     rank_field,
     sensitivity_matrix,
 )
 from netident import numeric
+from netident.series import float_closed_loop, inf_norm, neumann_series, random_float_values
 
 from corpus import (
     bipartite_net,
@@ -40,42 +38,59 @@ from corpus import (
 from helpers import det_field, identity_field, kernel_field, leibniz_det, mat_mul_field, minor_rank
 
 rng = np.random.default_rng
+field_rng = random.Random
 
 
-def exact_eval(net, values_by_pair):
-    values = {e: values_by_pair[(e.src, e.dst)] for e in net.edges}
-    return Evaluation(net=net, values=values, mode="exact")
+def exact_values(net, values_by_pair):
+    return [values_by_pair[(e.src, e.dst)] for e in net.edges]
 
 
 class TestNetworkMatrix:
     def test_empty_edge_set_gives_zero_matrix(self):
         net = NetworkModel(3, [], [0], [1])
-        ev = Evaluation(net=net, values={}, mode="exact")
-        assert network_matrix(ev) == [[0] * 3 for _ in range(3)]
+        assert network_matrix(net, []) == [[0] * 3 for _ in range(3)]
 
     def test_entry_convention_is_column_source_row_sink(self):
         """Edge j->i lands at [i][j]."""
         net = chain_net()
-        ev = exact_eval(net, {(0, 1): 7, (1, 2): 11})
-        assert network_matrix(ev) == [[0, 0, 0], [7, 0, 0], [0, 11, 0]]
+        values = exact_values(net, {(0, 1): 7, (1, 2): 11})
+        assert network_matrix(net, values) == [[0, 0, 0], [7, 0, 0], [0, 11, 0]]
 
 
-class TestFieldEvaluation:
-    def test_values_follow_the_scalar_draw_stream(self):
-        """The batched draw equals one scalar draw per edge, in edge order, and leaves the same state.
-
-        The golden K digests rest on this stream; a numpy that moves it fails here first.
-        """
+class TestFieldValues:
+    def test_deterministic_per_seed(self):
         nets = [minimal_net(), cyclic9_net(), NetworkModel(3, [], [0], [1])]
         nets.append(random_network(nodes=30, unknowns=20, excited=4, measured=4, known_density=0.15, seed=3))
         for net in nets:
             for seed in (0, 1, 9, 2**40):
-                batched, scalar = rng(seed), rng(seed)
-                ev = random_field_evaluation(net, batched)
-                expected = [int(scalar.integers(1, PRIME)) for _ in net.edges]
-                assert [ev.values[e] for e in net.edges] == expected
-                assert all(type(v) is int for v in ev.values.values())
-                assert int(batched.integers(1, PRIME)) == int(scalar.integers(1, PRIME))
+                values = random_field_values(net, field_rng(seed))
+                assert values == random_field_values(net, field_rng(seed))
+                assert len(values) == len(net.edges)
+                assert all(type(v) is int for v in values)
+        assert random_field_values(nets[-1], field_rng(0)) != random_field_values(nets[-1], field_rng(1))
+
+    def test_values_are_nonzero_field_elements(self):
+        net = random_network(nodes=30, unknowns=20, excited=4, measured=4, known_density=0.15, seed=3)
+        for seed in range(20):
+            assert all(1 <= v <= PRIME - 1 for v in random_field_values(net, field_rng(seed)))
+
+    def test_zero_and_prime_are_drawn_again(self, monkeypatch):
+        """61 bits read 0..PRIME; the two values outside the nonzero elements are redrawn, in place."""
+        net = chain_net()
+        gen = field_rng(5)
+        real = gen.getrandbits
+        scripted = [0, PRIME]
+        calls = []
+
+        def getrandbits(k):
+            calls.append(k)
+            return scripted.pop(0) if scripted else real(k)
+
+        monkeypatch.setattr(gen, "getrandbits", getrandbits)
+        values = random_field_values(net, gen)
+        assert values == random_field_values(net, field_rng(5))
+        assert all(1 <= v <= PRIME - 1 for v in values)
+        assert calls == [61] * (len(net.edges) + 2)
 
 
 class TestClosedLoop:
@@ -86,16 +101,14 @@ class TestClosedLoop:
         """closed_loop(G) * (I - G) is exactly the identity over the field."""
         for seed in range(10):
             net = fan_net()
-            ev = random_field_evaluation(net, rng(seed))
-            G = network_matrix(ev)
+            G = network_matrix(net, random_field_values(net, field_rng(seed)))
             T = closed_loop(G)
             M = [[(1 if i == j else 0) - G[i][j] for j in range(net.n)] for i in range(net.n)]
             assert mat_mul_field(T, M) == identity_field(net.n)
 
     def test_nilpotent_matches_finite_series(self):
         net = chain_net()
-        ev = exact_eval(net, {(0, 1): 3, (1, 2): 5})
-        G = network_matrix(ev)
+        G = network_matrix(net, exact_values(net, {(0, 1): 3, (1, 2): 5}))
         G2 = mat_mul_field(G, G)
         expected = [
             [(identity_field(3)[i][j] + G[i][j] + G2[i][j]) % PRIME for j in range(3)]
@@ -106,13 +119,13 @@ class TestClosedLoop:
     def test_float_singular_raises(self):
         G = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(SingularMatrixError):
-            closed_loop(G)
+            float_closed_loop(G)
 
     def test_exact_singular_raises(self):
         net = NetworkModel(2, [Edge(0, 1, known=True), Edge(1, 0, known=True)], [0], [1])
-        ev = exact_eval(net, {(0, 1): 1, (1, 0): 1})
+        values = exact_values(net, {(0, 1): 1, (1, 0): 1})
         with pytest.raises(SingularMatrixError):
-            closed_loop(network_matrix(ev))
+            closed_loop(network_matrix(net, values))
 
 
 class TestNeumannSeries:
@@ -122,9 +135,8 @@ class TestNeumannSeries:
 
     def test_acyclic_terminates_exactly(self):
         net = chain_net()
-        ev = random_float_evaluation(net, rng(1))
-        G = network_matrix(ev)
-        err = np.max(np.abs(neumann_series(G, net.n - 1) - closed_loop(G)))
+        G = network_matrix(net, random_float_values(net, rng(1)))
+        err = np.max(np.abs(neumann_series(G, net.n - 1) - float_closed_loop(G)))
         assert err <= 1e-12
 
     def test_cyclic_truncation_error_bound(self):
@@ -135,23 +147,21 @@ class TestNeumannSeries:
             [0],
             [2],
         )
-        ev = random_float_evaluation(net, rng(2))
-        G = network_matrix(ev)
+        G = network_matrix(net, random_float_values(net, rng(2)))
         norm = inf_norm(G)
         assert norm <= 0.5
-        err = np.max(np.abs(neumann_series(G, 30) - closed_loop(G)))
+        err = np.max(np.abs(neumann_series(G, 30) - float_closed_loop(G)))
         assert err <= norm ** 31 / (1 - norm) + 1e-15
 
 
 class TestFloatEvaluation:
     def test_norm_bound_enforced(self):
         for seed in range(10):
-            ev = random_float_evaluation(fan_net(), rng(seed))
-            assert inf_norm(network_matrix(ev)) <= 0.5
+            values = random_float_values(fan_net(), rng(seed))
+            assert inf_norm(network_matrix(fan_net(), values)) <= 0.5
 
     def test_zero_pattern_unchanged_by_scaling(self):
-        ev = random_float_evaluation(fan_net(), rng(3))
-        G = network_matrix(ev)
+        G = np.array(network_matrix(fan_net(), random_float_values(fan_net(), rng(3))))
         present = {(e.dst, e.src) for e in fan_net().edges}
         for i in range(5):
             for j in range(5):
@@ -161,23 +171,20 @@ class TestFloatEvaluation:
 class TestSensitivityMatrix:
     def test_minimal_net_is_one(self):
         net = minimal_net()
-        ev = exact_eval(net, {(0, 1): 9})
-        T = closed_loop(network_matrix(ev))
+        T = closed_loop(network_matrix(net, exact_values(net, {(0, 1): 9})))
         assert sensitivity_matrix(net, T, T) == [[1]]
 
     def test_fan_entries_are_known_edge_values(self):
         """Acyclic relays make each entry a single path product."""
         net = fan_net()
         vals = {(0, 2): 2, (0, 3): 3, (1, 2): 5, (1, 3): 7, (2, 4): 11, (3, 4): 13}
-        ev = exact_eval(net, vals)
-        T = closed_loop(network_matrix(ev))
+        T = closed_loop(network_matrix(net, exact_values(net, vals)))
         K = sensitivity_matrix(net, T, T)
         assert K == [[2, 3], [5, 7]]
 
     def test_unreachable_column_is_zero(self):
         net = unreachable_net()
-        ev = random_field_evaluation(net, rng(4))
-        T = closed_loop(network_matrix(ev))
+        T = closed_loop(network_matrix(net, random_field_values(net, field_rng(4))))
         assert sensitivity_matrix(net, T, T) == [[0]]
 
     def test_null_space_reconstructs_valid_perturbations(self):
@@ -193,8 +200,7 @@ class TestSensitivityMatrix:
             [0],
             [3],
         )
-        ev = random_field_evaluation(net, rng(5))
-        G = network_matrix(ev)
+        G = network_matrix(net, random_field_values(net, field_rng(5)))
         T = closed_loop(G)
         K = sensitivity_matrix(net, T, T)
         basis = kernel_field(K)
@@ -281,8 +287,8 @@ class TestFactorAgainstReferences:
 
 def same_draws(net, seed, decoupled):
     """The closed loops ``_sample_sensitivity`` draws at ``seed`` (no singular draw expected), in full."""
-    gen = rng(seed)
-    Gs = [network_matrix(random_field_evaluation(net, gen)) for _ in range(2 if decoupled else 1)]
+    gen = field_rng(seed)
+    Gs = [network_matrix(net, random_field_values(net, gen)) for _ in range(2 if decoupled else 1)]
     return Gs, [closed_loop(G) for G in Gs]
 
 
@@ -304,7 +310,7 @@ class TestSolvePath:
                         M = [[int(i == j) - G[i][j] for j in range(net.n)] for i in range(net.n)]
                         assert mat_mul_field(T, M) == identity_field(net.n)
                     T_left, T_right = Ts[0], Ts[-1]
-                    K = numeric._sample_sensitivity(net, rng(seed), decoupled)
+                    K = numeric._sample_sensitivity(net, field_rng(seed), decoupled)
                     assert K == sensitivity_matrix(net, T_left, T_right)
 
     def test_solves_through_row_exchanges(self):
@@ -331,25 +337,24 @@ class TestSolvePath:
             [0],
             [2],
         )
-        draw = numeric.random_field_evaluation
+        draw = numeric.random_field_values
         calls = []
 
         def patched(net_, gen):
-            ev = draw(net_, gen)
-            calls.append(ev)
+            values = draw(net_, gen)
+            calls.append(values)
             if len(calls) - 1 == singular_call:
                 # g(0->1) * g(1->0) = 1 makes det(I - G) = 0
-                values = {e: 1 if e.known else v for e, v in ev.values.items()}
-                return Evaluation(net=net_, values=values, mode="exact")
-            return ev
+                return [1 if e.known else v for e, v in zip(net_.edges, values)]
+            return values
 
-        monkeypatch.setattr(numeric, "random_field_evaluation", patched)
-        K = numeric._sample_sensitivity(net, rng(3), decoupled)
+        monkeypatch.setattr(numeric, "random_field_values", patched)
+        K = numeric._sample_sensitivity(net, field_rng(3), decoupled)
         # the real draws from the same stream, with the singular round dropped
-        gen = rng(3)
+        gen = field_rng(3)
         real = [draw(net, gen) for _ in range(len(calls))]
         kept = real[2:] if (decoupled and singular_call == 1) else real[1:]
-        Ts = [closed_loop(network_matrix(ev)) for ev in kept]
+        Ts = [closed_loop(network_matrix(net, values)) for values in kept]
         assert len(calls) == (4 if singular_call == 1 else 3 if decoupled else 2)
         assert K == sensitivity_matrix(net, Ts[0], Ts[-1])
 
