@@ -67,7 +67,6 @@ from .combinatorial import (
     monomial_degree,
     format_monomial,
     walk_nodes,
-    format_walk,
     enumerate_walks,
     repetition_table,
     exhaustive_degree_bound,

@@ -4,8 +4,8 @@ Subcommands: check, separable, decouple, combinatorial, oracle, gen.
 Exit codes: 0 identifiable/success, 1 not identifiable, 2 inconclusive,
 3 usage or input error.  All output on stdout is a pure function of
 (input file, flags, seed); wall-clock timing goes to stderr only.  The
-NETIDENT_SEED environment variable supplies the default seed.  Node
-indices in files and reports are 1-based.
+NETIDENT_SEED environment variable supplies the default seed of check,
+decouple and gen.  Node indices in files and reports are 1-based.
 """
 
 from __future__ import annotations
@@ -207,8 +207,7 @@ def cmd_decouple(args: argparse.Namespace) -> int:
 
 def cmd_combinatorial(args: argparse.Namespace) -> int:
     net = load_network(args.path)
-    seed = _default_seed() if args.decouple_first else 0
-    target, table, verdict = _walk_route(net, args.max_degree, args.decouple_first, seed)
+    target, table, verdict = _walk_route(net, args.max_degree, args.decouple_first)
     if args.json:
         _json_report(
             {

@@ -13,8 +13,10 @@ count after all cancellations.
 Walks may repeat edges, so cyclic known blocks admit walks of every
 length.  Enumeration is therefore bounded by total monomial degree; the
 table is exact for every degree it covers, and the verdict is final only
-when the enumeration is provably complete (acyclic blocks, or an unknown
-edge no walk can reach at all).
+when the enumeration is provably complete.  ``exhaustive_degree_bound`` is
+the single rule for that: the table is exhaustive when its bound reaches
+the one that function returns (acyclic blocks, or an unknown edge no walk
+can reach at all).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "format_monomial",
     "Walk",
     "walk_nodes",
-    "format_walk",
     "enumerate_walks",
     "RepetitionTable",
     "repetition_table",
@@ -116,16 +117,6 @@ def walk_nodes(net: NetworkModel, walk: Walk) -> list[int]:
     return nodes
 
 
-def format_walk(net: NetworkModel, walk: Walk) -> str:
-    """1-based node sequence; the unknown edge is drawn as '=>'."""
-    nodes = walk_nodes(net, walk)
-    out = [str(nodes[0] + 1)]
-    for pos, node in enumerate(nodes[1:]):
-        out.append("=>" if pos == walk.pivot_pos else "->")
-        out.append(str(node + 1))
-    return " ".join(out)
-
-
 def _parity(rows: Sequence[int]) -> int:
     inversions = 0
     for i in range(len(rows)):
@@ -135,13 +126,12 @@ def _parity(rows: Sequence[int]) -> int:
     return 1 if inversions % 2 == 0 else -1
 
 
-def _adjacency(net: NetworkModel, edges: Iterable[Edge]) -> dict[int, list[tuple[int, int]]]:
-    idx_of = {e: i for i, e in enumerate(net.edges)}
+def _adjacency(net: NetworkModel, part: frozenset[int]) -> dict[int, list[tuple[int, int]]]:
+    """Known edges inside one block as tail -> [(edge index, head)], in net.edges order."""
     adj: dict[int, list[tuple[int, int]]] = {}
-    for e in edges:
-        adj.setdefault(e.src, []).append((idx_of[e], e.dst))
-    for lst in adj.values():
-        lst.sort()
+    for i, e in enumerate(net.edges):
+        if e.known and e.src in part:
+            adj.setdefault(e.src, []).append((i, e.dst))
     return adj
 
 
@@ -178,14 +168,13 @@ def enumerate_walks(
     suffix.  The one bound caps prefix and suffix together, so no walk
     above it is ever built.
     """
-    idx_of = {e: i for i, e in enumerate(net.edges)}
-    pivot_idx = idx_of[pivot]
-    adj_b = _adjacency(net, blocks.gb_edges)
+    pivot_idx = net.edges.index(pivot)
+    adj_b = _adjacency(net, blocks.b_part)
     prefixes = {b: sorted(_walks_between(adj_b, b, pivot.src, max_degree), key=len) for b in net.excited}
     shortest = min((len(ps[0]) for ps in prefixes.values() if ps), default=None)
     if shortest is None:
         return []
-    adj_c = _adjacency(net, blocks.gc_edges)
+    adj_c = _adjacency(net, blocks.c_part)
     walks: list[Walk] = []
     for c in net.measured:
         for suffix in _walks_between(adj_c, pivot.dst, c, max_degree - shortest):
@@ -212,10 +201,9 @@ class RepetitionTable:
 
     Entries that cancelled to zero are retained: a cancellation is exactly
     the phenomenon the count is after.  ``exhaustive`` is true only when
-    the enumeration provably covered every collection: both known blocks
-    acyclic with the bound at least the longest possible collection degree,
-    or some unknown edge admitting no walk at any length (so no collection
-    exists at all; those edges are listed in ``infeasible_pivots``).
+    the enumeration provably covered every collection, that is when
+    ``max_degree`` reaches ``exhaustive_degree_bound``; unknown edges
+    admitting no walk at any length are listed in ``infeasible_pivots``.
     ``walks`` keeps the walks the count ran over: per unknown edge, in
     net.edges order, every walk of degree <= ``max_degree``, sorted by
     (degree, edges).  The witness search reuses them.
@@ -231,81 +219,53 @@ class RepetitionTable:
         return sorted(self.entries.items(), key=lambda kv: (monomial_degree(kv[0]), kv[0]))
 
 
-def _topo_order(nodes: Iterable[int], edges: list[Edge]) -> list[int] | None:
-    """Kahn topological order of the block subgraph, or None when it has a cycle."""
-    nodes = list(nodes)
-    indeg = {v: 0 for v in nodes}
-    fwd: dict[int, list[int]] = {}
+def _longest_walks(
+    part: Iterable[int], edges: Iterable[Edge], starts: Iterable[int], reverse: bool = False
+) -> dict[int, int] | None:
+    """Longest walk from ``starts`` to each node they reach in one block, or None when it has a cycle.
+
+    Kahn's order over the whole block carries the longest-walk lengths
+    along; with ``reverse`` the edges are followed backwards, giving the
+    longest walk from each node into ``starts``.
+    """
+    succ: dict[int, list[int]] = {v: [] for v in part}
+    indeg = dict.fromkeys(succ, 0)
     for e in edges:
-        fwd.setdefault(e.src, []).append(e.dst)
-        indeg[e.dst] += 1
-    ready = sorted(v for v in nodes if indeg[v] == 0)
-    order = []
+        u, v = (e.dst, e.src) if reverse else (e.src, e.dst)
+        succ[u].append(v)
+        indeg[v] += 1
+    longest = dict.fromkeys(starts, 0)
+    ready = [v for v in succ if indeg[v] == 0]
+    ordered = 0
     while ready:
         u = ready.pop()
-        order.append(u)
-        for v in fwd.get(u, ()):
+        ordered += 1
+        for v in succ[u]:
+            if u in longest:
+                longest[v] = max(longest.get(v, 0), longest[u] + 1)
             indeg[v] -= 1
             if indeg[v] == 0:
                 ready.append(v)
-    return order if len(order) == len(nodes) else None
-
-
-def _completeness(net: NetworkModel, blocks: SeparableBlocks) -> tuple[tuple[int, ...], int | None]:
-    """(unknown edges with no walk at any bound, max collection degree or None if a block is cyclic)."""
-    idx_of = {e: i for i, e in enumerate(net.edges)}
-    infeasible = tuple(idx_of[e] for e in _structural_zero_columns(net))
-
-    topo_b = _topo_order(blocks.b_part, list(blocks.gb_edges))
-    topo_c = _topo_order(blocks.c_part, list(blocks.gc_edges))
-    if topo_b is None or topo_c is None:
-        return infeasible, None
-
-    # Longest known-edge walk from an excitation to each node (excited block).
-    longest_from = {v: (0 if v in set(net.excited) else None) for v in blocks.b_part}
-    adj_b: dict[int, list[int]] = {}
-    for e in blocks.gb_edges:
-        adj_b.setdefault(e.src, []).append(e.dst)
-    for u in topo_b:
-        if longest_from[u] is None:
-            continue
-        for v in adj_b.get(u, ()):
-            cand = longest_from[u] + 1
-            if longest_from[v] is None or cand > longest_from[v]:
-                longest_from[v] = cand
-
-    # Longest known-edge walk from each node to a measurement (measured block).
-    longest_to = {v: (0 if v in set(net.measured) else None) for v in blocks.c_part}
-    adj_c_rev: dict[int, list[int]] = {}
-    for e in blocks.gc_edges:
-        adj_c_rev.setdefault(e.dst, []).append(e.src)
-    for u in reversed(topo_c):
-        if longest_to[u] is None:
-            continue
-        for v in adj_c_rev.get(u, ()):
-            cand = longest_to[u] + 1
-            if longest_to[v] is None or cand > longest_to[v]:
-                longest_to[v] = cand
-
-    bound = 0
-    for e in net.unknown_edges:
-        if idx_of[e] in infeasible:
-            continue
-        bound += longest_from[e.src] + longest_to[e.dst]
-    return infeasible, bound
+    return longest if ordered == len(succ) else None
 
 
 def exhaustive_degree_bound(net: NetworkModel) -> int | None:
     """Smallest degree bound making the table complete, or None when a known block is cyclic.
 
-    Returns 0 when some unknown edge has no walk at all (the empty
-    enumeration is already complete).
+    This is the walk route's one completeness rule.  With both known blocks
+    acyclic, no collection is longer than the sum over unknown edges of the
+    longest excited-block walk into the tail plus the longest measured-block
+    walk out of the head.  Returns 0 when some unknown edge has no walk at
+    all (no collection exists, so the empty enumeration is complete).
     """
     blocks = separate(net)
-    infeasible, bound = _completeness(net, blocks)
-    if infeasible:
+    if _structural_zero_columns(net):
         return 0
-    return bound
+    into_tail = _longest_walks(blocks.b_part, blocks.gb_edges, net.excited)
+    out_of_head = _longest_walks(blocks.c_part, blocks.gc_edges, net.measured, reverse=True)
+    if into_tail is None or out_of_head is None:
+        return None
+    return sum(into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges)
 
 
 def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
@@ -369,14 +329,13 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     if all(walk_lists):
         dfs(0, 0)
 
-    infeasible, complete_bound = _completeness(net, blocks)
-    exhaustive = bool(infeasible) or (complete_bound is not None and max_degree >= complete_bound)
+    bound = exhaustive_degree_bound(net)
     return RepetitionTable(
         entries=entries,
         max_degree=max_degree,
-        exhaustive=exhaustive,
+        exhaustive=bound is not None and max_degree >= bound,
         walks=tuple(walk_lists),
-        infeasible_pivots=infeasible,
+        infeasible_pivots=tuple(net.edges.index(e) for e in _structural_zero_columns(net)),
     )
 
 
@@ -439,49 +398,32 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
     table refutes it only when the table is exhaustive; otherwise the
     outcome is inconclusive at this bound.
     """
-    m = net.m_unknown
     surviving = [(mu, r) for mu, r in table.sorted_items() if r != 0]
     if surviving:
         mu, r = surviving[0]
         coll = _witness_collection(net, table.walks, mu, 1 if r > 0 else -1)
-        witness = {"monomial": format_monomial(net, mu), "repetition": r}
-        if coll is not None:
-            witness["walks"] = [
+        decision = IDENTIFIABLE
+        witness = {
+            "monomial": format_monomial(net, mu),
+            "repetition": r,
+            "walks": [
                 {"nodes": [v + 1 for v in walk_nodes(net, w)], "pivot": str(net.edges[w.pivot])}
                 for w in coll
-            ]
-        return Verdict(
-            IDENTIFIABLE,
-            GLOBAL_SEPARABLE,
-            m_unknown=m,
-            max_degree=table.max_degree,
-            exhaustive=table.exhaustive,
-            witness=witness,
-        )
-    if table.infeasible_pivots:
+            ],
+        }
+    elif table.infeasible_pivots:
+        decision = NOT_IDENTIFIABLE
         witness = {"no_walk_pivots": [str(net.edges[i]) for i in table.infeasible_pivots]}
-        return Verdict(
-            NOT_IDENTIFIABLE,
-            GLOBAL_SEPARABLE,
-            m_unknown=m,
-            max_degree=table.max_degree,
-            exhaustive=True,
-            witness=witness,
-        )
-    if table.exhaustive:
-        return Verdict(
-            NOT_IDENTIFIABLE,
-            GLOBAL_SEPARABLE,
-            m_unknown=m,
-            max_degree=table.max_degree,
-            exhaustive=True,
-        )
+    else:
+        decision = NOT_IDENTIFIABLE if table.exhaustive else INCONCLUSIVE
+        witness = None
     return Verdict(
-        INCONCLUSIVE,
+        decision,
         GLOBAL_SEPARABLE,
-        m_unknown=m,
+        m_unknown=net.m_unknown,
         max_degree=table.max_degree,
-        exhaustive=False,
+        exhaustive=table.exhaustive,
+        witness=witness,
     )
 
 
@@ -496,16 +438,17 @@ def _degree_bound(net: NetworkModel, max_degree: int | None) -> int:
 
 
 def _walk_route(
-    net: NetworkModel, max_degree: int | None, decouple_first: bool = False, seed: int = 0
+    net: NetworkModel, max_degree: int | None, decouple_first: bool = False
 ) -> tuple[NetworkModel, RepetitionTable, Verdict]:
     """(network analyzed, repetition table, verdict) of the walk-counting route.
 
-    With ``decouple_first`` the table is built on ``decouple(net, seed)``
-    and the verdict carries the decoupled notion; the default bound is 2n
-    of the network analyzed.
+    With ``decouple_first`` the table is built on ``decouple(net)`` (the
+    count reads the structure only, never edge values) and the verdict
+    carries the decoupled notion; the default bound is 2n of the network
+    analyzed.
     """
     validate(net)
-    target = decouple(net, seed) if decouple_first else net
+    target = decouple(net) if decouple_first else net
     if target.m_unknown == 0:
         raise NoUnknownEdgesError()
     table = repetition_table(target, _degree_bound(target, max_degree))
@@ -520,9 +463,7 @@ def combinatorial_verdict(net: NetworkModel, max_degree: int | None = None) -> V
     return _walk_route(net, max_degree)[2]
 
 
-def necessary_condition_any_topology(
-    net: NetworkModel, max_degree: int | None = None, seed: int = 0
-) -> Verdict:
+def necessary_condition_any_topology(net: NetworkModel, max_degree: int | None = None) -> Verdict:
     """Walk-counting test applied to the decoupled form of an arbitrary network.
 
     The decoupled form is always separable and square whenever the source
@@ -531,4 +472,4 @@ def necessary_condition_any_topology(
     (the decoupled notion is necessary for the local one); an identifiable
     outcome certifies the decoupled notion only.
     """
-    return _walk_route(net, max_degree, decouple_first=True, seed=seed)[2]
+    return _walk_route(net, max_degree, decouple_first=True)[2]

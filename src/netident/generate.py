@@ -6,7 +6,7 @@ a (flags, seed) pair always yields the same network, edge order included.
 
 from __future__ import annotations
 
-from .netmodel import Edge, NetworkModel, validate
+from .netmodel import MAX_NODES, Edge, NetworkModel, validate
 
 __all__ = ["GenerationError", "random_network"]
 
@@ -51,6 +51,8 @@ def random_network(
     """
     if nodes < 1:
         raise GenerationError("need at least one node")
+    if nodes > MAX_NODES:
+        raise GenerationError(f"at most {MAX_NODES} nodes, got {nodes}")
     if unknowns < 1:
         raise GenerationError("need at least one unknown edge")
     if not (1 <= excited <= nodes and 1 <= measured <= nodes):

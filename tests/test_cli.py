@@ -151,6 +151,20 @@ class TestCombinatorial:
         assert "analyzed decoupled form: 4 nodes (excited copy offset +2)" in out
         assert "decoupled-generic: identifiable" in out
 
+    def test_decouple_first_ignores_the_seed(self, tmp_path, capsys, monkeypatch):
+        """The walk count reads structure only, so the seed of the decoupled copy's values never matters."""
+        valued = NetworkModel(
+            5, [Edge(e.src, e.dst, e.known, value=0.1 * (i + 1)) for i, e in enumerate(fan_net().edges)], [0, 1], [4]
+        )
+        path = write_net(tmp_path, valued)
+        outs = []
+        for seed in ("0", "5", "-1"):
+            monkeypatch.setenv("NETIDENT_SEED", seed)
+            code, out, err = run(capsys, ["combinatorial", path, "--decouple-first"])
+            assert code == 0 and err.startswith("elapsed:")
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
     def test_non_separable_input_is_an_error(self, tmp_path, capsys):
         net = NetworkModel(2, [Edge(0, 1, known=False)], [0, 1], [1])
         path = write_net(tmp_path, net)
@@ -231,6 +245,19 @@ class TestGen:
         assert code == 0
         data = json.loads(out)
         assert data["nodes"] == 6
+
+    def test_node_count_above_the_ceiling(self, tmp_path, capsys):
+        """``check`` would refuse the file, so ``gen`` refuses to write it."""
+        out_path = tmp_path / "big.json"
+        code, out, err = run(
+            capsys,
+            ["gen", "--nodes", str(MAX_NODES + 1), "--unknowns", "1", "--excited", "1", "--measured", "1",
+             "--known-density", "0", "--out", str(out_path)],
+        )
+        assert code == 3
+        assert err.startswith("error:")
+        assert out == ""
+        assert not out_path.exists()
 
     def test_infeasible_is_an_error(self, capsys):
         code, _, err = run(capsys, ["gen", "--nodes", "2", "--unknowns", "9"])

@@ -21,7 +21,6 @@ from netident import (
     enumerate_walks,
     exhaustive_degree_bound,
     format_monomial,
-    format_walk,
     generic_det_nonzero,
     local_identifiability,
     monomial_degree,
@@ -103,12 +102,12 @@ class TestEnumerateWalks:
         assert w.degree == 1
         assert w.known_edge_indices() == (0,)
         assert walk_nodes(net, w) == [0, 1, 2]
-        assert format_walk(net, w) == "1 -> 2 => 3"
+        assert walk_nodes(net, w)[w.pivot_pos :] == [1, 2]
 
     def test_minimal_degree_zero_walk(self):
         net = minimal_net()
         walks = enumerate_walks(net, separate(net), net.edges[0], 2)
-        assert [format_walk(net, w) for w in walks] == ["1 => 2"]
+        assert [(walk_nodes(net, w), w.pivot_pos) for w in walks] == [([0, 1], 0)]
         assert walks[0].degree == 0
 
     def test_fan_two_prefixes_per_pivot(self):
@@ -286,6 +285,29 @@ class TestExhaustiveBound:
         assert exhaustive_degree_bound(cancel_net()) == 4
         assert exhaustive_degree_bound(unreachable_net()) == 0
         assert exhaustive_degree_bound(cyclic9_net()) is None
+
+    def test_cycle_in_the_measured_block_only(self):
+        """The backward pass over the measured block finds its cycle; the excited block is a single node."""
+        net = NetworkModel(
+            4,
+            [Edge(1, 2, known=True), Edge(2, 1, known=True), Edge(2, 3, known=True), Edge(0, 1, known=False)],
+            [0],
+            [3],
+        )
+        assert exhaustive_degree_bound(net) is None
+        assert repetition_table(net, 2 * net.n).exhaustive is False
+
+    def test_measured_block_suffix_counts(self):
+        """An acyclic 2-edge suffix after the unknown edge adds 2 to the bound; the excited side adds nothing."""
+        net = NetworkModel(
+            4,
+            [Edge(1, 2, known=True), Edge(2, 3, known=True), Edge(1, 3, known=True), Edge(0, 1, known=False)],
+            [0],
+            [3],
+        )
+        assert exhaustive_degree_bound(net) == 2
+        assert repetition_table(net, 2).exhaustive is True
+        assert repetition_table(net, 1).exhaustive is False
 
     def test_bound_marks_the_exhaustive_threshold(self):
         for net in separable_square_corpus(10, acyclic=True, start_seed=800):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from netident import GenerationError, is_separable, random_network, validate
+from netident import MAX_NODES, GenerationError, is_separable, random_network, validate
 
 
 def has_cycle(net) -> bool:
@@ -79,3 +79,8 @@ class TestRandomNetwork:
             random_network(nodes=4, unknowns=5, excited=2, measured=2, separable=True)
         with pytest.raises(GenerationError):
             random_network(nodes=4, unknowns=1, excited=1, measured=1, known_density=1.5)
+
+    def test_node_count_above_the_ceiling(self):
+        """Refused before any node-pair list is built, like a file above the ceiling at load."""
+        with pytest.raises(GenerationError, match=str(MAX_NODES)):
+            random_network(nodes=MAX_NODES + 1, unknowns=1, excited=1, measured=1, known_density=0.0)
