@@ -60,6 +60,7 @@ from .identifiability import (
     check_decoupling_equivalence,
 )
 from .combinatorial import (
+    TooLargeError,
     Monomial,
     Walk,
     RepetitionTable,
@@ -76,7 +77,6 @@ from .combinatorial import (
 )
 from .oracle import (
     Poly,
-    TooLargeError,
     symbolic_closed_loop,
     symbolic_det,
     coefficient,

@@ -17,6 +17,7 @@ import sys
 import time
 
 from .combinatorial import (
+    TooLargeError,
     _degree_bound,
     _walk_route,
     format_monomial,
@@ -47,7 +48,7 @@ from .netmodel import (
     validate,
 )
 from .numeric import AllSamplesSingularError, DEFAULT_TRIALS
-from .oracle import TooLargeError, coefficient, symbolic_det, terms_sorted
+from .oracle import coefficient, symbolic_det, terms_sorted
 
 __all__ = ["main"]
 

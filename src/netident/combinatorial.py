@@ -17,11 +17,15 @@ when the enumeration is provably complete.  ``exhaustive_degree_bound`` is
 the single rule for that: the table is exhaustive when its bound reaches
 the one that function returns (acyclic blocks, or an unknown edge no walk
 can reach at all).
+
+One depth-first search counts the collections and, for each (monomial,
+sign) it counts, records the first collection it meets.  Walks are visited
+in edge-sequence order, so that collection is the lexicographically
+smallest, and the verdict reads its witness from the table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -46,6 +50,8 @@ from .netmodel import (
 )
 
 __all__ = [
+    "MAX_WALK_UNKNOWNS",
+    "TooLargeError",
     "Monomial",
     "monomial_of",
     "monomial_degree",
@@ -65,9 +71,19 @@ __all__ = [
 # index, multiplicities >= 1.  Edge indices refer to net.edges order.
 Monomial = tuple[tuple[int, int], ...]
 
+# The collection search nests one call per unknown edge: stay well inside the default recursion limit.
+MAX_WALK_UNKNOWNS = 500
+
+
+class TooLargeError(ValueError):
+    """An input beyond the size a route is built for; refused before any enumeration."""
+
 
 def monomial_of(edge_indices: Iterable[int]) -> Monomial:
-    return tuple(sorted(Counter(edge_indices).items()))
+    counts: dict[int, int] = {}
+    for i in sorted(edge_indices):
+        counts[i] = counts.get(i, 0) + 1
+    return tuple(counts.items())
 
 
 def monomial_degree(mu: Iterable[tuple[int, int]]) -> int:
@@ -138,21 +154,25 @@ def _adjacency(net: NetworkModel, part: frozenset[int]) -> dict[int, list[tuple[
 def _walks_between(
     adj: dict[int, list[tuple[int, int]]], start: int, goal: int, bound: int
 ) -> list[tuple[int, ...]]:
-    """All edge-index sequences from start to goal of length <= bound; repeats allowed."""
-    out: list[tuple[int, ...]] = []
+    """All edge-index sequences from start to goal of length <= bound; repeats allowed.
+
+    Depth-first on an explicit stack, so a deep bound on a cyclic block nests no calls.
+    """
+    out: list[tuple[int, ...]] = [()] if start == goal else []
     path: list[int] = []
-
-    def dfs(node: int, remaining: int) -> None:
-        if node == goal:
+    stack = [iter(adj.get(start, ()) if bound > 0 else ())]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        eidx, nxt = step
+        path.append(eidx)
+        if nxt == goal:
             out.append(tuple(path))
-        if remaining <= 0:
-            return
-        for eidx, nxt in adj.get(node, ()):
-            path.append(eidx)
-            dfs(nxt, remaining - 1)
-            path.pop()
-
-    dfs(start, bound)
+        stack.append(iter(adj.get(nxt, ()) if len(path) < bound else ()))
     return out
 
 
@@ -204,15 +224,16 @@ class RepetitionTable:
     the enumeration provably covered every collection, that is when
     ``max_degree`` reaches ``exhaustive_degree_bound``; unknown edges
     admitting no walk at any length are listed in ``infeasible_pivots``.
-    ``walks`` keeps the walks the count ran over: per unknown edge, in
-    net.edges order, every walk of degree <= ``max_degree``, sorted by
-    (degree, edges).  The witness search reuses them.
+    ``first`` maps each (monomial, sign) the count met, sign +1 or -1 being
+    the parity of the pairing, to the lexicographically first such
+    collection by edge sequence: one walk per unknown edge, in net.edges
+    order.  A cancelled entry has both signs recorded.
     """
 
     entries: dict[Monomial, int]
     max_degree: int
     exhaustive: bool
-    walks: tuple[tuple[Walk, ...], ...] = field(repr=False, compare=False)
+    first: dict[tuple[Monomial, int], tuple[Walk, ...]] = field(repr=False, compare=False)
     infeasible_pivots: tuple[int, ...] = ()
 
     def sorted_items(self) -> list[tuple[Monomial, int]]:
@@ -258,8 +279,12 @@ def exhaustive_degree_bound(net: NetworkModel) -> int | None:
     walk out of the head.  Returns 0 when some unknown edge has no walk at
     all (no collection exists, so the empty enumeration is complete).
     """
-    blocks = separate(net)
-    if _structural_zero_columns(net):
+    return _exhaustive_bound(net, separate(net), _structural_zero_columns(net))
+
+
+def _exhaustive_bound(net: NetworkModel, blocks: SeparableBlocks, zero_columns: Sequence[Edge]) -> int | None:
+    """``exhaustive_degree_bound`` from the blocks and structural zero columns already found."""
+    if zero_columns:
         return 0
     into_tail = _longest_walks(blocks.b_part, blocks.gb_edges, net.excited)
     out_of_head = _longest_walks(blocks.c_part, blocks.gc_edges, net.measured, reverse=True)
@@ -275,120 +300,81 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     pruning and an incremental one-walk-per-(excitation, measurement)-pair
     check.  Counts for every monomial of degree <= max_degree are exact;
     raising the bound never changes them, it only adds higher entries.
+    Each list is scanned in edge-sequence order, so the first collection
+    met for a (monomial, sign) is the lexicographically smallest one.
     """
     blocks = separate(net)
     if not net.is_square:
         raise NotSquareError(net)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    if net.m_unknown > MAX_WALK_UNKNOWNS:
+        raise TooLargeError(f"{net.m_unknown} unknown edges exceed the walk-route guard of {MAX_WALK_UNKNOWNS}")
+    zero_columns = _structural_zero_columns(net)
 
-    pivots = [i for i, e in enumerate(net.edges) if not e.known]
-    m = len(pivots)
-    walk_lists: list[tuple[Walk, ...]] = []
-    for i in pivots:
-        ws = enumerate_walks(net, blocks, net.edges[i], max_degree)
-        ws.sort(key=lambda w: (w.degree, w.edges))
-        walk_lists.append(tuple(ws))
+    b_slot = {b: i for i, b in enumerate(net.excited)}
+    c_slot = {c: i for i, c in enumerate(net.measured)}
+    n_c = net.n_measured
+
+    # Per unknown edge: its walks in edge-sequence order, each with its
+    # (excitation, measurement) row and known edges; and, filled as the
+    # search asks, the ones within each remaining degree r.
+    steps: list[list[tuple[Walk, int, tuple[int, ...]]]] = []
+    for e in net.unknown_edges:
+        ws = sorted(enumerate_walks(net, blocks, e, max_degree), key=lambda w: w.edges)
+        steps.append([(w, b_slot[w.start] * n_c + c_slot[w.end], w.known_edge_indices()) for w in ws])
+    within: list[dict[int, list]] = [{} for _ in steps]
+    m = len(steps)
 
     # Minimum attainable degree of the remaining unknown edges, for pruning.
     min_rest = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
-        least = walk_lists[k][0].degree if walk_lists[k] else 0
-        min_rest[k] = min_rest[k + 1] + least
+        min_rest[k] = min_rest[k + 1] + min((w.degree for w, _, _ in steps[k]), default=0)
 
-    b_slot = {b: i for i, b in enumerate(net.excited)}
-    c_slot = {c: i for i, c in enumerate(net.measured)}
-    n_c = net.n_measured
-
-    entries: dict[Monomial, int] = {}
+    counts: dict[int, dict[Monomial, int]] = {1: {}, -1: {}}
+    first: dict[tuple[Monomial, int], tuple[Walk, ...]] = {}
     rows: list[int] = []
     used: set[int] = set()
     acc: list[int] = []
+    chosen: list[Walk] = []
 
-    def dfs(k: int, degree_used: int) -> None:
+    def dfs(k: int, room: int) -> None:
         if k == m:
             mu = monomial_of(acc)
-            entries[mu] = entries.get(mu, 0) + _parity(rows)
+            sign = _parity(rows)
+            tally = counts[sign]
+            if mu not in tally:
+                first[mu, sign] = tuple(chosen)
+            tally[mu] = tally.get(mu, 0) + 1
             return
-        for w in walk_lists[k]:
-            d = degree_used + w.degree
-            if d + min_rest[k + 1] > max_degree:
-                break
-            row = b_slot[w.start] * n_c + c_slot[w.end]
+        r = room - min_rest[k + 1]
+        fitting = within[k].get(r)
+        if fitting is None:
+            fitting = within[k][r] = [s for s in steps[k] if s[0].degree <= r]
+        for w, row, known in fitting:
             if row in used:
                 continue
             used.add(row)
             rows.append(row)
-            acc.extend(w.known_edge_indices())
-            dfs(k + 1, d)
-            if w.degree:
-                del acc[-w.degree :]
-            rows.pop()
-            used.discard(row)
-
-    if all(walk_lists):
-        dfs(0, 0)
-
-    bound = exhaustive_degree_bound(net)
-    return RepetitionTable(
-        entries=entries,
-        max_degree=max_degree,
-        exhaustive=bound is not None and max_degree >= bound,
-        walks=tuple(walk_lists),
-        infeasible_pivots=tuple(net.edges.index(e) for e in _structural_zero_columns(net)),
-    )
-
-
-def _witness_collection(
-    net: NetworkModel,
-    table_walks: Sequence[Sequence[Walk]],
-    mu: Monomial,
-    want_sign: int,
-) -> tuple[Walk, ...] | None:
-    """Lexicographically smallest collection with monomial mu and the given sign.
-
-    Searches the walks a repetition table counted over, re-sorted by edge
-    sequence: one walk per unknown edge, in canonical edge order.
-    """
-    walk_lists = [sorted(ws, key=lambda w: w.edges) for ws in table_walks]
-    m = len(walk_lists)
-
-    budget = Counter(dict(mu))
-    b_slot = {b: i for i, b in enumerate(net.excited)}
-    c_slot = {c: i for i, c in enumerate(net.measured)}
-    n_c = net.n_measured
-    rows: list[int] = []
-    used: set[int] = set()
-    chosen: list[Walk] = []
-
-    def fits(w: Walk) -> bool:
-        need = Counter(w.known_edge_indices())
-        return all(budget[idx] >= cnt for idx, cnt in need.items())
-
-    def dfs(k: int) -> tuple[Walk, ...] | None:
-        if k == m:
-            if sum(budget.values()) == 0 and _parity(rows) == want_sign:
-                return tuple(chosen)
-            return None
-        for w in walk_lists[k]:
-            row = b_slot[w.start] * n_c + c_slot[w.end]
-            if row in used or not fits(w):
-                continue
-            need = Counter(w.known_edge_indices())
-            budget.subtract(need)
-            used.add(row)
-            rows.append(row)
             chosen.append(w)
-            found = dfs(k + 1)
+            acc.extend(known)
+            dfs(k + 1, room - w.degree)
+            del acc[len(acc) - len(known) :]
             chosen.pop()
             rows.pop()
             used.discard(row)
-            budget.update(need)
-            if found is not None:
-                return found
-        return None
 
-    return dfs(0)
+    if all(steps):
+        dfs(0, max_degree)
+
+    bound = _exhaustive_bound(net, blocks, zero_columns)
+    return RepetitionTable(
+        entries={mu: counts[1].get(mu, 0) - counts[-1].get(mu, 0) for mu, _ in first},
+        max_degree=max_degree,
+        exhaustive=bound is not None and max_degree >= bound,
+        first=first,
+        infeasible_pivots=tuple(net.edges.index(e) for e in zero_columns),
+    )
 
 
 def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
@@ -401,7 +387,7 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
     surviving = [(mu, r) for mu, r in table.sorted_items() if r != 0]
     if surviving:
         mu, r = surviving[0]
-        coll = _witness_collection(net, table.walks, mu, 1 if r > 0 else -1)
+        coll = table.first[mu, 1 if r > 0 else -1]
         decision = IDENTIFIABLE
         witness = {
             "monomial": format_monomial(net, mu),

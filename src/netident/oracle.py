@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 
-from .combinatorial import Monomial, _parity, monomial_degree
+from .combinatorial import Monomial, TooLargeError, _parity, monomial_degree
 from .netmodel import NetworkModel, NotSquareError, SeparableBlocks, separate
 
 __all__ = [
     "MAX_UNKNOWNS",
-    "TooLargeError",
     "Poly",
     "symbolic_closed_loop",
     "symbolic_det",
@@ -30,11 +29,8 @@ __all__ = [
     "terms_sorted",
 ]
 
+# The permutation expansion is factorial in the unknown count.
 MAX_UNKNOWNS = 6
-
-
-class TooLargeError(ValueError):
-    """The permutation expansion is factorial in the unknown count; refuse big inputs."""
 
 
 class Poly:

@@ -172,6 +172,28 @@ class TestCombinatorial:
         assert code == 3
         assert "error:" in err
 
+    def test_too_many_unknown_edges_is_an_error(self, tmp_path, capsys):
+        """1024 unknown edges b->c, square and separable: refused, where the collection search would nest 1024 deep."""
+        net = NetworkModel(
+            64, [Edge(b, c, known=False) for b in range(32) for c in range(32, 64)], list(range(32)), list(range(32, 64))
+        )
+        path = write_net(tmp_path, net)
+        code, out, err = run(capsys, ["combinatorial", path])
+        assert code == 3
+        assert err.startswith("error:") and "1024 unknown edges" in err and "500" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command, verdict", [("combinatorial", "global-separable: identifiable"), ("oracle", "agreement: yes")])
+    def test_deep_bound_on_a_cyclic_block(self, tmp_path, capsys, command, verdict):
+        """Walks around the excited block's 2-cycle up to length 1200 are enumerated without deep recursion."""
+        net = NetworkModel(
+            4, [Edge(0, 1, known=True), Edge(1, 0, known=True), Edge(2, 3, known=True), Edge(1, 2, known=False)], [0], [3]
+        )
+        path = write_net(tmp_path, net)
+        code, out, _ = run(capsys, [command, path, "--max-degree", "1200"])
+        assert code == 0
+        assert verdict in out
+
     def test_json_table(self, tmp_path, capsys):
         path = write_net(tmp_path, fan_net())
         _, out, _ = run(capsys, ["combinatorial", path, "--json"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -33,7 +34,7 @@ from netident import (
     walk_nodes,
 )
 from netident import combinatorial
-from netident.combinatorial import _parity, _witness_collection
+from netident.combinatorial import _parity
 
 from corpus import (
     SQUARE_COMBOS,
@@ -70,6 +71,12 @@ class TestMonomials:
         assert monomial_of([]) == ()
         assert monomial_degree(((0, 1), (2, 2))) == 3
         assert monomial_degree(()) == 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), max_size=16))
+    def test_canonical_form_counts_every_index(self, indices):
+        assert monomial_of(indices) == tuple(sorted(Counter(indices).items()))
+        assert monomial_of(iter(indices)) == monomial_of(indices)
 
     def test_formatting(self):
         net = chain_net()
@@ -255,6 +262,8 @@ class TestTableProperties:
         assert lo.entries == {mu: r for mu, r in hi.entries.items() if monomial_degree(mu) <= d}
 
         pivots = [i for i, e in enumerate(net.edges) if not e.known]
+        blocks = separate(net)
+        walk_lists = [enumerate_walks(net, blocks, net.edges[i], d + 2) for i in pivots]
 
         def is_collection(walks, mu, sign):
             rows = _rows(net, walks)
@@ -265,15 +274,14 @@ class TestTableProperties:
             )
 
         for mu, r in hi.entries.items():
-            if r == 0:
-                continue
-            sign = 1 if r > 0 else -1
-            walks = _witness_collection(net, hi.walks, mu, sign)
-            assert walks is not None
+            if r != 0:
+                assert (mu, 1 if r > 0 else -1) in hi.first
+        for (mu, sign), walks in hi.first.items():
+            assert mu in hi.entries
             assert [w.pivot for w in walks] == pivots
             assert is_collection(walks, mu, sign)
-            if math.prod(map(len, hi.walks)) <= 5000:
-                matching = [c for c in itertools.product(*hi.walks) if is_collection(c, mu, sign)]
+            if math.prod(map(len, walk_lists)) <= 5000:
+                matching = [c for c in itertools.product(*walk_lists) if is_collection(c, mu, sign)]
                 assert min(matching, key=lambda c: [w.edges for w in c]) == walks
 
 
