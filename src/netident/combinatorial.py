@@ -18,9 +18,10 @@ the single rule for that: the table is exhaustive when its bound reaches
 the one that function returns (acyclic blocks, or an unknown edge no walk
 can reach at all).
 
-One depth-first search counts the collections and, for each (monomial,
-sign) it counts, records the first collection it meets.  Walks are visited
-in edge-sequence order, so that collection is the lexicographically
+One layered count adds the unknown edges one at a time, merging partial
+collections that reach the same (rows used, monomial so far, sign) state,
+and keeps the first collection that reaches each state.  States and walks
+are visited in order, so that collection is the lexicographically
 smallest, and the verdict reads its witness from the table.
 """
 
@@ -71,7 +72,7 @@ __all__ = [
 # index, multiplicities >= 1.  Edge indices refer to net.edges order.
 Monomial = tuple[tuple[int, int], ...]
 
-# The collection search nests one call per unknown edge: stay well inside the default recursion limit.
+# Input-size guard: the walk route refuses more unknown edges than this before enumerating any walk.
 MAX_WALK_UNKNOWNS = 500
 
 
@@ -131,15 +132,6 @@ def walk_nodes(net: NetworkModel, walk: Walk) -> list[int]:
     for idx in walk.edges:
         nodes.append(net.edges[idx].dst)
     return nodes
-
-
-def _parity(rows: Sequence[int]) -> int:
-    inversions = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if rows[i] > rows[j]:
-                inversions += 1
-    return 1 if inversions % 2 == 0 else -1
 
 
 def _adjacency(net: NetworkModel, part: frozenset[int]) -> dict[int, list[tuple[int, int]]]:
@@ -224,10 +216,11 @@ class RepetitionTable:
     the enumeration provably covered every collection, that is when
     ``max_degree`` reaches ``exhaustive_degree_bound``; unknown edges
     admitting no walk at any length are listed in ``infeasible_pivots``.
-    ``first`` maps each (monomial, sign) the count met, sign +1 or -1 being
-    the parity of the pairing, to the lexicographically first such
-    collection by edge sequence: one walk per unknown edge, in net.edges
-    order.  A cancelled entry has both signs recorded.
+    ``first`` maps each (monomial, sign) that some collection has, sign +1
+    or -1 being the parity of the pairing, to the lexicographically first
+    such collection by edge sequence: one walk per unknown edge, in
+    net.edges order.  A cancelled entry has both signs recorded.  Both
+    dicts list their keys in the order of those first collections.
     """
 
     entries: dict[Monomial, int]
@@ -296,12 +289,14 @@ def _exhaustive_bound(net: NetworkModel, blocks: SeparableBlocks, zero_columns: 
 def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     """Signed count of bounded walk collections per monomial.
 
-    Depth-first product over per-unknown-edge walk lists with running-degree
-    pruning and an incremental one-walk-per-(excitation, measurement)-pair
-    check.  Counts for every monomial of degree <= max_degree are exact;
-    raising the bound never changes them, it only adds higher entries.
-    Each list is scanned in edge-sequence order, so the first collection
-    met for a (monomial, sign) is the lexicographically smallest one.
+    One loop over the unknown edges, in net.edges order, extends every
+    partial collection state by each walk of that edge that fits the
+    remaining degree and uses a free (excitation, measurement) row;
+    collections reaching the same state are counted together.  Counts for
+    every monomial of degree <= max_degree are exact; raising the bound
+    never changes them, it only adds higher entries.  States and walks are
+    extended in order, so the first collection kept for a (monomial, sign)
+    is the lexicographically smallest one.
     """
     blocks = separate(net)
     if not net.is_square:
@@ -317,13 +312,11 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     n_c = net.n_measured
 
     # Per unknown edge: its walks in edge-sequence order, each with its
-    # (excitation, measurement) row and known edges; and, filled as the
-    # search asks, the ones within each remaining degree r.
+    # (excitation, measurement) row and known edges.
     steps: list[list[tuple[Walk, int, tuple[int, ...]]]] = []
     for e in net.unknown_edges:
         ws = sorted(enumerate_walks(net, blocks, e, max_degree), key=lambda w: w.edges)
         steps.append([(w, b_slot[w.start] * n_c + c_slot[w.end], w.known_edge_indices()) for w in ws])
-    within: list[dict[int, list]] = [{} for _ in steps]
     m = len(steps)
 
     # Minimum attainable degree of the remaining unknown edges, for pruning.
@@ -331,45 +324,42 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     for k in range(m - 1, -1, -1):
         min_rest[k] = min_rest[k + 1] + min((w.degree for w, _, _ in steps[k]), default=0)
 
-    counts: dict[int, dict[Monomial, int]] = {1: {}, -1: {}}
+    # One layer per unknown edge.  A state (rows used as a bit mask, sorted
+    # known edges so far, sign) maps to [collections reaching it, the first
+    # of them]; a new row flips the sign once per used row above it.  States
+    # are extended in insertion order, each by its fitting walks in edge
+    # order, so a state is first inserted with its lexicographically smallest
+    # collection.  Fitting walks are listed once per layer and room.
+    layer: dict[tuple[int, tuple[int, ...], int], list] = {(0, (), 1): [1, ()]} if all(steps) else {}
+    for k, walks in enumerate(steps):
+        extended: dict[tuple[int, tuple[int, ...], int], list] = {}
+        fitting: dict[int, list[tuple[Walk, int, tuple[int, ...]]]] = {}
+        for (used, acc, sign), (count, coll) in layer.items():
+            room = max_degree - len(acc) - min_rest[k + 1]
+            if room not in fitting:
+                fitting[room] = [s for s in walks if s[0].degree <= room]
+            for w, row, known in fitting[room]:
+                if used >> row & 1:
+                    continue
+                key = (used | 1 << row, tuple(sorted(acc + known)), -sign if (used >> row).bit_count() & 1 else sign)
+                state = extended.get(key)
+                if state is None:
+                    extended[key] = [count, coll + (w,)]
+                else:
+                    state[0] += count
+        layer = extended
+
+    # Every collection uses all rows, so a final state is one (monomial, sign).
     first: dict[tuple[Monomial, int], tuple[Walk, ...]] = {}
-    rows: list[int] = []
-    used: set[int] = set()
-    acc: list[int] = []
-    chosen: list[Walk] = []
-
-    def dfs(k: int, room: int) -> None:
-        if k == m:
-            mu = monomial_of(acc)
-            sign = _parity(rows)
-            tally = counts[sign]
-            if mu not in tally:
-                first[mu, sign] = tuple(chosen)
-            tally[mu] = tally.get(mu, 0) + 1
-            return
-        r = room - min_rest[k + 1]
-        fitting = within[k].get(r)
-        if fitting is None:
-            fitting = within[k][r] = [s for s in steps[k] if s[0].degree <= r]
-        for w, row, known in fitting:
-            if row in used:
-                continue
-            used.add(row)
-            rows.append(row)
-            chosen.append(w)
-            acc.extend(known)
-            dfs(k + 1, room - w.degree)
-            del acc[len(acc) - len(known) :]
-            chosen.pop()
-            rows.pop()
-            used.discard(row)
-
-    if all(steps):
-        dfs(0, max_degree)
+    entries: dict[Monomial, int] = {}
+    for (_, acc, sign), (count, coll) in layer.items():
+        mu = monomial_of(acc)
+        first[mu, sign] = coll
+        entries[mu] = entries.get(mu, 0) + sign * count
 
     bound = _exhaustive_bound(net, blocks, zero_columns)
     return RepetitionTable(
-        entries={mu: counts[1].get(mu, 0) - counts[-1].get(mu, 0) for mu, _ in first},
+        entries=entries,
         max_degree=max_degree,
         exhaustive=bound is not None and max_degree >= bound,
         first=first,
@@ -384,9 +374,9 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
     table refutes it only when the table is exhaustive; otherwise the
     outcome is inconclusive at this bound.
     """
-    surviving = [(mu, r) for mu, r in table.sorted_items() if r != 0]
-    if surviving:
-        mu, r = surviving[0]
+    mu = min((mu for mu, r in table.entries.items() if r != 0), key=lambda mu: (monomial_degree(mu), mu), default=None)
+    if mu is not None:
+        r = table.entries[mu]
         coll = table.first[mu, 1 if r > 0 else -1]
         decision = IDENTIFIABLE
         witness = {

@@ -16,8 +16,9 @@ hence the small-size guard.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
-from .combinatorial import Monomial, TooLargeError, _parity, monomial_degree
+from .combinatorial import Monomial, TooLargeError, monomial_degree
 from .netmodel import NetworkModel, NotSquareError, SeparableBlocks, separate
 
 __all__ = [
@@ -114,6 +115,12 @@ class Poly:
                 )
                 bits.append(f"{c}*{factors}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _parity(rows: Sequence[int]) -> int:
+    """Sign of a permutation given as its row sequence: +1 for an even inversion count."""
+    inversions = sum(a > b for a, b in itertools.combinations(rows, 2))
+    return 1 if inversions % 2 == 0 else -1
 
 
 def symbolic_closed_loop(

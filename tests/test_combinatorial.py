@@ -34,7 +34,7 @@ from netident import (
     walk_nodes,
 )
 from netident import combinatorial
-from netident.combinatorial import _parity
+from netident.oracle import _parity
 
 from corpus import (
     SQUARE_COMBOS,
@@ -215,6 +215,20 @@ class TestRepetitionTable:
             t = repetition_table(net, 5)
             assert all(monomial_degree(mu) <= 5 for mu in t.entries)
 
+    def test_unknown_edges_at_the_size_guard_from_a_deep_stack(self):
+        """The count nests no call per unknown edge, so a caller's deep stack leaves room for all 500."""
+        excited, measured = list(range(25)), list(range(25, 45))
+        net = NetworkModel(45, [Edge(b, c, known=False) for b in excited for c in measured], excited, measured)
+        assert net.m_unknown == combinatorial.MAX_WALK_UNKNOWNS
+
+        def nested(depth):
+            return repetition_table(net, 2 * net.n) if depth == 0 else nested(depth - 1)
+
+        t = nested(600)
+        # Each edge b->c is the only walk through itself, in row order: the identity pairing.
+        assert t.entries == {(): 1}
+        assert verdict_from_table(net, t).decision == IDENTIFIABLE
+
     def test_rejects_non_square(self):
         net = NetworkModel(3, [Edge(0, 2, known=False), Edge(1, 2, known=False)], [0], [2])
         with pytest.raises(NotSquareError):
@@ -276,11 +290,21 @@ class TestTableProperties:
         for mu, r in hi.entries.items():
             if r != 0:
                 assert (mu, 1 if r > 0 else -1) in hi.first
+        brute = math.prod(map(len, walk_lists)) <= 5000
+        if brute:
+            # Every collection within the bound, signed by the permutation parity of its rows.
+            signed: dict = {}
+            for c in itertools.product(*walk_lists):
+                rows = _rows(net, c)
+                if sorted(rows) == list(range(len(pivots))) and sum(w.degree for w in c) <= d + 2:
+                    mu = monomial_of(i for w in c for i in w.known_edge_indices())
+                    signed[mu] = signed.get(mu, 0) + _parity(rows)
+            assert hi.entries == signed
         for (mu, sign), walks in hi.first.items():
             assert mu in hi.entries
             assert [w.pivot for w in walks] == pivots
             assert is_collection(walks, mu, sign)
-            if math.prod(map(len, walk_lists)) <= 5000:
+            if brute:
                 matching = [c for c in itertools.product(*walk_lists) if is_collection(c, mu, sign)]
                 assert min(matching, key=lambda c: [w.edges for w in c]) == walks
 

@@ -25,7 +25,7 @@ from netident import (
     validate,
     verdict_from_table,
 )
-from netident.combinatorial import _parity
+from netident.oracle import _parity
 
 from corpus import SQUARE_COMBOS
 from helpers import permute
