@@ -38,6 +38,7 @@ from .identifiability import (
     NOT_IDENTIFIABLE,
     NoUnknownEdgesError,
     Verdict,
+    _reach,
     _structural_zero_columns,
 )
 from .netmodel import (
@@ -286,6 +287,22 @@ def _exhaustive_bound(net: NetworkModel, blocks: SeparableBlocks, zero_columns: 
     return sum(into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges)
 
 
+def _has_dead_row(net: NetworkModel) -> bool:
+    """Whether some (excitation, measurement) row is served by no walk at any length.
+
+    A walk of row (b, c) runs from b to an unknown edge's tail and from its
+    head to c; on a separable network the sweep over all edges finds those
+    walks, as in ``_structural_zero_columns``.
+    """
+    into = {c: _reach(net, (c,), backward=True) for c in net.measured}
+    for b in net.excited:
+        out_of = _reach(net, (b,))
+        for c in net.measured:
+            if not any(e.src in out_of and e.dst in into[c] for e in net.unknown_edges):
+                return True
+    return False
+
+
 def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     """Signed count of bounded walk collections per monomial.
 
@@ -296,7 +313,9 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     every monomial of degree <= max_degree are exact; raising the bound
     never changes them, it only adds higher entries.  States and walks are
     extended in order, so the first collection kept for a (monomial, sign)
-    is the lexicographically smallest one.
+    is the lexicographically smallest one.  Every collection uses every
+    row, so a row no walk serves leaves the table empty at every bound, and
+    no walk is listed.
     """
     blocks = separate(net)
     if not net.is_square:
@@ -306,6 +325,13 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     if net.m_unknown > MAX_WALK_UNKNOWNS:
         raise TooLargeError(f"{net.m_unknown} unknown edges exceed the walk-route guard of {MAX_WALK_UNKNOWNS}")
     zero_columns = _structural_zero_columns(net)
+    bound = _exhaustive_bound(net, blocks, zero_columns)
+    exhaustive = bound is not None and max_degree >= bound
+    infeasible_pivots = tuple(net.edges.index(e) for e in zero_columns)
+    if _has_dead_row(net):
+        return RepetitionTable(
+            entries={}, max_degree=max_degree, exhaustive=exhaustive, first={}, infeasible_pivots=infeasible_pivots
+        )
 
     b_slot = {b: i for i, b in enumerate(net.excited)}
     c_slot = {c: i for i, c in enumerate(net.measured)}
@@ -357,13 +383,12 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
         first[mu, sign] = coll
         entries[mu] = entries.get(mu, 0) + sign * count
 
-    bound = _exhaustive_bound(net, blocks, zero_columns)
     return RepetitionTable(
         entries=entries,
         max_degree=max_degree,
-        exhaustive=bound is not None and max_degree >= bound,
+        exhaustive=exhaustive,
         first=first,
-        infeasible_pivots=tuple(net.edges.index(e) for e in zero_columns),
+        infeasible_pivots=infeasible_pivots,
     )
 
 

@@ -92,6 +92,23 @@ def _require_unknowns(net: NetworkModel) -> None:
         raise NoUnknownEdgesError()
 
 
+def _reach(net: NetworkModel, starts, backward: bool = False) -> set[int]:
+    """Nodes a walk along the edges of ``net`` reaches from ``starts``; with ``backward``, nodes that reach them."""
+    adj: dict[int, list[int]] = {}
+    for e in net.edges:
+        u, v = (e.dst, e.src) if backward else (e.src, e.dst)
+        adj.setdefault(u, []).append(v)
+    seen = set(starts)
+    stack = list(starts)
+    while stack:
+        u = stack.pop()
+        for v in adj.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def _structural_zero_columns(net: NetworkModel) -> list[Edge]:
     """Unknown edges whose sensitivity column is zero for every edge value.
 
@@ -104,25 +121,8 @@ def _structural_zero_columns(net: NetworkModel) -> list[Edge]:
     heads as one over the known blocks: these are also the unknown edges
     no excitation-to-measurement walk can serve.
     """
-    fwd: dict[int, list[int]] = {}
-    bwd: dict[int, list[int]] = {}
-    for e in net.edges:
-        fwd.setdefault(e.src, []).append(e.dst)
-        bwd.setdefault(e.dst, []).append(e.src)
-
-    def sweep(starts, adj):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    from_excited = sweep(net.excited, fwd)
-    to_measured = sweep(net.measured, bwd)
+    from_excited = _reach(net, net.excited)
+    to_measured = _reach(net, net.measured, backward=True)
     return [
         e
         for e in net.unknown_edges

@@ -1,13 +1,17 @@
 """Exact matrix arithmetic over a prime field for identifiability testing.
 
 One scalar kind: integers modulo the prime 2^61 - 1, held as plain Python
-ints in lists of lists.  Rank and determinant answers are exact per
-sample, and the probability that a random sample misses the generic value
-is bounded by Schwartz-Zippel.  One forward elimination (``_factor``)
-serves every question: it gives rank and determinant, and its LU factors
-of I - G give rows and columns of the closed loop by triangular solves, so
-a sample of the sensitivity matrix needs one factorization plus one solve
-per excited and per measured node instead of the full inverse.
+ints.  Rank and determinant answers are exact per sample, and the
+probability that a random sample misses the generic value is bounded by
+Schwartz-Zippel.  There are two eliminations, one per kind of matrix.  The
+closed loop I - G is sparse: ``_sparse_factor`` factors it straight from
+the edge list, on dict rows in a fill-reducing (Markowitz) pivot order,
+and its factors give rows and columns of T = (I - G)^{-1} by solves that
+touch only the stored nonzeros, so a sample of the sensitivity matrix
+needs one factorization plus one solve per excited and per measured node
+instead of the full inverse.  The sensitivity matrix is dense by
+construction, and ``_factor``, a forward elimination on list rows, gives
+its rank; dict rows would only slow that one down.
 
 The identifiability test is a polynomial identity in the edge values, so
 drawing the values from a large prime field instead of the complex numbers
@@ -19,7 +23,6 @@ closed loop lives in ``netident.series``.
 from __future__ import annotations
 
 import random
-from operator import mul
 
 from .netmodel import NetworkModel, NotSquareError, separate
 
@@ -131,68 +134,127 @@ def _factor(A: list[list[int]]) -> tuple[int, int, list[int], list[int], list[li
     return len(pivot_cols), det, pivot_cols, perm, rows
 
 
-class _LoopFactors:
-    """I - G = P^T L U over the field, with what the solves for T = (I - G)^{-1} read.
+def _loop_rows(n: int, entries) -> list[dict[int, int]]:
+    """I - G as one dict per row, column -> nonzero value modulo PRIME.
 
-    A plain class: a dataclass would generate its methods at import, which
-    every CLI start pays for.
+    ``entries`` are G's nonzero entries as (row, column, value); a later
+    entry at the same position replaces an earlier one, as in
+    ``network_matrix``.
     """
-
-    __slots__ = ("perm", "lu", "inv_diag")
-
-    def __init__(self, perm: list[int], lu: list[list[int]], inv_diag: list[int]):
-        self.perm = perm  # row k of L U is row perm[k] of I - G
-        self.lu = lu  # L strictly below the diagonal (unit diagonal implied), U on and above
-        self.inv_diag = inv_diag  # inverses of U's diagonal
-
-    def columns(self, targets) -> dict[int, list[int]]:
-        """T[:, b] for each b in ``targets``: solve L z = P e_b, then U x = z."""
-        lu, inv_diag, n = self.lu, self.inv_diag, len(self.lu)
-        where = {p: k for k, p in enumerate(self.perm)}
-        out = {}
-        for b in targets:
-            # P e_b is the unit vector at row where[b], and z is zero above it
-            k0 = where[b]
-            z = [0] * n
-            z[k0] = 1
-            for i in range(k0 + 1, n):
-                z[i] = -sum(map(mul, lu[i][k0:i], z[k0:i])) % PRIME
-            x = [0] * n
-            for i in range(n - 1, -1, -1):
-                x[i] = (z[i] - sum(map(mul, lu[i][i + 1 :], x[i + 1 :]))) * inv_diag[i] % PRIME
-            out[b] = x
-        return out
-
-    def rows(self, targets) -> dict[int, list[int]]:
-        """T[c, :] for each c in ``targets``: solve U^T w = e_c, then L^T v = w, and undo P."""
-        inv_diag, perm, n = self.inv_diag, self.perm, len(self.lu)
-        # cols[i][j] = lu[j][i]: U^T below the diagonal, L^T above.  Lists, not
-        # zip's tuples: slices of tuples would fill the interpreter's tuple free lists.
-        cols = [list(col) for col in zip(*self.lu)]
-        out = {}
-        for c in targets:
-            # w is zero above row c
-            w = [0] * n
-            w[c] = inv_diag[c]
-            for i in range(c + 1, n):
-                w[i] = -sum(map(mul, cols[i][c:i], w[c:i])) * inv_diag[i] % PRIME
-            v = [0] * n
-            for i in range(n - 1, -1, -1):
-                v[i] = (w[i] - sum(map(mul, cols[i][i + 1 :], v[i + 1 :]))) % PRIME
-            y = [0] * n
-            for k, p in enumerate(perm):
-                y[p] = v[k]
-            out[c] = y
-        return out
+    rows = [{i: 1} for i in range(n)]
+    for i, j, v in entries:
+        x = ((i == j) - v) % PRIME
+        if x:
+            rows[i][j] = x
+        else:
+            rows[i].pop(j, None)
+    return rows
 
 
-def _factor_closed_loop(G: list[list[int]]) -> _LoopFactors:
-    """Factor I - G once; raises SingularMatrixError when it is not invertible over the field."""
-    n = len(G)
-    rank, _, _, perm, lu = _factor([[(i == j) - G[i][j] for j in range(n)] for i in range(n)])
-    if rank < n:
-        raise SingularMatrixError("matrix not invertible over the prime field")
-    return _LoopFactors(perm, lu, [pow(lu[i][i], -1, PRIME) for i in range(n)])
+def _sparse_factor(rows: list[dict[int, int]]) -> list[tuple]:
+    """Sparse LU of a square matrix given as dict rows, which it consumes.
+
+    Each pivot follows the Markowitz rule on the entries present: the
+    remaining column with the fewest entries, then the row in it with the
+    fewest entries, ties to the lowest index, so the order is a function
+    of the matrix alone.  Every other row holding the pivot column is
+    cleared by a multiple of the pivot row; an entry that cancels to 0 is
+    deleted, so a pivot is never 0.  A column left with no entry raises
+    SingularMatrixError.
+
+    Returns one step per pivot, in order: (row r, column c, inverse of the
+    pivot, row operations [(i, f)] meaning row i -= f * row r, and the
+    pivot row's other entries [(j, u)], all in columns pivoted later).
+    """
+    n = len(rows)
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    remaining = list(range(n))  # columns not yet pivoted, ascending
+    steps = []
+    for _ in range(n):
+        counts = [len(cols[j]) for j in remaining]
+        c = remaining.pop(counts.index(min(counts)))
+        in_col = cols[c]
+        if not in_col:
+            raise SingularMatrixError("matrix not invertible over the prime field")
+        r = min((len(rows[i]), i) for i in in_col)[1]
+        pivot_row = rows[r]
+        for j in pivot_row:
+            cols[j].discard(r)
+        inv = pow(pivot_row.pop(c), -1, PRIME)
+        upper = list(pivot_row.items())
+        ops = []
+        for i in in_col:
+            row = rows[i]
+            f = row.pop(c) * inv % PRIME
+            ops.append((i, f))
+            for j, u in upper:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * u % PRIME
+                    cols[j].add(i)
+                else:
+                    x = (x - f * u) % PRIME
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+        in_col.clear()
+        steps.append((r, c, inv, ops, upper))
+    return steps
+
+
+def _solve_columns(steps: list[tuple], targets) -> dict[int, list[int]]:
+    """Column b of the inverse for each b in ``targets``: the row operations on e_b, then back-substitution."""
+    n = len(steps)
+    out = {}
+    for b in targets:
+        z = [0] * n
+        z[b] = 1
+        for r, _, _, ops, _ in steps:
+            zr = z[r]
+            if zr:
+                for i, f in ops:
+                    z[i] = (z[i] - f * zr) % PRIME
+        x = [0] * n
+        for r, c, inv, _, upper in reversed(steps):
+            s = z[r]
+            for j, u in upper:
+                s -= u * x[j]
+            x[c] = s * inv % PRIME
+        out[b] = x
+    return out
+
+
+def _solve_rows(steps: list[tuple], targets) -> dict[int, list[int]]:
+    """Row c of the inverse for each c in ``targets``: a scatter solve against U^T, then the row operations reversed."""
+    n = len(steps)
+    out = {}
+    for target in targets:
+        acc = [0] * n  # by column: the pivot rows solved so far, times their w
+        w = [0] * n  # by row
+        for r, c, inv, _, upper in steps:
+            v = ((c == target) - acc[c]) * inv % PRIME
+            if v:
+                w[r] = v
+                for j, u in upper:
+                    acc[j] += v * u
+        for r, _, _, ops, _ in reversed(steps):
+            if ops:
+                s = w[r]
+                for i, f in ops:
+                    s -= f * w[i]
+                w[r] = s % PRIME
+        out[target] = w
+    return out
+
+
+def _loop_factor(net: NetworkModel, values) -> list[tuple]:
+    """``_sparse_factor`` of I - G built from the edge list; raises SingularMatrixError when it is singular."""
+    return _sparse_factor(_loop_rows(net.n, ((e.dst, e.src, v) for e, v in zip(net.edges, values))))
 
 
 def closed_loop(G: list[list[int]]) -> list[list[int]]:
@@ -202,8 +264,10 @@ def closed_loop(G: list[list[int]]) -> list[list[int]]:
     sample the caller should redraw.  The rank route never forms the whole
     inverse; it solves for the ports it needs.
     """
-    rows = _factor_closed_loop(G).rows(range(len(G)))
-    return [rows[i] for i in range(len(G))]
+    n = len(G)
+    steps = _sparse_factor(_loop_rows(n, ((i, j, v) for i, row in enumerate(G) for j, v in enumerate(row) if v)))
+    rows = _solve_rows(steps, range(n))
+    return [rows[i] for i in range(n)]
 
 
 def sensitivity_matrix(
@@ -261,13 +325,11 @@ def _sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool):
     """
     for _ in range(RESAMPLE_BUDGET):
         try:
-            left = _factor_closed_loop(network_matrix(net, random_field_values(net, rng)))
-            right = left
-            if decoupled:
-                right = _factor_closed_loop(network_matrix(net, random_field_values(net, rng)))
+            left = _loop_factor(net, random_field_values(net, rng))
+            right = _loop_factor(net, random_field_values(net, rng)) if decoupled else left
         except SingularMatrixError:
             continue
-        return _sensitivity(net, left.rows(net.measured), right.columns(net.excited))
+        return _sensitivity(net, _solve_rows(left, net.measured), _solve_columns(right, net.excited))
     return None
 
 

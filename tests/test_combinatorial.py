@@ -197,6 +197,24 @@ class TestRepetitionTable:
         assert t.exhaustive is True
         assert t.infeasible_pivots == (0,)
 
+    @pytest.mark.parametrize("cyclic", [True, False])
+    def test_dead_row_lists_no_walk(self, monkeypatch, cyclic):
+        """Row (node 2, node 4) is served by no walk, so no collection exists and no walk is listed."""
+        edges = [Edge(0, 2, known=True)] + [Edge(2, 0, known=True)] * cyclic
+        net = NetworkModel(4, edges + [Edge(2, 3, known=False), Edge(0, 3, known=False)], [0, 1], [3])
+
+        def refuse(*args):
+            raise AssertionError("enumerate_walks called on a net with a dead row")
+
+        monkeypatch.setattr(combinatorial, "enumerate_walks", refuse)
+        for d in (0, 3, 8):
+            t = repetition_table(net, d)
+            # the table the full enumeration builds
+            assert (t.entries, t.first, t.max_degree, t.infeasible_pivots) == ({}, {}, d, ())
+            assert t.exhaustive is (not cyclic and d >= 1)
+            expected = INCONCLUSIVE if cyclic or d == 0 else NOT_IDENTIFIABLE
+            assert combinatorial_verdict(net, d).decision == expected
+
     def test_cancellation_kept_as_zero_entry(self):
         t = repetition_table(cancel_net(), 12)
         assert t.entries == {((0, 1), (1, 1), (2, 1), (3, 1)): 0}

@@ -1,6 +1,7 @@
 """Exact field arithmetic, closed loops, series truncation and generic rank/determinant."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,10 @@ from netident import (
     PRIME,
     SingularMatrixError,
     closed_loop,
+    decoupled_identifiability,
     generic_det_nonzero,
     generic_rank,
+    local_identifiability,
     network_matrix,
     random_field_values,
     random_network,
@@ -285,6 +288,93 @@ class TestFactorAgainstReferences:
         assert rank_field([[0], [0], [7]]) == 1
 
 
+def loop_factor(G):
+    """The sparse factor of I - G for a dense G."""
+    entries = ((i, j, v) for i, row in enumerate(G) for j, v in enumerate(row) if v)
+    return numeric._sparse_factor(numeric._loop_rows(len(G), entries))
+
+
+def pivots(steps):
+    return [(r, c) for r, c, *_ in steps]
+
+
+def solved_inverse(steps):
+    """T from the row solves, after checking that the column solves give the same matrix."""
+    n = len(steps)
+    rows, columns = numeric._solve_rows(steps, range(n)), numeric._solve_columns(steps, range(n))
+    T = [rows[i] for i in range(n)]
+    assert [[columns[j][i] for j in range(n)] for i in range(n)] == T
+    return T
+
+
+class TestSparseFactor:
+    """The closed-loop factor against the largest-minor rank and the field product."""
+
+    def test_singular_exactly_when_a_minor_says_so(self):
+        """On every square small matrix A, factoring A = I - G fails iff rank A < n; otherwise T A = I."""
+        outcomes = Counter()
+        for A in small_matrices():
+            n = len(A)
+            if n != len(A[0]):
+                continue
+            G = [[(int(i == j) - A[i][j]) % PRIME for j in range(n)] for i in range(n)]
+            try:
+                steps = loop_factor(G)
+            except SingularMatrixError:
+                assert minor_rank(A) < n
+                outcomes["singular"] += 1
+                continue
+            assert minor_rank(A) == n
+            assert mat_mul_field(solved_inverse(steps), A) == identity_field(n)
+            outcomes["solved"] += 1
+        assert outcomes["singular"] >= 20 and outcomes["solved"] >= 20
+
+    def test_loop_draws_against_minors(self):
+        """Edge values from a small palette make I - G singular often; the factor agrees with the minors."""
+        outcomes = Counter()
+        palette = [1, PRIME - 1]
+        for seed in range(60):
+            net = random_network(nodes=4, unknowns=2, excited=1, measured=1, known_density=0.6, seed=seed)
+            gen = field_rng(seed)
+            values = [gen.choice(palette) for _ in net.edges]
+            G = network_matrix(net, values)
+            M = [[(int(i == j) - G[i][j]) % PRIME for j in range(net.n)] for i in range(net.n)]
+            try:
+                steps = numeric._loop_factor(net, values)
+            except SingularMatrixError:
+                assert minor_rank(M) < net.n
+                outcomes["singular"] += 1
+                continue
+            assert minor_rank(M) == net.n
+            assert mat_mul_field(solved_inverse(steps), M) == identity_field(net.n)
+            outcomes["solved"] += 1
+        assert outcomes["singular"] >= 5 and outcomes["solved"] >= 20
+
+    def test_pivot_that_cancels_to_zero_is_skipped(self):
+        """Clearing row 1 with row 0 cancels A[1][1] to exactly 0.
+
+        Kept as a stored 0, it would tie column 1 with column 2 at two
+        entries and win on index, with row 1 as its pivot row.  Deleted, it
+        leaves column 1 one entry, in row 2.
+        """
+        A = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        G = [[int(i == j) - A[i][j] for j in range(3)] for i in range(3)]
+        steps = loop_factor(G)
+        assert pivots(steps) == [(0, 0), (2, 1), (1, 2)]
+        assert mat_mul_field(solved_inverse(steps), A) == identity_field(3)
+        assert mat_mul_field(A, closed_loop(G)) == identity_field(3)
+
+    def test_pivot_order_depends_on_the_matrix_alone(self):
+        """Entries listed in any order give the same pivots and the same inverse."""
+        net = cyclic9_net()
+        values = random_field_values(net, field_rng(9))
+        entries = [(e.dst, e.src, v) for e, v in zip(net.edges, values)]
+        steps = numeric._sparse_factor(numeric._loop_rows(net.n, entries))
+        shuffled = numeric._sparse_factor(numeric._loop_rows(net.n, entries[::-1]))
+        assert pivots(shuffled) == pivots(steps)
+        assert solved_inverse(shuffled) == solved_inverse(steps)
+
+
 def same_draws(net, seed, decoupled):
     """The closed loops ``_sample_sensitivity`` draws at ``seed`` (no singular draw expected), in full."""
     gen = field_rng(seed)
@@ -314,19 +404,34 @@ class TestSolvePath:
                     assert K == sensitivity_matrix(net, T_left, T_right)
 
     def test_solves_through_row_exchanges(self):
-        """g(0->1) * g(1->0) = 1 zeroes the second pivot of a nonsingular I - G, forcing a row exchange."""
+        """g(0->1) * g(1->0) = 1 zeroes the (1, 1) pivot a natural-order elimination would take.
+
+        The Markowitz order pivots row 1 on column 2 and row 2 on column 0,
+        off the diagonal, so the solves go through a row exchange.
+        """
         gen = rng(8)
         for _ in range(10):
             a, c, d = (int(x) for x in gen.integers(1, PRIME, size=3))
             G = [[0, pow(a, -1, PRIME), 0, 0], [a, 0, c, 0], [0, d, 0, 5], [7, 0, 0, 0]]
-            factors = numeric._factor_closed_loop(G)
-            assert factors.perm != list(range(4))
+            steps = loop_factor(G)
+            assert pivots(steps) == [(1, 2), (0, 1), (2, 0), (3, 3)]
             T = closed_loop(G)
             M = [[(int(i == j) - G[i][j]) % PRIME for j in range(4)] for i in range(4)]
             assert mat_mul_field(T, M) == identity_field(4)
             assert mat_mul_field(M, T) == identity_field(4)
-            columns = factors.columns(range(4))
+            columns = numeric._solve_columns(steps, range(4))
             assert [[columns[j][i] for j in range(4)] for i in range(4)] == T
+
+    def test_rank_route_builds_no_dense_matrix(self, monkeypatch):
+        """The rank route factors I - G from the edge list: no n x n ``network_matrix`` on the way."""
+        routes = (local_identifiability, decoupled_identifiability)
+        expected = [[route(net).to_dict() for route in routes] for net in solve_path_nets()]
+
+        def refuse(*args):
+            raise AssertionError("network_matrix called on the rank route")
+
+        monkeypatch.setattr(numeric, "network_matrix", refuse)
+        assert [[route(net).to_dict() for route in routes] for net in solve_path_nets()] == expected
 
     @pytest.mark.parametrize("decoupled, singular_call", [(False, 0), (True, 0), (True, 1)])
     def test_singular_draw_is_resampled_from_the_next_draws(self, monkeypatch, decoupled, singular_call):
