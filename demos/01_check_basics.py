@@ -58,6 +58,6 @@ print("\nunknown edge out of reach of the excitation")
 print(f"  local:     {v.decision} (rank {v.rank}/{v.m_unknown})")
 print(f"  witness:   {v.witness}")
 
-# Verdicts are frozen records: the trial count and seed they carry are
-# enough to replay the exact computation later.
+# Verdicts are frozen records: the seed they carry is enough to replay the
+# exact computation later.
 print("\nreplay data:", local.to_dict())

@@ -47,7 +47,7 @@ from .netmodel import (
     separate,
     validate,
 )
-from .numeric import AllSamplesSingularError, DEFAULT_TRIALS
+from .numeric import AllSamplesSingularError
 from .oracle import coefficient, symbolic_det, terms_sorted
 
 __all__ = ["main"]
@@ -69,7 +69,7 @@ class OptionError(ValueError):
 
 
 # Smallest value each numeric option accepts; seeds feed numpy in `gen` and `decouple`, which refuses negatives.
-_OPTION_MINIMUM = {"trials": 1, "max_degree": 0, "seed": 0}
+_OPTION_MINIMUM = {"max_degree": 0, "seed": 0}
 
 
 def _check_options(args: argparse.Namespace) -> None:
@@ -116,8 +116,6 @@ def _verdict_line(v: Verdict) -> str:
         bits.append(f"max degree {v.max_degree}")
     if v.exhaustive is not None:
         bits.append("exhaustive" if v.exhaustive else "bounded")
-    if v.trials is not None:
-        bits.append(f"trials {v.trials}")
     if v.seed is not None:
         bits.append(f"seed {v.seed}")
     detail = f" ({', '.join(bits)})" if bits else ""
@@ -146,8 +144,8 @@ def _json_report(report: dict) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     net = load_network(args.path)
     seed = args.seed if args.seed is not None else _default_seed()
-    local = local_identifiability(net, trials=args.trials, seed=seed)
-    dec = decoupled_identifiability(net, trials=args.trials, seed=seed)
+    local = local_identifiability(net, seed=seed)
+    dec = decoupled_identifiability(net, seed=seed)
     if args.json:
         _json_report(
             {
@@ -287,13 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="local and decoupled identifiability of a network file")
     check.add_argument("path")
-    check.add_argument(
-        "--trials",
-        type=int,
-        default=DEFAULT_TRIALS,
-        help="cap on the random samples per verdict (default %(default)s); sampling stops earlier"
-        " at a full-rank sample or once the failure bound 2^-40 is met",
-    )
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_check)
@@ -337,7 +328,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means inconclusive; --help exits 0.
+        return EXIT_ERROR if exc.code else EXIT_IDENTIFIABLE
     started = time.perf_counter()
     try:
         _check_options(args)

@@ -38,6 +38,7 @@ from .identifiability import (
     NOT_IDENTIFIABLE,
     NoUnknownEdgesError,
     Verdict,
+    _neighbors,
     _reach,
     _structural_zero_columns,
 )
@@ -272,7 +273,9 @@ def exhaustive_degree_bound(net: NetworkModel) -> int | None:
     longest excited-block walk into the tail plus the longest measured-block
     walk out of the head.  Returns 0 when some unknown edge has no walk at
     all (no collection exists, so the empty enumeration is complete).
+    Raises ValidationError on a malformed network.
     """
+    validate(net)
     return _exhaustive_bound(net, separate(net), _structural_zero_columns(net))
 
 
@@ -287,16 +290,18 @@ def _exhaustive_bound(net: NetworkModel, blocks: SeparableBlocks, zero_columns: 
     return sum(into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges)
 
 
-def _has_dead_row(net: NetworkModel) -> bool:
+def _has_dead_row(net: NetworkModel, neighbors) -> bool:
     """Whether some (excitation, measurement) row is served by no walk at any length.
 
     A walk of row (b, c) runs from b to an unknown edge's tail and from its
     head to c; on a separable network the sweep over all edges finds those
-    walks, as in ``_structural_zero_columns``.
+    walks, as in ``_structural_zero_columns``.  ``neighbors`` is
+    ``_neighbors(net)``.
     """
-    into = {c: _reach(net, (c,), backward=True) for c in net.measured}
+    succ, pred = neighbors
+    into = {c: _reach(pred, (c,)) for c in net.measured}
     for b in net.excited:
-        out_of = _reach(net, (b,))
+        out_of = _reach(succ, (b,))
         for c in net.measured:
             if not any(e.src in out_of and e.dst in into[c] for e in net.unknown_edges):
                 return True
@@ -315,8 +320,9 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     extended in order, so the first collection kept for a (monomial, sign)
     is the lexicographically smallest one.  Every collection uses every
     row, so a row no walk serves leaves the table empty at every bound, and
-    no walk is listed.
+    no walk is listed.  Raises ValidationError on a malformed network.
     """
+    validate(net)
     blocks = separate(net)
     if not net.is_square:
         raise NotSquareError(net)
@@ -324,11 +330,12 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
         raise ValueError("max_degree must be >= 0")
     if net.m_unknown > MAX_WALK_UNKNOWNS:
         raise TooLargeError(f"{net.m_unknown} unknown edges exceed the walk-route guard of {MAX_WALK_UNKNOWNS}")
-    zero_columns = _structural_zero_columns(net)
+    neighbors = _neighbors(net)
+    zero_columns = _structural_zero_columns(net, neighbors)
     bound = _exhaustive_bound(net, blocks, zero_columns)
     exhaustive = bound is not None and max_degree >= bound
     infeasible_pivots = tuple(net.edges.index(e) for e in zero_columns)
-    if _has_dead_row(net):
+    if _has_dead_row(net, neighbors):
         return RepetitionTable(
             entries={}, max_degree=max_degree, exhaustive=exhaustive, first={}, infeasible_pivots=infeasible_pivots
         )
@@ -446,9 +453,10 @@ def _walk_route(
     With ``decouple_first`` the table is built on ``decouple(net)`` (the
     count reads the structure only, never edge values) and the verdict
     carries the decoupled notion; the default bound is 2n of the network
-    analyzed.
+    analyzed, which ``repetition_table`` validates.
     """
-    validate(net)
+    if decouple_first:
+        validate(net)  # the lift would shift a negative index into range
     target = decouple(net) if decouple_first else net
     if target.m_unknown == 0:
         raise NoUnknownEdgesError()

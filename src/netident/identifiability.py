@@ -16,16 +16,16 @@ matrix:
   is full generic rank, so this is the local rank test under the
   separable-square guard, and full rank certifies global identifiability.
 
-Every verdict carries its evidence (rank, trial count, seed, witness), so a
-decision can be replayed.
+Every verdict carries its evidence (rank, seed, witness), so a decision
+can be replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netmodel import Edge, NetworkModel, NotSquareError, decouple, separate, validate
-from .numeric import DEFAULT_TRIALS, generic_rank
+from .netmodel import Edge, NetworkModel, decouple
+from .numeric import _square_rank, generic_rank
 
 __all__ = [
     "IDENTIFIABLE",
@@ -62,8 +62,9 @@ class NoUnknownEdgesError(ValueError):
 class Verdict:
     """Decision plus the evidence needed to replay it.
 
-    ``rank`` is set by the rank-based notions, ``max_degree``/``exhaustive``
-    by the walk-counting route.  ``witness`` is a small JSON-ready dict:
+    ``rank`` and ``seed`` (which, with the network, fixes every sample) are
+    set by the rank-based notions, ``max_degree``/``exhaustive`` by the
+    walk-counting route.  ``witness`` is a small JSON-ready dict:
     structurally zero columns, a surviving monomial with its walks, or the
     unknown edges no walk can serve.
     """
@@ -71,7 +72,6 @@ class Verdict:
     decision: str
     notion: str
     m_unknown: int
-    trials: int | None = None
     seed: int | None = None
     rank: int | None = None
     max_degree: int | None = None
@@ -80,7 +80,7 @@ class Verdict:
 
     def to_dict(self) -> dict:
         out = {"decision": self.decision, "notion": self.notion, "unknown_edges": self.m_unknown}
-        for key in ("trials", "seed", "rank", "max_degree", "exhaustive", "witness"):
+        for key in ("seed", "rank", "max_degree", "exhaustive", "witness"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
@@ -92,24 +92,29 @@ def _require_unknowns(net: NetworkModel) -> None:
         raise NoUnknownEdgesError()
 
 
-def _reach(net: NetworkModel, starts, backward: bool = False) -> set[int]:
-    """Nodes a walk along the edges of ``net`` reaches from ``starts``; with ``backward``, nodes that reach them."""
-    adj: dict[int, list[int]] = {}
+def _neighbors(net: NetworkModel) -> tuple[list[list[int]], list[list[int]]]:
+    """(successors, predecessors) of each node along the edges of ``net``."""
+    succ: list[list[int]] = [[] for _ in range(net.n)]
+    pred: list[list[int]] = [[] for _ in range(net.n)]
     for e in net.edges:
-        u, v = (e.dst, e.src) if backward else (e.src, e.dst)
-        adj.setdefault(u, []).append(v)
+        succ[e.src].append(e.dst)
+        pred[e.dst].append(e.src)
+    return succ, pred
+
+
+def _reach(adj: list[list[int]], starts) -> set[int]:
+    """Nodes a walk along ``adj`` (successors, or predecessors to walk backwards) reaches from ``starts``."""
     seen = set(starts)
     stack = list(starts)
     while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
+        for v in adj[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
     return seen
 
 
-def _structural_zero_columns(net: NetworkModel) -> list[Edge]:
+def _structural_zero_columns(net: NetworkModel, neighbors=None) -> list[Edge]:
     """Unknown edges whose sensitivity column is zero for every edge value.
 
     The column for an unknown edge is a product of two closed-loop entries:
@@ -119,10 +124,12 @@ def _structural_zero_columns(net: NetworkModel) -> list[Edge]:
     On a separable network no edge runs from the measured part to the
     excited part, so the sweep over all edges reaches the same tails and
     heads as one over the known blocks: these are also the unknown edges
-    no excitation-to-measurement walk can serve.
+    no excitation-to-measurement walk can serve.  ``neighbors`` is
+    ``_neighbors(net)`` when the caller has it already.
     """
-    from_excited = _reach(net, net.excited)
-    to_measured = _reach(net, net.measured, backward=True)
+    succ, pred = neighbors or _neighbors(net)
+    from_excited = _reach(succ, net.excited)
+    to_measured = _reach(pred, net.measured)
     return [
         e
         for e in net.unknown_edges
@@ -130,39 +137,35 @@ def _structural_zero_columns(net: NetworkModel) -> list[Edge]:
     ]
 
 
-def _rank_verdict(net: NetworkModel, notion: str, rank: int, trials: int, seed: int) -> Verdict:
+def _rank_verdict(net: NetworkModel, notion: str, rank: int, seed: int) -> Verdict:
     m = net.m_unknown
     if rank == m:
-        return Verdict(IDENTIFIABLE, notion, m_unknown=m, trials=trials, seed=seed, rank=rank)
+        return Verdict(IDENTIFIABLE, notion, m_unknown=m, seed=seed, rank=rank)
     witness = None
     zero_cols = _structural_zero_columns(net)
     if zero_cols:
         witness = {"zero_columns": [str(e) for e in zero_cols]}
-    return Verdict(NOT_IDENTIFIABLE, notion, m_unknown=m, trials=trials, seed=seed, rank=rank, witness=witness)
+    return Verdict(NOT_IDENTIFIABLE, notion, m_unknown=m, seed=seed, rank=rank, witness=witness)
 
 
-def local_identifiability(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Verdict:
+def local_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
     """Generic local identifiability: full generic rank of the sensitivity matrix.
 
     The rank is either full for almost all edge values or deficient for all
     of them, so the sampled maximum decides the question outright; there is
     no inconclusive outcome on this route.
     """
-    validate(net)
     _require_unknowns(net)
-    rank = generic_rank(net, decoupled=False, trials=trials, seed=seed)
-    return _rank_verdict(net, LOCAL_GENERIC, rank, trials, seed)
+    return _rank_verdict(net, LOCAL_GENERIC, generic_rank(net, seed=seed), seed)
 
 
-def decoupled_identifiability(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Verdict:
+def decoupled_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
     """Generic decoupled identifiability: the two closed-loop factors sampled independently."""
-    validate(net)
     _require_unknowns(net)
-    rank = generic_rank(net, decoupled=True, trials=trials, seed=seed)
-    return _rank_verdict(net, DECOUPLED_GENERIC, rank, trials, seed)
+    return _rank_verdict(net, DECOUPLED_GENERIC, generic_rank(net, decoupled=True, seed=seed), seed)
 
 
-def separable_global_identifiability(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> Verdict:
+def separable_global_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
     """Global identifiability for separable square networks: full generic rank under the guard.
 
     Refuses non-separable input rather than falling back to the local test:
@@ -170,16 +173,11 @@ def separable_global_identifiability(net: NetworkModel, trials: int = DEFAULT_TR
     where local and global identifiability coincide.  On square input a
     nonzero generic determinant and full generic rank are the same test.
     """
-    validate(net)
     _require_unknowns(net)
-    separate(net)
-    if not net.is_square:
-        raise NotSquareError(net)
-    rank = generic_rank(net, trials=trials, seed=seed)
-    return _rank_verdict(net, GLOBAL_SEPARABLE, rank, trials, seed)
+    return _rank_verdict(net, GLOBAL_SEPARABLE, _square_rank(net, seed), seed)
 
 
-def check_decoupling_equivalence(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> bool:
+def check_decoupling_equivalence(net: NetworkModel, seed: int = 0) -> bool:
     """Whether the decoupled verdict matches the global verdict of the decoupled form.
 
     The 2n-node decoupled construction is separable and square whenever the
@@ -187,6 +185,6 @@ def check_decoupling_equivalence(net: NetworkModel, trials: int = DEFAULT_TRIALS
     entry with the decoupled-mode sensitivity matrix of the source, so the
     two decisions are expected to agree on every network.
     """
-    direct = decoupled_identifiability(net, trials=trials, seed=seed)
-    via_construction = separable_global_identifiability(decouple(net), trials=trials, seed=seed)
+    direct = decoupled_identifiability(net, seed=seed)
+    via_construction = separable_global_identifiability(decouple(net), seed=seed)
     return direct.decision == via_construction.decision

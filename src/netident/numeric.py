@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import random
 
-from .netmodel import NetworkModel, NotSquareError, separate
+from .netmodel import NetworkModel, NotSquareError, separate, validate
 
 __all__ = [
     "PRIME",
-    "DEFAULT_TRIALS",
     "RESAMPLE_BUDGET",
     "FAILURE_BOUND",
     "SingularMatrixError",
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 PRIME = (1 << 61) - 1
-DEFAULT_TRIALS = 5
 RESAMPLE_BUDGET = 10
 # Largest probability that a rank sampled by ``generic_rank`` is below the generic rank.
 FAILURE_BOUND = 2.0**-40
@@ -54,7 +52,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 class AllSamplesSingularError(ArithmeticError):
-    """Every trial exhausted its resample budget on singular samples."""
+    """A sample exhausted its resample budget on singular closed loops."""
 
 
 def random_field_values(net: NetworkModel, rng: random.Random) -> list[int]:
@@ -320,8 +318,8 @@ def _sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool):
 
     Each draw factors I - G once and solves for the measured rows and the
     excited columns of its inverse; in decoupled mode the rows come from
-    the first draw and the columns from the second.  Returns None when the
-    resample budget is exhausted.
+    the first draw and the columns from the second.  Raises
+    AllSamplesSingularError when all RESAMPLE_BUDGET draws are singular.
     """
     for _ in range(RESAMPLE_BUDGET):
         try:
@@ -330,7 +328,7 @@ def _sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool):
         except SingularMatrixError:
             continue
         return _sensitivity(net, _solve_rows(left, net.measured), _solve_columns(right, net.excited))
-    return None
+    raise AllSamplesSingularError(f"{RESAMPLE_BUDGET} draws in a row gave a singular closed loop")
 
 
 def _samples_needed(n: int, m: int) -> int:
@@ -352,13 +350,7 @@ def _samples_needed(n: int, m: int) -> int:
     return s
 
 
-def generic_rank(
-    net: NetworkModel,
-    *,
-    decoupled: bool = False,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> int:
+def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -> int:
     """Max rank of the sensitivity matrix K over random samples, drawn until the failure bound is met.
 
     Each sample draws every edge value uniformly from the p - 1 nonzero
@@ -369,6 +361,8 @@ def generic_rank(
     from one ``random.Random(seed)`` stream: 61 random bits per edge, in
     edge order, drawn again when they read 0 or p (p = 2^61 - 1), which
     leaves the nonzero elements equally likely (``random_field_values``).
+    A sample whose RESAMPLE_BUDGET draws are all singular raises
+    AllSamplesSingularError.
 
     Failure bound.  No sample exceeds the generic rank r <= m, so the
     maximum falls short of r only if every sample is a zero of a nonzero
@@ -389,37 +383,39 @@ def generic_rank(
     Samples are independent, so s of them all miss with probability at
     most q^s.
 
-    Stop rule.  A sample of rank m certifies full rank, and the loop stops
-    there.  Otherwise it stops after s* samples, the fewest with
+    Stop rule.  Sampling stops at the first sample of rank m, which
+    certifies full rank, and otherwise after s* samples, the fewest with
     q^s* <= FAILURE_BOUND (2^-40).  s* uses m, not the running rank, so it
     is fixed by (n, m) before any sample is drawn and needs no
     optional-stopping argument; it also bounds the reported rank, whatever
-    r is.  s* is 1 until m(n - 1) exceeds about 2^20.  ``trials`` caps
-    the samples: a deficient net draws min(trials, s*) of them.
-    Deterministic in (net, decoupled, trials, seed).
+    r is.  s* is 1 until m(n - 1) exceeds about 2^20.  Deterministic in
+    (net, decoupled, seed).  Raises ValidationError on a malformed network.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    needed = _samples_needed(net.n, net.m_unknown)
+    validate(net)
+    return _sampled_rank(net, decoupled, seed)
+
+
+def _sampled_rank(net: NetworkModel, decoupled: bool, seed: int) -> int:
+    """``generic_rank`` of a network already validated."""
     rng = random.Random(seed)
-    best = -1
-    drawn = 0
-    for _ in range(trials):
-        K = _sample_sensitivity(net, rng, decoupled)
-        if K is None:
-            continue
-        best = max(best, rank_field(K))
-        drawn += 1
-        if best == net.m_unknown or drawn == needed:
+    best = 0
+    for _ in range(_samples_needed(net.n, net.m_unknown)):
+        best = max(best, rank_field(_sample_sensitivity(net, rng, decoupled)))
+        if best == net.m_unknown:
             break
-    if best < 0:
-        raise AllSamplesSingularError(
-            f"all {trials} trials exhausted {RESAMPLE_BUDGET} resamples on singular closed loops"
-        )
     return best
 
 
-def generic_det_nonzero(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: int = 0) -> bool:
+def _square_rank(net: NetworkModel, seed: int) -> int:
+    """``generic_rank`` after validation and the separable-square guard (NotSeparableError, NotSquareError)."""
+    validate(net)
+    separate(net)
+    if not net.is_square:
+        raise NotSquareError(net)
+    return _sampled_rank(net, False, seed)
+
+
+def generic_det_nonzero(net: NetworkModel, seed: int = 0) -> bool:
     """Whether det of the (square) sensitivity matrix is nonzero at some random sample.
 
     A square matrix has a nonzero determinant exactly when it has full
@@ -427,10 +423,7 @@ def generic_det_nonzero(net: NetworkModel, trials: int = DEFAULT_TRIALS, seed: i
     separable-square guard, with its stop rule.  True means the determinant
     is generically nonzero; false means it vanished at every sample, which
     makes it identically zero except with probability at most
-    FAILURE_BOUND.  Requires a separable network with one unknown edge per
-    (excitation, measurement) pair.
+    FAILURE_BOUND.  Requires a valid separable network with one unknown
+    edge per (excitation, measurement) pair.
     """
-    separate(net)
-    if not net.is_square:
-        raise NotSquareError(net)
-    return generic_rank(net, trials=trials, seed=seed) == net.m_unknown
+    return _square_rank(net, seed) == net.m_unknown

@@ -18,7 +18,8 @@ from netident import (
     save_network,
     validate,
 )
-from netident.cli import main
+from netident import numeric
+from netident.cli import _build_parser, main
 
 from corpus import cyclic9_net, fan_net, minimal_net, unreachable_net
 
@@ -46,7 +47,7 @@ class TestCheck:
         code, out, err = run(capsys, ["check", path])
         assert code == 0
         assert "network: nodes=2 known=0 unknown=1 excited=1 measured=1" in out
-        assert "local-generic: identifiable (rank 1/1, trials 5, seed 0)" in out
+        assert "local-generic: identifiable (rank 1/1, seed 0)" in out
         assert "decoupled-generic: identifiable" in out
 
     def test_not_identifiable_exit_one_with_witness(self, tmp_path, capsys):
@@ -316,16 +317,58 @@ class TestErrorsAndDeterminism:
         [
             (["combinatorial", "{path}", "--max-degree", "-1"], "error: --max-degree must be >= 0, got -1"),
             (["oracle", "{path}", "--max-degree", "-1"], "error: --max-degree must be >= 0, got -1"),
-            (["check", "{path}", "--trials", "0"], "error: --trials must be >= 1, got 0"),
+            # not an option: the sample count follows from the failure bound
+            (["check", "{path}", "--trials", "0"], "netident: error: unrecognized arguments: --trials 0"),
             (["check", "{path}", "--seed", "-1"], "error: --seed must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_option(self, tmp_path, capsys, argv, message):
-        """An option below its range is a usage error, not a traceback that exits 1 (not identifiable)."""
+        """An option below its range, or one that does not exist, is a usage error, not a traceback that exits 1."""
+        path = write_net(tmp_path, fan_net())
+        code, out, err = run(capsys, [a.format(path=path) for a in argv])
+        if message.startswith("netident: "):
+            # argparse prints its usage line before its own messages
+            message = _build_parser().format_usage() + message
+        assert code == 3
+        assert err.startswith(message + "\n")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check"],
+            ["check", "{path}", "--trials", "5"],
+            ["combinatorial", "{path}", "--max-degree", "abc"],
+            ["frobnicate"],
+            [],
+        ],
+        ids=["missing-path", "removed-option", "non-integer", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exits_3(self, tmp_path, capsys, argv):
+        """argparse's own errors exit 3 like every other usage error, not its default 2 (inconclusive)."""
         path = write_net(tmp_path, fan_net())
         code, out, err = run(capsys, [a.format(path=path) for a in argv])
         assert code == 3
-        assert err.startswith(message + "\n")
+        assert err.startswith("usage: netident")
+        assert "error: " in err
+        assert out == ""
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, ["check", "--help"])
+        assert code == 0
+        assert out.startswith("usage: netident check")
+
+    def test_all_samples_singular_is_an_error(self, tmp_path, capsys, monkeypatch):
+        """A sample whose every redraw is singular ends `check` with exit 3 and a message, not a traceback."""
+
+        def singular(net, values):
+            raise numeric.SingularMatrixError("forced")
+
+        monkeypatch.setattr(numeric, "_loop_factor", singular)
+        path = write_net(tmp_path, fan_net())
+        code, out, err = run(capsys, ["check", path])
+        assert code == 3
+        assert err.startswith("error: ")
         assert out == ""
 
     def test_negative_environment_seed_is_an_error(self, tmp_path, capsys, monkeypatch):

@@ -39,9 +39,9 @@ SHAPES = [
 ]
 
 
-def _k_digest(net, seed: int, decoupled: bool) -> str | None:
+def _k_digest(net, seed: int, decoupled: bool) -> str:
     K = _sample_sensitivity(net, random.Random(seed), decoupled)
-    return None if K is None else hashlib.sha256(json.dumps(K).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(K).encode()).hexdigest()
 
 
 def record(kwargs: dict, seed: int) -> dict:

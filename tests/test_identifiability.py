@@ -69,10 +69,10 @@ class TestLocal:
             local_identifiability(net)
 
     def test_replayable(self):
-        v1 = local_identifiability(fan_net(), trials=2, seed=7)
-        v2 = local_identifiability(fan_net(), trials=2, seed=7)
+        v1 = local_identifiability(fan_net(), seed=7)
+        v2 = local_identifiability(fan_net(), seed=7)
         assert v1 == v2
-        assert v1.trials == 2 and v1.seed == 7
+        assert v1.seed == 7
 
     def test_to_dict_drops_unset_fields(self):
         d = local_identifiability(minimal_net()).to_dict()
@@ -80,7 +80,6 @@ class TestLocal:
             "decision": IDENTIFIABLE,
             "notion": LOCAL_GENERIC,
             "unknown_edges": 1,
-            "trials": 5,
             "seed": 0,
             "rank": 1,
         }

@@ -476,7 +476,7 @@ class TestGenericRank:
 
     def test_deterministic_in_seed(self):
         net = fan_net()
-        assert generic_rank(net, trials=3, seed=42) == generic_rank(net, trials=3, seed=42)
+        assert generic_rank(net, seed=42) == generic_rank(net, seed=42)
 
     @staticmethod
     def _count_draws(monkeypatch) -> list:
@@ -495,26 +495,39 @@ class TestGenericRank:
         draws = self._count_draws(monkeypatch)
         for net, expected_draws, nonzero in ((fan_net(), 1, True), (unreachable_net(), 1, False)):
             draws.clear()
-            assert generic_rank(net, trials=5) == (net.m_unknown if nonzero else 0)
+            assert generic_rank(net) == (net.m_unknown if nonzero else 0)
             assert len(draws) == expected_draws
             draws.clear()
-            assert generic_det_nonzero(net, trials=5) is nonzero
+            assert generic_det_nonzero(net) is nonzero
             assert len(draws) == expected_draws
 
-    def test_trials_cap_the_samples(self, monkeypatch):
-        """A deficient net draws min(trials, s*) samples; a full-rank one still stops at its first."""
+    def test_deficient_net_draws_exactly_the_needed_samples(self, monkeypatch):
+        """A deficient net draws s* samples in both modes; a full-rank one still stops at its first."""
         draws = self._count_draws(monkeypatch)
         monkeypatch.setattr(numeric, "_samples_needed", lambda n, m: 3)
-        for trials, expected in ((1, 1), (2, 2), (3, 3), (5, 3)):
-            draws.clear()
-            assert generic_rank(unreachable_net(), trials=trials) == 0
-            assert len(draws) == expected
-            draws.clear()
-            assert generic_rank(unreachable_net(), decoupled=True, trials=trials) == 0
-            assert len(draws) == expected
+        assert generic_rank(unreachable_net()) == 0
+        assert len(draws) == 3
         draws.clear()
-        assert generic_rank(fan_net(), trials=5) == 2
+        assert generic_rank(unreachable_net(), decoupled=True) == 0
+        assert len(draws) == 3
+        draws.clear()
+        assert generic_rank(fan_net()) == 2
         assert len(draws) == 1
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_singular_budget_exhausted_raises(self, monkeypatch, decoupled):
+        """A sample whose RESAMPLE_BUDGET draws are all singular ends the rank test; no later sample retries."""
+        draws = []
+
+        def singular(net, values):
+            draws.append(1)
+            raise SingularMatrixError("forced")
+
+        monkeypatch.setattr(numeric, "_loop_factor", singular)
+        monkeypatch.setattr(numeric, "_samples_needed", lambda n, m: 3)
+        with pytest.raises(numeric.AllSamplesSingularError):
+            generic_rank(unreachable_net(), decoupled=decoupled)
+        assert len(draws) == numeric.RESAMPLE_BUDGET
 
     def test_one_sample_meets_the_bound_at_benchmark_sizes(self):
         # the ``check`` workload draws up to 40 nodes and 24 unknown edges
@@ -539,12 +552,13 @@ class TestGenericRank:
                 assert s == 1 or q ** (s - 1) > eps
 
     def test_single_trial_already_generic(self):
-        """Each trial alone hits the generic rank; instability would be a bug."""
+        """Each seed's single sample hits the generic rank; instability would be a bug."""
         from corpus import general_square_corpus
 
         for net in general_square_corpus(15, start_seed=100):
-            per_trial = {generic_rank(net, trials=1, seed=s) for s in range(5)}
-            assert len(per_trial) == 1
+            assert numeric._samples_needed(net.n, net.m_unknown) == 1
+            per_seed = {generic_rank(net, seed=s) for s in range(5)}
+            assert len(per_seed) == 1
 
 
 class TestGenericDet:
