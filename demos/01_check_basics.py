@@ -12,7 +12,6 @@ from netident import (
     NetworkModel,
     decoupled_identifiability,
     local_identifiability,
-    validate,
 )
 
 # A 5-node network: two excitations feed two relay nodes over known edges,
@@ -30,7 +29,6 @@ net = NetworkModel(
     excited=[0, 1],
     measured=[4],
 )
-validate(net)
 
 print("two relays, two unknown edges, one measurement")
 local = local_identifiability(net)

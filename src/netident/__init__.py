@@ -24,7 +24,6 @@ from .netmodel import (
     NotSquareError,
     NetworkFormatError,
     MAX_NODES,
-    validate,
     separate,
     is_separable,
     decouple,

@@ -45,7 +45,6 @@ from .netmodel import (
     network_to_dict,
     save_network,
     separate,
-    validate,
 )
 from .numeric import AllSamplesSingularError
 from .oracle import coefficient, symbolic_det, terms_sorted
@@ -197,7 +196,6 @@ def cmd_decouple(args: argparse.Namespace) -> int:
     net = load_network(args.path)
     seed = args.seed if args.seed is not None else _default_seed()
     dec = decouple(net, seed)
-    validate(dec)
     separate(dec)
     save_network(dec, args.out)
     print(f"decoupled network: {dec.n} nodes, {dec.m_unknown} unknown edges -> {args.out}")

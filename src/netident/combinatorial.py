@@ -49,7 +49,6 @@ from .netmodel import (
     SeparableBlocks,
     decouple,
     separate,
-    validate,
 )
 
 __all__ = [
@@ -273,9 +272,7 @@ def exhaustive_degree_bound(net: NetworkModel) -> int | None:
     longest excited-block walk into the tail plus the longest measured-block
     walk out of the head.  Returns 0 when some unknown edge has no walk at
     all (no collection exists, so the empty enumeration is complete).
-    Raises ValidationError on a malformed network.
     """
-    validate(net)
     return _exhaustive_bound(net, separate(net), _structural_zero_columns(net))
 
 
@@ -320,9 +317,8 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     extended in order, so the first collection kept for a (monomial, sign)
     is the lexicographically smallest one.  Every collection uses every
     row, so a row no walk serves leaves the table empty at every bound, and
-    no walk is listed.  Raises ValidationError on a malformed network.
+    no walk is listed.
     """
-    validate(net)
     blocks = separate(net)
     if not net.is_square:
         raise NotSquareError(net)
@@ -453,10 +449,8 @@ def _walk_route(
     With ``decouple_first`` the table is built on ``decouple(net)`` (the
     count reads the structure only, never edge values) and the verdict
     carries the decoupled notion; the default bound is 2n of the network
-    analyzed, which ``repetition_table`` validates.
+    analyzed.
     """
-    if decouple_first:
-        validate(net)  # the lift would shift a negative index into range
     target = decouple(net) if decouple_first else net
     if target.m_unknown == 0:
         raise NoUnknownEdgesError()

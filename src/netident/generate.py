@@ -6,7 +6,7 @@ a (flags, seed) pair always yields the same network, edge order included.
 
 from __future__ import annotations
 
-from .netmodel import MAX_NODES, Edge, NetworkModel, validate
+from .netmodel import MAX_NODES, Edge, NetworkModel
 
 __all__ = ["GenerationError", "random_network"]
 
@@ -104,11 +104,9 @@ def random_network(
 
     known.sort(key=lambda e: (e.src, e.dst))
     unknown_edges.sort(key=lambda e: (e.src, e.dst))
-    net = NetworkModel(
+    return NetworkModel(
         n=nodes,
         edges=known + unknown_edges,
         excited=excited_nodes,
         measured=measured_nodes,
     )
-    validate(net)
-    return net

@@ -14,6 +14,7 @@ computation.  Node indices are 0-based in memory and 1-based in files.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ __all__ = [
     "NotSquareError",
     "NetworkFormatError",
     "MAX_NODES",
-    "validate",
     "separate",
     "is_separable",
     "decouple",
@@ -128,6 +128,13 @@ class NetworkModel:
     The edge list order is part of the data: the unknown edges, in list
     order, form the canonical column order used by the sensitivity matrix
     and by all permutation-sign bookkeeping.
+
+    A malformed network cannot be built: the constructor (and so
+    ``dataclasses.replace``) raises a ValidationError unless the node count
+    and every node index are integers (not bools), the count is
+    non-negative, every index lies in 0..n-1, no edge is a self-loop, no
+    ordered pair carries two edges, and neither the excited nor the
+    measured list repeats a node.
     """
 
     n: int
@@ -136,10 +143,12 @@ class NetworkModel:
     measured: tuple[int, ...]
 
     def __init__(self, n, edges, excited, measured):
-        object.__setattr__(self, "n", int(n))
+        # An integer count of another type (numpy's) becomes a plain int; validate names anything else.
+        object.__setattr__(self, "n", operator.index(n) if _is_index(n) else n)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "excited", tuple(excited))
         object.__setattr__(self, "measured", tuple(measured))
+        validate(self)
 
     @property
     def known_edges(self) -> tuple[Edge, ...]:
@@ -184,15 +193,30 @@ class SeparableBlocks:
     cross_edges: tuple[Edge, ...]
 
 
-def validate(net: NetworkModel) -> None:
-    """Check all structural invariants, raising a specific ValidationError on the first violation.
+def _is_index(v: object) -> bool:
+    """An integer usable as a node index or count: one ``operator.index`` accepts, but not a bool."""
+    if isinstance(v, bool):
+        return False
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return True
 
-    Checks: node indices in range, no self-loops, at most one edge per
-    ordered pair, excited and measured lists free of repeats.
+
+def validate(net: NetworkModel) -> None:
+    """Check the invariants ``NetworkModel`` lists, raising a specific ValidationError on the first violation.
+
+    The constructor calls this; nothing else needs to.
     """
     n = net.n
+    if not _is_index(n) or n < 0:
+        raise ValidationError(f"node count {n!r} is not a non-negative integer")
     seen: set[tuple[int, int]] = set()
+    # A plain int passes on its type alone; only other types pay for ``_is_index``.
     for e in net.edges:
+        if not (type(e.src) is type(e.dst) is int or _is_index(e.src) and _is_index(e.dst)):
+            raise ValidationError(f"non-integer node index in edge (src={e.src!r}, dst={e.dst!r})")
         if not (0 <= e.src < n):
             raise IndexOutOfRangeError(e.src, n, f"edge {e}")
         if not (0 <= e.dst < n):
@@ -202,22 +226,18 @@ def validate(net: NetworkModel) -> None:
         if (e.src, e.dst) in seen:
             raise DuplicateEdgeError(e.src, e.dst)
         seen.add((e.src, e.dst))
-    for node in net.excited:
-        if not (0 <= node < n):
-            raise IndexOutOfRangeError(node, n, "excited")
-    for node in net.measured:
-        if not (0 <= node < n):
-            raise IndexOutOfRangeError(node, n, "measured")
-    counts: dict[int, int] = {}
-    for node in net.excited:
-        counts[node] = counts.get(node, 0) + 1
-        if counts[node] > 1:
-            raise DuplicateExcitationError(node)
-    counts = {}
-    for node in net.measured:
-        counts[node] = counts.get(node, 0) + 1
-        if counts[node] > 1:
-            raise DuplicateMeasurementError(node)
+    for where, nodes in (("excited", net.excited), ("measured", net.measured)):
+        for node in nodes:
+            if type(node) is not int and not _is_index(node):
+                raise ValidationError(f"non-integer node index {node!r} in {where}")
+            if not (0 <= node < n):
+                raise IndexOutOfRangeError(node, n, where)
+    for repeat_error, nodes in ((DuplicateExcitationError, net.excited), (DuplicateMeasurementError, net.measured)):
+        listed: set[int] = set()
+        for node in nodes:
+            if node in listed:
+                raise repeat_error(node)
+            listed.add(node)
 
 
 class _UnionFind:
@@ -361,17 +381,12 @@ def _require(cond: bool, msg: str) -> None:
         raise NetworkFormatError(msg)
 
 
-def _is_int(v: object) -> bool:
-    """An integer, but not a bool (JSON ``true`` would otherwise read as 1)."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def network_from_dict(data: dict) -> NetworkModel:
     """Parse the JSON dict form, raising NetworkFormatError naming the bad field."""
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("nodes", "edges", "excited", "measured"):
         _require(key in data, f"missing field '{key}'")
-    _require(_is_int(data["nodes"]) and data["nodes"] >= 0, "field 'nodes' must be a non-negative integer")
+    _require(_is_index(data["nodes"]) and data["nodes"] >= 0, "field 'nodes' must be a non-negative integer")
     _require(data["nodes"] <= MAX_NODES, f"field 'nodes' must be at most {MAX_NODES}, got {data['nodes']}")
     _require(isinstance(data["edges"], list), "field 'edges' must be a list")
 
@@ -381,8 +396,8 @@ def network_from_dict(data: dict) -> NetworkModel:
         _require(isinstance(raw, dict), f"{where} must be an object")
         for key in ("from", "to", "known"):
             _require(key in raw, f"{where} missing field '{key}'")
-        _require(_is_int(raw["from"]), f"{where}.from must be an integer")
-        _require(_is_int(raw["to"]), f"{where}.to must be an integer")
+        _require(_is_index(raw["from"]), f"{where}.from must be an integer")
+        _require(_is_index(raw["to"]), f"{where}.to must be an integer")
         _require(isinstance(raw["known"], bool), f"{where}.known must be a boolean")
         value = raw.get("value")
         # int-float comparison is exact, so an integer past the float range fails here, not in float()
@@ -401,19 +416,17 @@ def network_from_dict(data: dict) -> NetworkModel:
 
     for key in ("excited", "measured"):
         _require(isinstance(data[key], list), f"field '{key}' must be a list")
-        _require(all(_is_int(v) for v in data[key]), f"field '{key}' must hold integers")
+        _require(all(_is_index(v) for v in data[key]), f"field '{key}' must hold integers")
 
-    net = NetworkModel(
-        n=data["nodes"],
-        edges=edges,
-        excited=tuple(v - 1 for v in data["excited"]),
-        measured=tuple(v - 1 for v in data["measured"]),
-    )
     try:
-        validate(net)
+        return NetworkModel(
+            n=data["nodes"],
+            edges=edges,
+            excited=tuple(v - 1 for v in data["excited"]),
+            measured=tuple(v - 1 for v in data["measured"]),
+        )
     except ValidationError as exc:
         raise NetworkFormatError(str(exc)) from exc
-    return net
 
 
 def network_to_dict(net: NetworkModel) -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .netmodel import NetworkModel, NotSquareError, separate, validate
+from .netmodel import NetworkModel, NotSquareError, separate
 
 __all__ = [
     "PRIME",
@@ -389,14 +389,8 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     is fixed by (n, m) before any sample is drawn and needs no
     optional-stopping argument; it also bounds the reported rank, whatever
     r is.  s* is 1 until m(n - 1) exceeds about 2^20.  Deterministic in
-    (net, decoupled, seed).  Raises ValidationError on a malformed network.
+    (net, decoupled, seed).
     """
-    validate(net)
-    return _sampled_rank(net, decoupled, seed)
-
-
-def _sampled_rank(net: NetworkModel, decoupled: bool, seed: int) -> int:
-    """``generic_rank`` of a network already validated."""
     rng = random.Random(seed)
     best = 0
     for _ in range(_samples_needed(net.n, net.m_unknown)):
@@ -407,12 +401,11 @@ def _sampled_rank(net: NetworkModel, decoupled: bool, seed: int) -> int:
 
 
 def _square_rank(net: NetworkModel, seed: int) -> int:
-    """``generic_rank`` after validation and the separable-square guard (NotSeparableError, NotSquareError)."""
-    validate(net)
+    """``generic_rank`` after the separable-square guard (NotSeparableError, NotSquareError)."""
     separate(net)
     if not net.is_square:
         raise NotSquareError(net)
-    return _sampled_rank(net, False, seed)
+    return generic_rank(net, seed=seed)
 
 
 def generic_det_nonzero(net: NetworkModel, seed: int = 0) -> bool:
@@ -423,7 +416,7 @@ def generic_det_nonzero(net: NetworkModel, seed: int = 0) -> bool:
     separable-square guard, with its stop rule.  True means the determinant
     is generically nonzero; false means it vanished at every sample, which
     makes it identically zero except with probability at most
-    FAILURE_BOUND.  Requires a valid separable network with one unknown
+    FAILURE_BOUND.  Requires a separable network with one unknown
     edge per (excitation, measurement) pair.
     """
     return _square_rank(net, seed) == net.m_unknown

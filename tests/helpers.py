@@ -1,4 +1,4 @@
-"""Test-only arithmetic and relabeling helpers, kept out of the library API.
+"""Test-only arithmetic, relabeling and call-counting helpers, kept out of the library API.
 
 The field determinant and null space read the library's own elimination
 (``numeric._factor``); the product, identity, polynomial evaluation, the
@@ -8,10 +8,11 @@ independently so tests can check the library against them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from itertools import combinations, permutations
 
-from netident import NetworkModel, Poly
+from netident import NetworkModel, Poly, netmodel
 from netident.numeric import PRIME, _factor
 
 
@@ -103,3 +104,21 @@ def permute(net: NetworkModel, perm: list[int]) -> NetworkModel:
         excited=tuple(perm[v] for v in net.excited),
         measured=tuple(perm[v] for v in net.measured),
     )
+
+
+def validate_calls(action) -> int:
+    """How many times ``netmodel.validate`` runs during ``action()``, under whatever name it is reached."""
+    code = netmodel.validate.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls

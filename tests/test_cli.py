@@ -16,12 +16,12 @@ from netident import (
     network_to_dict,
     random_network,
     save_network,
-    validate,
 )
 from netident import numeric
 from netident.cli import _build_parser, main
 
 from corpus import cyclic9_net, fan_net, minimal_net, unreachable_net
+from helpers import validate_calls
 
 
 @pytest.fixture(autouse=True)
@@ -123,7 +123,6 @@ class TestDecouple:
         assert code == 0
         assert f"decoupled network: 4 nodes, 1 unknown edges -> {out_path}" in out
         dec = load_network(out_path)
-        validate(dec)
         assert dec.n == 4 and dec.m_unknown == 1
 
 
@@ -260,7 +259,6 @@ class TestGen:
         )
         assert code == 0
         net = load_network(out_path)
-        validate(net)
         assert net.n == 6 and net.m_unknown == 2
 
     def test_stdout_json_when_no_out(self, capsys):
@@ -486,3 +484,20 @@ def test_verdict_commands_never_import_numpy(tmp_path, cli_env, argv):
         env=cli_env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, validations",
+    [
+        (["check", "{path}"], 1),
+        (["combinatorial", "{path}"], 1),
+        (["separable", "{path}"], 1),
+        (["combinatorial", "{path}", "--decouple-first"], 2),
+    ],
+    ids=["check", "combinatorial", "separable", "decouple-first"],
+)
+def test_each_network_is_validated_once(tmp_path, capsys, argv, validations):
+    """Loading builds, and so validates, the file's network; the lift is one more network; no verdict validates again."""
+    path = write_net(tmp_path, fan_net())
+    assert validate_calls(lambda: main([a.format(path=path) for a in argv])) == validations
+    capsys.readouterr()

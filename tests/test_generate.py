@@ -2,7 +2,7 @@
 
 import pytest
 
-from netident import MAX_NODES, GenerationError, is_separable, random_network, validate
+from netident import MAX_NODES, GenerationError, is_separable, random_network
 
 
 def has_cycle(net) -> bool:
@@ -25,7 +25,6 @@ def has_cycle(net) -> bool:
 class TestRandomNetwork:
     def test_counts_honored(self):
         net = random_network(nodes=6, unknowns=3, excited=2, measured=2, seed=5)
-        validate(net)
         assert net.n == 6
         assert net.m_unknown == 3
         assert net.n_excited == 2 and net.n_measured == 2

@@ -1,9 +1,14 @@
-"""Malformed networks are refused with ValidationError at each public entry point, validated once per call."""
+"""A malformed network cannot be built, by any route; a network once built is never validated again."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from netident import (
+    IDENTIFIABLE,
     Edge,
+    NetworkFormatError,
     NetworkModel,
     ValidationError,
     combinatorial_verdict,
@@ -12,12 +17,75 @@ from netident import (
     generic_det_nonzero,
     generic_rank,
     local_identifiability,
+    network_from_dict,
     repetition_table,
     separable_global_identifiability,
 )
-from netident import combinatorial, netmodel, numeric
 
 from corpus import fan_net, minimal_net
+from helpers import validate_calls
+
+# A valid 3-node chain; each malformed shape below overrides some of its fields.
+VALID = {"n": 3, "edges": (Edge(0, 1, known=True), Edge(1, 2, known=False)), "excited": (0,), "measured": (2,)}
+
+MALFORMED = {
+    "negative-index": {"edges": (Edge(0, -1, known=False), Edge(0, 1, known=True))},
+    "index-past-n": {"edges": (Edge(0, 1, known=True), Edge(1, 3, known=False))},
+    "excited-past-n": {"excited": (5,)},
+    "self-loop": {"edges": (Edge(1, 1, known=True), Edge(1, 2, known=False))},
+    "duplicate-edge": {"edges": (Edge(1, 2, known=True), Edge(1, 2, known=False))},
+    "duplicate-excitation": {"excited": (0, 0)},
+    "duplicate-measurement": {"measured": (2, 2)},
+    "float-edge-index": {"edges": (Edge(0, 1, known=True), Edge(0.5, 2, known=False))},
+    "bool-edge-index": {"edges": (Edge(0, True, known=True), Edge(1, 2, known=False))},
+    "float-excited": {"excited": (0.0,)},
+    "float-measured": {"measured": (2.0,)},
+    "float-count": {"n": 3.7},
+    "bool-count": {"n": True, "edges": (), "excited": (0,), "measured": ()},
+    "negative-count": {"n": -1, "edges": (), "excited": (), "measured": ()},
+}
+
+
+def _one_based(v):
+    """A file's node index for in-memory index ``v``; a bool stays a bool so the file keeps the bad type."""
+    return v if isinstance(v, bool) else v + 1
+
+
+def as_file(fields: dict) -> dict:
+    """The JSON dict form of the fields, without building a NetworkModel."""
+    return {
+        "nodes": fields["n"],
+        "edges": [{"from": _one_based(e.src), "to": _one_based(e.dst), "known": e.known} for e in fields["edges"]],
+        "excited": [_one_based(v) for v in fields["excited"]],
+        "measured": [_one_based(v) for v in fields["measured"]],
+    }
+
+
+ROUTES = {
+    "constructor": (lambda shape: NetworkModel(**{**VALID, **shape}), ValidationError),
+    "replace": (lambda shape: replace(NetworkModel(**VALID), **shape), ValidationError),
+    "network_from_dict": (lambda shape: network_from_dict(as_file({**VALID, **shape})), NetworkFormatError),
+}
+
+
+def test_the_base_network_is_valid():
+    for build, _ in ROUTES.values():
+        assert build({}) == NetworkModel(**VALID)
+
+
+@pytest.mark.parametrize("shape", list(MALFORMED.values()), ids=list(MALFORMED))
+@pytest.mark.parametrize("route", list(ROUTES), ids=list(ROUTES))
+def test_malformed_network_cannot_be_built(route, shape):
+    build, error = ROUTES[route]
+    with pytest.raises(error):
+        build(shape)
+
+
+def test_numpy_integers_are_node_indices():
+    i = np.int64
+    net = NetworkModel(i(3), [Edge(i(0), i(1), known=True), Edge(i(1), i(2), known=False)], [i(0)], [i(2)])
+    assert type(net.n) is int and net.n == 3
+    assert combinatorial_verdict(net).decision == IDENTIFIABLE
 
 
 def negative_index_net() -> NetworkModel:
@@ -45,29 +113,23 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("make_net", [negative_index_net, index_past_n_net], ids=["negative", "past-n"])
 @pytest.mark.parametrize("call", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
 def test_invalid_node_index_raises_validation_error(call, make_net):
+    """No entry point can be handed a malformed network: building it raises first."""
     with pytest.raises(ValidationError):
         call(make_net())
 
 
 @pytest.mark.parametrize(
-    "call, net",
+    "call, make_net",
     [
-        (local_identifiability, fan_net()),
-        (decoupled_identifiability, fan_net()),
-        (separable_global_identifiability, minimal_net()),
-        (combinatorial_verdict, fan_net()),
+        (local_identifiability, fan_net),
+        (decoupled_identifiability, fan_net),
+        (separable_global_identifiability, minimal_net),
+        (combinatorial_verdict, fan_net),
     ],
     ids=["local", "decoupled", "global", "walks"],
 )
-def test_one_validation_per_verdict(monkeypatch, call, net):
-    """A verdict validates its network once, though it reaches the public rank or table routine."""
-    calls = []
-
-    def counting(arg):
-        calls.append(arg)
-        netmodel.validate(arg)
-
-    for module in (numeric, combinatorial):
-        monkeypatch.setattr(module, "validate", counting)
-    call(net)
-    assert calls == [net]
+def test_one_validation_per_verdict(call, make_net):
+    """Building the network validates it once; the verdict on the built network validates nothing more."""
+    built = []
+    assert validate_calls(lambda: built.append(make_net())) == 1
+    assert validate_calls(lambda: call(built[0])) == 0
