@@ -63,7 +63,6 @@ from .combinatorial import (
     Monomial,
     Walk,
     RepetitionTable,
-    monomial_of,
     monomial_degree,
     format_monomial,
     walk_nodes,

@@ -20,9 +20,12 @@ can reach at all).
 
 One layered count adds the unknown edges one at a time, merging partial
 collections that reach the same (rows used, monomial so far, sign) state,
-and keeps the first collection that reaches each state.  States and walks
-are visited in order, so that collection is the lexicographically
-smallest, and the verdict reads its witness from the table.
+and keeps the first collection that reaches each state.  Within the count
+a monomial is one packed integer, a bit field per known edge holding its
+multiplicity, so extending a state is one addition; each final monomial is
+decoded to its ``Monomial`` tuple once.  States and walks are visited in
+order, so the collection kept is the lexicographically smallest, and the
+verdict reads its witness from the table.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "MAX_WALK_UNKNOWNS",
     "TooLargeError",
     "Monomial",
-    "monomial_of",
     "monomial_degree",
     "format_monomial",
     "Walk",
@@ -79,13 +81,6 @@ MAX_WALK_UNKNOWNS = 500
 
 class TooLargeError(ValueError):
     """An input beyond the size a route is built for; refused before any enumeration."""
-
-
-def monomial_of(edge_indices: Iterable[int]) -> Monomial:
-    counts: dict[int, int] = {}
-    for i in sorted(edge_indices):
-        counts[i] = counts.get(i, 0) + 1
-    return tuple(counts.items())
 
 
 def monomial_degree(mu: Iterable[tuple[int, int]]) -> int:
@@ -318,6 +313,15 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     is the lexicographically smallest one.  Every collection uses every
     row, so a row no walk serves leaves the table empty at every bound, and
     no walk is listed.
+
+    A state is (rows used, packed monomial, sign).  Each known edge that
+    some listed walk uses owns a field of max(max_degree, 1).bit_length()
+    bits, in ascending edge order, and a monomial packs to the sum of its
+    multiplicities shifted into their fields.  No field overflows into the
+    next: pruning keeps every state's degree at or below max_degree, and a
+    multiplicity is at most the degree, so it fits its field.  Packing is
+    then one-to-one and a sum of packed monomials is the packed product, so
+    states merge exactly as the (edge, multiplicity) tuples would.
     """
     blocks = separate(net)
     if not net.is_square:
@@ -351,38 +355,57 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     # Minimum attainable degree of the remaining unknown edges, for pruning.
     min_rest = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
-        min_rest[k] = min_rest[k + 1] + min((w.degree for w, _, _ in steps[k]), default=0)
+        min_rest[k] = min_rest[k + 1] + min((len(known) for _, _, known in steps[k]), default=0)
 
-    # One layer per unknown edge.  A state (rows used as a bit mask, sorted
-    # known edges so far, sign) maps to [collections reaching it, the first
-    # of them]; a new row flips the sign once per used row above it.  States
-    # are extended in insertion order, each by its fitting walks in edge
-    # order, so a state is first inserted with its lexicographically smallest
-    # collection.  Fitting walks are listed once per layer and room.
-    layer: dict[tuple[int, tuple[int, ...], int], list] = {(0, (), 1): [1, ()]} if all(steps) else {}
+    # Packed monomials: each known edge some walk uses owns a field of
+    # ``width`` bits, in ascending edge order, holding its multiplicity; a
+    # walk's known edges pack to the sum of their units.
+    width = max(max_degree, 1).bit_length()
+    fields = sorted({i for walks in steps for _, _, known in walks for i in known})
+    shift = {i: j * width for j, i in enumerate(fields)}
+    unit = {i: 1 << s for i, s in shift.items()}
+
+    # One layer per unknown edge.  A state (rows used as a bit mask, packed
+    # monomial so far, sign) maps to [collections reaching it, the first of
+    # them, its degree]; a new row flips the sign once per used row above it.
+    # States are extended in insertion order, each by its fitting walks in
+    # edge order, so a state is first inserted with its lexicographically
+    # smallest collection.  The fitting walks, each with its new row mask,
+    # sign flip, packed monomial and degree, are listed once per layer, rows
+    # used and room: a filter of the edge-ordered list, never a reordering.
+    layer: dict[tuple[int, int, int], list] = {(0, 0, 1): [1, (), 0]} if all(steps) else {}
     for k, walks in enumerate(steps):
-        extended: dict[tuple[int, tuple[int, ...], int], list] = {}
-        fitting: dict[int, list[tuple[Walk, int, tuple[int, ...]]]] = {}
-        for (used, acc, sign), (count, coll) in layer.items():
-            room = max_degree - len(acc) - min_rest[k + 1]
-            if room not in fitting:
-                fitting[room] = [s for s in walks if s[0].degree <= room]
-            for w, row, known in fitting[room]:
-                if used >> row & 1:
-                    continue
-                key = (used | 1 << row, tuple(sorted(acc + known)), -sign if (used >> row).bit_count() & 1 else sign)
+        packed = [(w, row, len(known), sum(map(unit.__getitem__, known))) for w, row, known in walks]
+        extended: dict[tuple[int, int, int], list] = {}
+        fitting: dict[tuple[int, int], list[tuple[Walk, int, int, int, int]]] = {}
+        for (used, mono, sign), (count, coll, degree) in layer.items():
+            room = max_degree - degree - min_rest[k + 1]
+            options = fitting.get((used, room))
+            if options is None:
+                options = fitting[used, room] = [
+                    (w, used | 1 << row, -1 if (used >> row).bit_count() & 1 else 1, w_mono, w_degree)
+                    for w, row, w_degree, w_mono in packed
+                    if w_degree <= room and not used >> row & 1
+                ]
+            for w, new_used, flip, w_mono, w_degree in options:
+                key = (new_used, mono + w_mono, sign * flip)
                 state = extended.get(key)
                 if state is None:
-                    extended[key] = [count, coll + (w,)]
+                    extended[key] = [count, coll + (w,), degree + w_degree]
                 else:
                     state[0] += count
         layer = extended
 
-    # Every collection uses all rows, so a final state is one (monomial, sign).
+    # Every collection uses all rows, so a final state is one (monomial,
+    # sign); each distinct packed monomial is decoded once.
+    mask = (1 << width) - 1
+    monomials: dict[int, Monomial] = {}
     first: dict[tuple[Monomial, int], tuple[Walk, ...]] = {}
     entries: dict[Monomial, int] = {}
-    for (_, acc, sign), (count, coll) in layer.items():
-        mu = monomial_of(acc)
+    for (_, mono, sign), (count, coll, _) in layer.items():
+        mu = monomials.get(mono)
+        if mu is None:
+            mu = monomials[mono] = tuple((i, c) for i, s in shift.items() if (c := mono >> s & mask))
         first[mu, sign] = coll
         entries[mu] = entries.get(mu, 0) + sign * count
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "Edge",
@@ -134,7 +134,8 @@ class NetworkModel:
     and every node index are integers (not bools), the count is
     non-negative, every index lies in 0..n-1, no edge is a self-loop, no
     ordered pair carries two edges, and neither the excited nor the
-    measured list repeats a node.
+    measured list repeats a node.  An integer of another type (numpy's) is
+    stored as a plain int, so every route and ``network_to_dict`` see ints.
     """
 
     n: int
@@ -143,11 +144,14 @@ class NetworkModel:
     measured: tuple[int, ...]
 
     def __init__(self, n, edges, excited, measured):
-        # An integer count of another type (numpy's) becomes a plain int; validate names anything else.
-        object.__setattr__(self, "n", operator.index(n) if _is_index(n) else n)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "excited", tuple(excited))
-        object.__setattr__(self, "measured", tuple(measured))
+        # Integers of another type become plain ints; validate rejects anything else.
+        edges = tuple(
+            e if type(e.src) is type(e.dst) is int else replace(e, src=_plain(e.src), dst=_plain(e.dst)) for e in edges
+        )
+        object.__setattr__(self, "n", _plain(n))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "excited", tuple(map(_plain, excited)))
+        object.__setattr__(self, "measured", tuple(map(_plain, measured)))
         validate(self)
 
     @property
@@ -202,6 +206,11 @@ def _is_index(v: object) -> bool:
     except TypeError:
         return False
     return True
+
+
+def _plain(v: object) -> object:
+    """An integer of another type than int (numpy's) as a plain int; anything else, bools included, as it is."""
+    return operator.index(v) if type(v) is not int and _is_index(v) else v
 
 
 def validate(net: NetworkModel) -> None:

@@ -1,4 +1,4 @@
-"""Test-only arithmetic, relabeling and call-counting helpers, kept out of the library API.
+"""Test-only arithmetic, monomial, relabeling and call-counting helpers, kept out of the library API.
 
 The field determinant and null space read the library's own elimination
 (``numeric._factor``); the product, identity, polynomial evaluation, the
@@ -11,8 +11,9 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from itertools import combinations, permutations
+from typing import Iterable
 
-from netident import NetworkModel, Poly, netmodel
+from netident import Monomial, NetworkModel, Poly, netmodel
 from netident.numeric import PRIME, _factor
 
 
@@ -94,6 +95,14 @@ def eval_poly(poly: Poly, values: dict[int, int], modulus: int) -> int:
             term = (term * pow(values[var], p, modulus)) % modulus
         total = (total + term) % modulus
     return total
+
+
+def monomial_of(edge_indices: Iterable[int]) -> Monomial:
+    """The canonical monomial of a multiset of known-edge indices: (index, multiplicity) pairs, ascending."""
+    counts: dict[int, int] = {}
+    for i in sorted(edge_indices):
+        counts[i] = counts.get(i, 0) + 1
+    return tuple(counts.items())
 
 
 def permute(net: NetworkModel, perm: list[int]) -> NetworkModel:

@@ -25,11 +25,12 @@ from netident import (
     generic_det_nonzero,
     local_identifiability,
     monomial_degree,
-    monomial_of,
     necessary_condition_any_topology,
     random_network,
     repetition_table,
     separate,
+    symbolic_det,
+    terms_sorted,
     verdict_from_table,
     walk_nodes,
 )
@@ -46,6 +47,7 @@ from corpus import (
     separable_square_corpus,
     unreachable_net,
 )
+from helpers import monomial_of
 
 
 def cancel_net() -> NetworkModel:
@@ -277,6 +279,17 @@ def _rows(net: NetworkModel, walks) -> list[int]:
     return [net.excited.index(w.start) * net.n_measured + net.measured.index(w.end) for w in walks]
 
 
+def _brute_force_entries(net: NetworkModel, walk_lists, max_degree: int) -> dict:
+    """Every collection within the bound, one walk per unknown edge, signed by the permutation parity of its rows."""
+    signed: dict = {}
+    for c in itertools.product(*walk_lists):
+        rows = _rows(net, c)
+        if sorted(rows) == list(range(len(walk_lists))) and sum(w.degree for w in c) <= max_degree:
+            mu = monomial_of(i for w in c for i in w.known_edge_indices())
+            signed[mu] = signed.get(mu, 0) + _parity(rows)
+    return signed
+
+
 class TestTableProperties:
     @settings(derandomize=True, max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(
@@ -310,14 +323,7 @@ class TestTableProperties:
                 assert (mu, 1 if r > 0 else -1) in hi.first
         brute = math.prod(map(len, walk_lists)) <= 5000
         if brute:
-            # Every collection within the bound, signed by the permutation parity of its rows.
-            signed: dict = {}
-            for c in itertools.product(*walk_lists):
-                rows = _rows(net, c)
-                if sorted(rows) == list(range(len(pivots))) and sum(w.degree for w in c) <= d + 2:
-                    mu = monomial_of(i for w in c for i in w.known_edge_indices())
-                    signed[mu] = signed.get(mu, 0) + _parity(rows)
-            assert hi.entries == signed
+            assert hi.entries == _brute_force_entries(net, walk_lists, d + 2)
         for (mu, sign), walks in hi.first.items():
             assert mu in hi.entries
             assert [w.pivot for w in walks] == pivots
@@ -325,6 +331,46 @@ class TestTableProperties:
             if brute:
                 matching = [c for c in itertools.product(*walk_lists) if is_collection(c, mu, sign)]
                 assert min(matching, key=lambda c: [w.edges for w in c]) == walks
+
+
+def repeat_net(m: int) -> NetworkModel:
+    """One excitation, a known 2-cycle 1->2->1 and m unknown edges out of node 2, one per measured node.
+
+    Every walk runs 1->2 (edge 0) once more than 2->1 (edge 1), so a
+    collection of degree m + 2j has the monomial g(1->2)^(m+j) g(2->1)^j, and
+    C(j+m-1, m-1) collections share it, all with the identity pairing.
+    """
+    return NetworkModel(
+        m + 2,
+        [Edge(0, 1, known=True), Edge(1, 0, known=True)] + [Edge(1, 2 + j, known=False) for j in range(m)],
+        [0],
+        list(range(2, m + 2)),
+    )
+
+
+class TestPackedFieldWidth:
+    """The layered count packs each known edge's multiplicity into max(max_degree, 1).bit_length() bits.
+
+    At bound m the one monomial is g(1->2)^m, which fills its field exactly
+    for m = 1 (one bit) and m = 3 (two bits); the other bounds sit on either
+    side of a change of width.
+    """
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 4, 7, 8, 15, 16])
+    def test_table_equals_oracle_and_brute_force(self, m, max_degree):
+        net = repeat_net(m)
+        table = repetition_table(net, max_degree)
+        expected = {
+            ((0, m + j), (1, j)) if j else ((0, m),): math.comb(j + m - 1, m - 1)
+            for j in range(max_degree + 1)
+            if m + 2 * j <= max_degree
+        }
+        assert table.entries == expected
+        assert table.entries == dict(terms_sorted(symbolic_det(net, max_degree)))
+        blocks = separate(net)
+        walk_lists = [enumerate_walks(net, blocks, e, max_degree) for e in net.unknown_edges]
+        assert table.entries == _brute_force_entries(net, walk_lists, max_degree)
 
 
 class TestExhaustiveBound:

@@ -1,5 +1,7 @@
 """A malformed network cannot be built, by any route; a network once built is never validated again."""
 
+import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from netident import (
     generic_rank,
     local_identifiability,
     network_from_dict,
+    network_to_dict,
     repetition_table,
     separable_global_identifiability,
 )
@@ -82,10 +85,17 @@ def test_malformed_network_cannot_be_built(route, shape):
 
 
 def test_numpy_integers_are_node_indices():
+    """The count and every node index are stored as plain ints: the rank route's field arithmetic and JSON need them."""
     i = np.int64
     net = NetworkModel(i(3), [Edge(i(0), i(1), known=True), Edge(i(1), i(2), known=False)], [i(0)], [i(2)])
     assert type(net.n) is int and net.n == 3
+    assert all(type(v) is int for e in net.edges for v in (e.src, e.dst))
+    assert all(type(v) is int for v in net.excited + net.measured)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert local_identifiability(net).decision == IDENTIFIABLE
     assert combinatorial_verdict(net).decision == IDENTIFIABLE
+    assert network_from_dict(json.loads(json.dumps(network_to_dict(net)))) == net
 
 
 def negative_index_net() -> NetworkModel:
