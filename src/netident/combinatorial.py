@@ -22,15 +22,18 @@ One layered count adds the unknown edges one at a time, merging partial
 collections that reach the same (rows used, monomial so far, sign) state,
 and keeps the first collection that reaches each state.  Within the count
 a monomial is one packed integer, a bit field per known edge holding its
-multiplicity, so extending a state is one addition; each final monomial is
-decoded to its ``Monomial`` tuple once.  States and walks are visited in
-order, so the collection kept is the lexicographically smallest, and the
-verdict reads its witness from the table.
+multiplicity, so extending a state is one addition.  The table keeps its
+counts and first collections under those packed keys: the verdict decodes
+only the monomials that survive, and the ``Monomial`` tuples of every entry
+are decoded once, when the table is first read.  States and walks are
+visited in order, so the collection kept is the lexicographically smallest,
+and the verdict reads its witness from the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .identifiability import (
@@ -212,18 +215,55 @@ class RepetitionTable:
     the enumeration provably covered every collection, that is when
     ``max_degree`` reaches ``exhaustive_degree_bound``; unknown edges
     admitting no walk at any length are listed in ``infeasible_pivots``.
-    ``first`` maps each (monomial, sign) that some collection has, sign +1
-    or -1 being the parity of the pairing, to the lexicographically first
-    such collection by edge sequence: one walk per unknown edge, in
-    net.edges order.  A cancelled entry has both signs recorded.  Both
-    dicts list their keys in the order of those first collections.
+
+    The count is held packed, as ``repetition_table`` leaves it: ``counts``
+    maps each packed monomial to its signed count, and ``collections`` maps
+    each (packed monomial, sign) that some collection has, sign +1 or -1
+    being the parity of the pairing, to the lexicographically first such
+    collection by edge sequence: one walk per unknown edge, in net.edges
+    order.  A packed monomial holds the multiplicity of ``fields[j]`` in
+    bits j * width up to (j + 1) * width.  ``entries`` and ``first`` are the
+    same two dicts keyed by ``Monomial`` tuples, decoded on first read.  A
+    cancelled entry has both signs recorded.  Every dict lists its keys in
+    the order of those first collections.
     """
 
-    entries: dict[Monomial, int]
+    counts: dict[int, int] = field(repr=False)
+    collections: dict[tuple[int, int], tuple[Walk, ...]] = field(repr=False, compare=False)
+    fields: tuple[int, ...]
+    width: int
     max_degree: int
     exhaustive: bool
-    first: dict[tuple[Monomial, int], tuple[Walk, ...]] = field(repr=False, compare=False)
     infeasible_pivots: tuple[int, ...] = ()
+
+    def _decode(self, packed: int) -> Monomial:
+        mask = (1 << self.width) - 1
+        return tuple((i, c) for j, i in enumerate(self.fields) if (c := packed >> j * self.width & mask))
+
+    @cached_property
+    def entries(self) -> dict[Monomial, int]:
+        return {self._decode(packed): r for packed, r in self.counts.items()}
+
+    @cached_property
+    def first(self) -> dict[tuple[Monomial, int], tuple[Walk, ...]]:
+        monomials = dict(zip(self.counts, self.entries))
+        return {(monomials[packed], sign): coll for (packed, sign), coll in self.collections.items()}
+
+    def least_survivor(self) -> tuple[Monomial, int, tuple[Walk, ...]] | None:
+        """The nonzero entry least by (degree, monomial), its count and its sign's first collection.
+
+        None when every entry cancelled.  Only the surviving monomials are decoded.
+        """
+        least = min(
+            ((self._decode(packed), packed) for packed, r in self.counts.items() if r != 0),
+            key=lambda pair: (monomial_degree(pair[0]), pair[0]),
+            default=None,
+        )
+        if least is None:
+            return None
+        mu, packed = least
+        r = self.counts[packed]
+        return mu, r, self.collections[packed, 1 if r > 0 else -1]
 
     def sorted_items(self) -> list[tuple[Monomial, int]]:
         return sorted(self.entries.items(), key=lambda kv: (monomial_degree(kv[0]), kv[0]))
@@ -321,7 +361,9 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     next: pruning keeps every state's degree at or below max_degree, and a
     multiplicity is at most the degree, so it fits its field.  Packing is
     then one-to-one and a sum of packed monomials is the packed product, so
-    states merge exactly as the (edge, multiplicity) tuples would.
+    states merge exactly as the (edge, multiplicity) tuples would.  The
+    table keeps the final counts and collections under these packed keys,
+    with the field edges and width to decode them; nothing is decoded here.
     """
     blocks = separate(net)
     if not net.is_square:
@@ -337,7 +379,13 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     infeasible_pivots = tuple(net.edges.index(e) for e in zero_columns)
     if _has_dead_row(net, neighbors):
         return RepetitionTable(
-            entries={}, max_degree=max_degree, exhaustive=exhaustive, first={}, infeasible_pivots=infeasible_pivots
+            counts={},
+            collections={},
+            fields=(),
+            width=1,
+            max_degree=max_degree,
+            exhaustive=exhaustive,
+            infeasible_pivots=infeasible_pivots,
         )
 
     b_slot = {b: i for i, b in enumerate(net.excited)}
@@ -362,8 +410,7 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     # walk's known edges pack to the sum of their units.
     width = max(max_degree, 1).bit_length()
     fields = sorted({i for walks in steps for _, _, known in walks for i in known})
-    shift = {i: j * width for j, i in enumerate(fields)}
-    unit = {i: 1 << s for i, s in shift.items()}
+    unit = {i: 1 << j * width for j, i in enumerate(fields)}
 
     # One layer per unknown edge.  A state (rows used as a bit mask, packed
     # monomial so far, sign) maps to [collections reaching it, the first of
@@ -397,23 +444,20 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
         layer = extended
 
     # Every collection uses all rows, so a final state is one (monomial,
-    # sign); each distinct packed monomial is decoded once.
-    mask = (1 << width) - 1
-    monomials: dict[int, Monomial] = {}
-    first: dict[tuple[Monomial, int], tuple[Walk, ...]] = {}
-    entries: dict[Monomial, int] = {}
+    # sign); the table keeps them packed.
+    counts: dict[int, int] = {}
+    collections: dict[tuple[int, int], tuple[Walk, ...]] = {}
     for (_, mono, sign), (count, coll, _) in layer.items():
-        mu = monomials.get(mono)
-        if mu is None:
-            mu = monomials[mono] = tuple((i, c) for i, s in shift.items() if (c := mono >> s & mask))
-        first[mu, sign] = coll
-        entries[mu] = entries.get(mu, 0) + sign * count
+        collections[mono, sign] = coll
+        counts[mono] = counts.get(mono, 0) + sign * count
 
     return RepetitionTable(
-        entries=entries,
+        counts=counts,
+        collections=collections,
+        fields=tuple(fields),
+        width=width,
         max_degree=max_degree,
         exhaustive=exhaustive,
-        first=first,
         infeasible_pivots=infeasible_pivots,
     )
 
@@ -421,14 +465,15 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
 def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
     """Decide identifiability from a repetition table, with an explicit witness.
 
-    A surviving monomial proves identifiability outright.  An all-zero
-    table refutes it only when the table is exhaustive; otherwise the
-    outcome is inconclusive at this bound.
+    A surviving monomial proves identifiability outright; the witness is
+    the least survivor by (degree, monomial), with the first collection of
+    its count's sign, and only the survivors are decoded to find it.  An
+    all-zero table refutes it only when the table is exhaustive; otherwise
+    the outcome is inconclusive at this bound.
     """
-    mu = min((mu for mu, r in table.entries.items() if r != 0), key=lambda mu: (monomial_degree(mu), mu), default=None)
-    if mu is not None:
-        r = table.entries[mu]
-        coll = table.first[mu, 1 if r > 0 else -1]
+    least = table.least_survivor()
+    if least is not None:
+        mu, r, coll = least
         decision = IDENTIFIABLE
         witness = {
             "monomial": format_monomial(net, mu),

@@ -373,6 +373,94 @@ class TestPackedFieldWidth:
         assert table.entries == _brute_force_entries(net, walk_lists, max_degree)
 
 
+def layered_net() -> NetworkModel:
+    """A 2x2 net with complete known layers 1,2 -> 3,4 -> 5,6 and 7,8 -> 9,10 -> 11,12, unknown 5,6 -> 7,8.
+
+    Shaped like the benchmark's acyclic nets: at its exhaustive bound of 16
+    the table has 361 entries, 81 of them surviving.
+    """
+    layers = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]
+    known = [Edge(u, v, known=True) for a, b in zip(layers, layers[1:]) if a != layers[2] for u in a for v in b]
+    unknown = [Edge(u, v, known=False) for u in layers[2] for v in layers[3]]
+    return NetworkModel(12, known + unknown, layers[0], layers[-1])
+
+
+def _least_by_decoded_entries(table):
+    """The verdict's selection rule over the decoded table: least nonzero entry by (degree, monomial)."""
+    mu = min((mu for mu, r in table.entries.items() if r != 0), key=lambda mu: (monomial_degree(mu), mu), default=None)
+    if mu is None:
+        return None
+    r = table.entries[mu]
+    return mu, r, table.first[mu, 1 if r > 0 else -1]
+
+
+class TestLazyTable:
+    """The table stays packed until read; the verdict decodes only the surviving monomials."""
+
+    @staticmethod
+    def _cases():
+        for net in separable_square_corpus(20, acyclic=True):
+            yield net, exhaustive_degree_bound(net)
+        for net in separable_square_corpus(20, acyclic=False):
+            yield net, 2 * net.n
+            yield net, 4
+        yield cancel_net(), 12
+        yield cyclic9_net(), 4
+        yield cyclic9_net(), 5
+        net = layered_net()
+        yield net, exhaustive_degree_bound(net)
+
+    def test_least_survivor_matches_the_rule_over_decoded_entries(self):
+        survivors = cancelled = 0
+        for net, bound in self._cases():
+            table = repetition_table(net, bound)
+            least = table.least_survivor()
+            verdict = verdict_from_table(net, table)
+            assert "entries" not in vars(table) and "first" not in vars(table)
+            assert least == _least_by_decoded_entries(table), f"{net} at {bound}"
+            if least is None:
+                cancelled += bool(table.entries)
+                assert verdict.decision != IDENTIFIABLE
+                continue
+            survivors += 1
+            mu, r, coll = least
+            assert verdict.witness == {
+                "monomial": format_monomial(net, mu),
+                "repetition": r,
+                "walks": [
+                    {"nodes": [v + 1 for v in walk_nodes(net, w)], "pivot": str(net.edges[w.pivot])} for w in coll
+                ],
+            }
+        # both branches are reached: survivors, and tables whose every entry cancels
+        assert survivors >= 10 and cancelled >= 3
+
+    def test_walk_route_leaves_the_table_undecoded(self):
+        net = layered_net()
+        bound = exhaustive_degree_bound(net)
+        _, table, verdict = combinatorial._walk_route(net, bound)
+        assert verdict.decision == IDENTIFIABLE
+        assert "entries" not in vars(table) and "first" not in vars(table)
+        fresh = repetition_table(net, bound)
+        assert list(table.entries.items()) == list(fresh.entries.items())
+        assert list(table.first.items()) == list(fresh.first.items())
+        assert len(table.entries) == 361
+        assert table.entries is table.entries and table.first is table.first
+
+    def test_keys_listed_in_first_collection_order(self):
+        nets = [layered_net(), cyclic9_net(), cancel_net(), fan_net()]
+        nets += list(separable_square_corpus(10, acyclic=True, start_seed=1200))
+        nets += list(separable_square_corpus(10, acyclic=False, start_seed=1300))
+        for net in nets:
+            table = repetition_table(net, 6)
+            # decoding keeps the order of the packed dicts
+            assert list(table.first) == [(table._decode(p), sign) for p, sign in table.collections]
+            assert list(table.entries) == [table._decode(p) for p in table.counts]
+            # the first collections ascend by edge sequence, and entries follow the first key of each monomial
+            order = [[w.edges for w in coll] for coll in table.first.values()]
+            assert order == sorted(order) and len(set(map(repr, order))) == len(order)
+            assert list(table.entries) == list(dict.fromkeys(mu for mu, _ in table.first))
+
+
 class TestExhaustiveBound:
     def test_handmade_values(self):
         assert exhaustive_degree_bound(minimal_net()) == 0
