@@ -13,10 +13,9 @@ count after all cancellations.
 Walks may repeat edges, so cyclic known blocks admit walks of every
 length.  Enumeration is therefore bounded by total monomial degree; the
 table is exact for every degree it covers, and the verdict is final only
-when the enumeration is provably complete.  ``exhaustive_degree_bound`` is
-the single rule for that: the table is exhaustive when its bound reaches
-the one that function returns (acyclic blocks, or an unknown edge no walk
-can reach at all).
+when the table is exhaustive.  ``exhaustive_degree_bound`` is the single
+rule for that: 0 when no collection exists, the longest collection on
+acyclic blocks, else a degree D where an all-zero table proves det K = 0.
 
 One layered count adds the unknown edges one at a time, merging partial
 collections that reach the same (rows used, monomial so far, sign) state,
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .identifiability import (
     DECOUPLED_GENERIC,
@@ -44,9 +43,7 @@ from .identifiability import (
     NOT_IDENTIFIABLE,
     NoUnknownEdgesError,
     Verdict,
-    _neighbors,
-    _reach,
-    _structural_zero_columns,
+    _Structure,
 )
 from .netmodel import (
     Edge,
@@ -211,10 +208,10 @@ class RepetitionTable:
     """Signed collection counts per monomial, up to a total-degree bound.
 
     Entries that cancelled to zero are retained: a cancellation is exactly
-    the phenomenon the count is after.  ``exhaustive`` is true only when
-    the enumeration provably covered every collection, that is when
-    ``max_degree`` reaches ``exhaustive_degree_bound``; unknown edges
-    admitting no walk at any length are listed in ``infeasible_pivots``.
+    the phenomenon the count is after.  ``exhaustive`` is true when
+    ``max_degree`` reaches ``exhaustive_degree_bound``, where an all-zero
+    table proves the determinant zero.  Unknown edges admitting no walk at
+    any length are listed in ``infeasible_pivots``.
 
     The count is held packed, as ``repetition_table`` leaves it: ``counts``
     maps each packed monomial to its signed count, and ``collections`` maps
@@ -228,12 +225,12 @@ class RepetitionTable:
     the order of those first collections.
     """
 
-    counts: dict[int, int] = field(repr=False)
-    collections: dict[tuple[int, int], tuple[Walk, ...]] = field(repr=False, compare=False)
-    fields: tuple[int, ...]
-    width: int
     max_degree: int
     exhaustive: bool
+    counts: dict[int, int] = field(default_factory=dict, repr=False)
+    collections: dict[tuple[int, int], tuple[Walk, ...]] = field(default_factory=dict, repr=False, compare=False)
+    fields: tuple[int, ...] = ()
+    width: int = 1
     infeasible_pivots: tuple[int, ...] = ()
 
     def _decode(self, packed: int) -> Monomial:
@@ -269,75 +266,71 @@ class RepetitionTable:
         return sorted(self.entries.items(), key=lambda kv: (monomial_degree(kv[0]), kv[0]))
 
 
-def _longest_walks(
-    part: Iterable[int], edges: Iterable[Edge], starts: Iterable[int], reverse: bool = False
-) -> dict[int, int] | None:
-    """Longest walk from ``starts`` to each node they reach in one block, or None when it has a cycle.
+def _longest_walks(adj: list[list[int]], starts: Iterable[int]) -> dict[int, int] | None:
+    """Longest walk along ``adj`` from ``starts`` to each node they reach, or None when ``adj`` has a cycle.
 
-    Kahn's order over the whole block carries the longest-walk lengths
-    along; with ``reverse`` the edges are followed backwards, giving the
-    longest walk from each node into ``starts``.
+    Kahn's order carries the lengths; with predecessors as ``adj``, walks run into ``starts``.
     """
-    succ: dict[int, list[int]] = {v: [] for v in part}
-    indeg = dict.fromkeys(succ, 0)
-    for e in edges:
-        u, v = (e.dst, e.src) if reverse else (e.src, e.dst)
-        succ[u].append(v)
-        indeg[v] += 1
+    indeg = [0] * len(adj)
+    for targets in adj:
+        for v in targets:
+            indeg[v] += 1
     longest = dict.fromkeys(starts, 0)
-    ready = [v for v in succ if indeg[v] == 0]
-    ordered = 0
-    while ready:
-        u = ready.pop()
-        ordered += 1
-        for v in succ[u]:
+    ordered = [u for u, d in enumerate(indeg) if d == 0]
+    for u in ordered:  # grows as nodes become ready
+        for v in adj[u]:
             if u in longest:
                 longest[v] = max(longest.get(v, 0), longest[u] + 1)
             indeg[v] -= 1
             if indeg[v] == 0:
-                ready.append(v)
-    return longest if ordered == len(succ) else None
+                ordered.append(v)
+    return longest if len(ordered) == len(adj) else None
 
 
-def exhaustive_degree_bound(net: NetworkModel) -> int | None:
-    """Smallest degree bound making the table complete, or None when a known block is cyclic.
+def exhaustive_degree_bound(net: NetworkModel) -> int:
+    """Smallest degree bound at which the table decides: the walk route's one completeness rule.
 
-    This is the walk route's one completeness rule.  With both known blocks
-    acyclic, no collection is longer than the sum over unknown edges of the
-    longest excited-block walk into the tail plus the longest measured-block
-    walk out of the head.  Returns 0 when some unknown edge has no walk at
-    all (no collection exists, so the empty enumeration is complete).
+    * 0 when no collection exists (an unknown edge or a row no walk serves).
+    * With both known blocks acyclic, the sum over unknown edges of the
+      longest walk from an excitation into the tail plus the longest walk
+      from the head to a measurement: no collection is longer.
+    * Otherwise D = m(|R_B| + |R_C| - 2).  R_B holds the excited-part nodes
+      that some excitation reaches and that reach some unknown tail, R_C
+      the measured-part nodes that some head reaches and that reach some
+      measurement; when every tail is reached and every head reaches a
+      measurement, they are the nodes on excitation-to-measurement walks.
+
+    Why D is enough.  A walk from an excitation to a tail stays in R_B, so
+    there T_B = adj(I - G_B) / det(I - G_B), G_B the known block on R_B;
+    likewise T_C on R_C.  K[(b, c), j->i] = T_C[c, i] T_B[j, b], so det K =
+    det N / (det(I - G_B) det(I - G_C))^m with N[(b, c), j->i] =
+    adj(I - G_C)[c, i] adj(I - G_B)[j, b].  Cofactors of an r x r matrix of
+    degree-1 entries have degree at most r - 1, so det N has degree at most
+    D.  The table holds the coefficients of det K, a power series in the
+    known edges, up to its bound; the denominator has constant term 1, so
+    det N's coefficients up to degree D follow from det K's.  A table zero
+    up to D thus makes det N, and with it det K, identically zero.
     """
-    return _exhaustive_bound(net, separate(net), _structural_zero_columns(net))
+    separate(net)
+    return _completeness_bound(_Structure(net))
 
 
-def _exhaustive_bound(net: NetworkModel, blocks: SeparableBlocks, zero_columns: Sequence[Edge]) -> int | None:
-    """``exhaustive_degree_bound`` from the blocks and structural zero columns already found."""
-    if zero_columns:
+def _completeness_bound(structure: _Structure) -> int:
+    """``exhaustive_degree_bound`` from a separable network's structural record.
+
+    On a separable network an unknown edge lies on no cycle, and a walk
+    into a tail or out of a head stays in its known block, so passes over
+    every edge find the blocks' cycles and longest walks.
+    """
+    net = structure.net
+    if structure.no_collection:
         return 0
-    into_tail = _longest_walks(blocks.b_part, blocks.gb_edges, net.excited)
-    out_of_head = _longest_walks(blocks.c_part, blocks.gc_edges, net.measured, reverse=True)
-    if into_tail is None or out_of_head is None:
-        return None
+    into_tail = _longest_walks(structure.succ, net.excited)
+    if into_tail is None:
+        walked = structure.sweep(net.excited) & structure.sweep(net.measured, True)
+        return net.m_unknown * (len(walked) - 2)
+    out_of_head = _longest_walks(structure.pred, net.measured)  # acyclic too: the same edges reversed
     return sum(into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges)
-
-
-def _has_dead_row(net: NetworkModel, neighbors) -> bool:
-    """Whether some (excitation, measurement) row is served by no walk at any length.
-
-    A walk of row (b, c) runs from b to an unknown edge's tail and from its
-    head to c; on a separable network the sweep over all edges finds those
-    walks, as in ``_structural_zero_columns``.  ``neighbors`` is
-    ``_neighbors(net)``.
-    """
-    succ, pred = neighbors
-    into = {c: _reach(pred, (c,)) for c in net.measured}
-    for b in net.excited:
-        out_of = _reach(succ, (b,))
-        for c in net.measured:
-            if not any(e.src in out_of and e.dst in into[c] for e in net.unknown_edges):
-                return True
-    return False
 
 
 def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
@@ -351,8 +344,8 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     never changes them, it only adds higher entries.  States and walks are
     extended in order, so the first collection kept for a (monomial, sign)
     is the lexicographically smallest one.  Every collection uses every
-    row, so a row no walk serves leaves the table empty at every bound, and
-    no walk is listed.
+    unknown edge and every row, so an unknown edge or a row that no walk
+    serves leaves the table empty at every bound, and no walk is listed.
 
     A state is (rows used, packed monomial, sign).  Each known edge that
     some listed walk uses owns a field of max(max_degree, 1).bit_length()
@@ -372,21 +365,10 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
         raise ValueError("max_degree must be >= 0")
     if net.m_unknown > MAX_WALK_UNKNOWNS:
         raise TooLargeError(f"{net.m_unknown} unknown edges exceed the walk-route guard of {MAX_WALK_UNKNOWNS}")
-    neighbors = _neighbors(net)
-    zero_columns = _structural_zero_columns(net, neighbors)
-    bound = _exhaustive_bound(net, blocks, zero_columns)
-    exhaustive = bound is not None and max_degree >= bound
-    infeasible_pivots = tuple(net.edges.index(e) for e in zero_columns)
-    if _has_dead_row(net, neighbors):
-        return RepetitionTable(
-            counts={},
-            collections={},
-            fields=(),
-            width=1,
-            max_degree=max_degree,
-            exhaustive=exhaustive,
-            infeasible_pivots=infeasible_pivots,
-        )
+    structure = _Structure(net)
+    if structure.no_collection:
+        pivots = tuple(net.edges.index(e) for e in structure.zero_columns)
+        return RepetitionTable(max_degree=max_degree, exhaustive=True, infeasible_pivots=pivots)
 
     b_slot = {b: i for i, b in enumerate(net.excited)}
     c_slot = {c: i for i, c in enumerate(net.measured)}
@@ -452,13 +434,12 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
         counts[mono] = counts.get(mono, 0) + sign * count
 
     return RepetitionTable(
+        max_degree=max_degree,
+        exhaustive=max_degree >= _completeness_bound(structure),
         counts=counts,
         collections=collections,
         fields=tuple(fields),
         width=width,
-        max_degree=max_degree,
-        exhaustive=exhaustive,
-        infeasible_pivots=infeasible_pivots,
     )
 
 
@@ -502,9 +483,9 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
 def _degree_bound(net: NetworkModel, max_degree: int | None) -> int:
     """The walk route's degree bound: ``max_degree``, or 2n when it is None.
 
-    2n is enough to traverse every simple path twice over in each block;
-    cyclic blocks may need more before a monomial survives, in which case
-    the verdict is inconclusive rather than wrong.
+    2n traverses every simple path twice over in each block.  On cyclic
+    blocks it may fall short of ``exhaustive_degree_bound``, and an all-zero
+    table there is inconclusive rather than wrong.
     """
     return 2 * net.n if max_degree is None else max_degree
 

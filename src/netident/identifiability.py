@@ -23,6 +23,7 @@ can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .netmodel import Edge, NetworkModel, decouple
 from .numeric import _square_rank, generic_rank
@@ -92,17 +93,7 @@ def _require_unknowns(net: NetworkModel) -> None:
         raise NoUnknownEdgesError()
 
 
-def _neighbors(net: NetworkModel) -> tuple[list[list[int]], list[list[int]]]:
-    """(successors, predecessors) of each node along the edges of ``net``."""
-    succ: list[list[int]] = [[] for _ in range(net.n)]
-    pred: list[list[int]] = [[] for _ in range(net.n)]
-    for e in net.edges:
-        succ[e.src].append(e.dst)
-        pred[e.dst].append(e.src)
-    return succ, pred
-
-
-def _reach(adj: list[list[int]], starts) -> set[int]:
+def _reach(adj: list[list[int]], starts: tuple[int, ...]) -> set[int]:
     """Nodes a walk along ``adj`` (successors, or predecessors to walk backwards) reaches from ``starts``."""
     seen = set(starts)
     stack = list(starts)
@@ -114,37 +105,64 @@ def _reach(adj: list[list[int]], starts) -> set[int]:
     return seen
 
 
-def _structural_zero_columns(net: NetworkModel, neighbors=None) -> list[Edge]:
-    """Unknown edges whose sensitivity column is zero for every edge value.
+class _Structure:
+    """Reach facts of one network, built per verdict and never kept on the model; each sweep runs once.
 
-    The column for an unknown edge is a product of two closed-loop entries:
-    excitation to the edge's tail, and the edge's head to a measurement.
-    Either factor is identically zero exactly when the corresponding walk
-    does not exist, so a reachability sweep finds the structural zeros.
-    On a separable network no edge runs from the measured part to the
-    excited part, so the sweep over all edges reaches the same tails and
-    heads as one over the known blocks: these are also the unknown edges
-    no excitation-to-measurement walk can serve.  ``neighbors`` is
-    ``_neighbors(net)`` when the caller has it already.
+    The rank witness reads ``zero_columns``: one sweep from all excitations
+    and one into all measurements.  ``no_collection`` adds one per port.
     """
-    succ, pred = neighbors or _neighbors(net)
-    from_excited = _reach(succ, net.excited)
-    to_measured = _reach(pred, net.measured)
-    return [
-        e
-        for e in net.unknown_edges
-        if e.src not in from_excited or e.dst not in to_measured
-    ]
+
+    def __init__(self, net: NetworkModel):
+        self.net = net
+        self.succ: list[list[int]] = [[] for _ in range(net.n)]
+        self.pred: list[list[int]] = [[] for _ in range(net.n)]
+        for e in net.edges:
+            self.succ[e.src].append(e.dst)
+            self.pred[e.dst].append(e.src)
+        self._sweeps: dict[tuple[tuple[int, ...], bool], set[int]] = {}
+
+    def sweep(self, starts: tuple[int, ...], backward: bool = False) -> set[int]:
+        """Nodes reached from ``starts``, or with ``backward`` the nodes that reach them."""
+        key = (starts, backward)
+        if key not in self._sweeps:
+            self._sweeps[key] = _reach(self.pred if backward else self.succ, starts)
+        return self._sweeps[key]
+
+    @cached_property
+    def zero_columns(self) -> list[Edge]:
+        """Unknown edges whose sensitivity column is zero for every edge value.
+
+        The column multiplies the closed loops from an excitation to the
+        tail and from the head to a measurement, and each is identically
+        zero exactly when no walk joins its ends.
+        """
+        from_excited, to_measured = self.sweep(self.net.excited), self.sweep(self.net.measured, True)
+        return [e for e in self.net.unknown_edges if e.src not in from_excited or e.dst not in to_measured]
+
+    @cached_property
+    def no_collection(self) -> bool:
+        """Whether a separable network has no walk collection: a zero column, or a row no walk serves.
+
+        A walk of row (b, c) runs from excitation b to an unknown edge's
+        tail and from its head to measurement c.
+        """
+        if self.zero_columns:
+            return True
+        into = [self.sweep((c,), True) for c in self.net.measured]
+        for b in self.net.excited:
+            out_of = self.sweep((b,))
+            for to_c in into:
+                if not any(e.src in out_of and e.dst in to_c for e in self.net.unknown_edges):
+                    return True
+        return False
 
 
 def _rank_verdict(net: NetworkModel, notion: str, rank: int, seed: int) -> Verdict:
     m = net.m_unknown
     if rank == m:
         return Verdict(IDENTIFIABLE, notion, m_unknown=m, seed=seed, rank=rank)
-    witness = None
-    zero_cols = _structural_zero_columns(net)
-    if zero_cols:
-        witness = {"zero_columns": [str(e) for e in zero_cols]}
+    zero_cols = _Structure(net).zero_columns
+    witness = {"zero_columns": [str(e) for e in zero_cols]} if zero_cols else None
     return Verdict(NOT_IDENTIFIABLE, notion, m_unknown=m, seed=seed, rank=rank, witness=witness)
 
 

@@ -1,4 +1,4 @@
-"""Test-only arithmetic, monomial, relabeling and call-counting helpers, kept out of the library API.
+"""Test-only arithmetic, monomial, relabeling and call-recording helpers, kept out of the library API.
 
 The field determinant and null space read the library's own elimination
 (``numeric._factor``); the product, identity, polynomial evaluation, the
@@ -115,19 +115,23 @@ def permute(net: NetworkModel, perm: list[int]) -> NetworkModel:
     )
 
 
-def validate_calls(action) -> int:
-    """How many times ``netmodel.validate`` runs during ``action()``, under whatever name it is reached."""
-    code = netmodel.validate.__code__
-    calls = 0
+def calls(fn, action) -> list[dict]:
+    """The arguments of each call of ``fn`` during ``action()``, under whatever name it is reached."""
+    code = fn.__code__
+    seen: list[dict] = []
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code is code:
-            calls += 1
+            seen.append({name: frame.f_locals[name] for name in code.co_varnames[: code.co_argcount]})
 
     sys.setprofile(profile)
     try:
         action()
     finally:
         sys.setprofile(None)
-    return calls
+    return seen
+
+
+def validate_calls(action) -> int:
+    """How many times ``netmodel.validate`` runs during ``action()``."""
+    return len(calls(netmodel.validate, action))

@@ -34,7 +34,7 @@ from netident import (
     verdict_from_table,
     walk_nodes,
 )
-from netident import combinatorial
+from netident import combinatorial, identifiability, netmodel
 from netident.oracle import _parity
 
 from corpus import (
@@ -47,7 +47,7 @@ from corpus import (
     separable_square_corpus,
     unreachable_net,
 )
-from helpers import monomial_of
+from helpers import calls, monomial_of
 
 
 def cancel_net() -> NetworkModel:
@@ -201,21 +201,33 @@ class TestRepetitionTable:
 
     @pytest.mark.parametrize("cyclic", [True, False])
     def test_dead_row_lists_no_walk(self, monkeypatch, cyclic):
-        """Row (node 2, node 4) is served by no walk, so no collection exists and no walk is listed."""
-        edges = [Edge(0, 2, known=True)] + [Edge(2, 0, known=True)] * cyclic
-        net = NetworkModel(4, edges + [Edge(2, 3, known=False), Edge(0, 3, known=False)], [0, 1], [3])
+        """No walk serves row (node 2, node 4) of one net, nor unknown edge 4->5 of the other.
+
+        So no collection exists: no walk is listed, and the empty table is
+        exhaustive at every bound, cyclic block or not.
+        """
+        cycle = [Edge(2, 0, known=True)] * cyclic
+        dead_row = NetworkModel(
+            4, [Edge(0, 2, known=True), *cycle, Edge(2, 3, known=False), Edge(0, 3, known=False)], [0, 1], [3]
+        )
+        zero_column = NetworkModel(
+            5,
+            [Edge(0, 2, known=True), Edge(1, 2, known=True), *cycle, Edge(2, 4, known=False), Edge(3, 4, known=False)],
+            [0, 1],
+            [4],
+        )
 
         def refuse(*args):
-            raise AssertionError("enumerate_walks called on a net with a dead row")
+            raise AssertionError("enumerate_walks called on a net with no collection")
 
         monkeypatch.setattr(combinatorial, "enumerate_walks", refuse)
-        for d in (0, 3, 8):
-            t = repetition_table(net, d)
-            # the table the full enumeration builds
-            assert (t.entries, t.first, t.max_degree, t.infeasible_pivots) == ({}, {}, d, ())
-            assert t.exhaustive is (not cyclic and d >= 1)
-            expected = INCONCLUSIVE if cyclic or d == 0 else NOT_IDENTIFIABLE
-            assert combinatorial_verdict(net, d).decision == expected
+        for net, pivots in ((dead_row, ()), (zero_column, (len(zero_column.edges) - 1,))):
+            assert exhaustive_degree_bound(net) == 0
+            for d in (0, 3, 8):
+                t = repetition_table(net, d)
+                # the table the full enumeration builds
+                assert (t.entries, t.first, t.max_degree, t.exhaustive, t.infeasible_pivots) == ({}, {}, d, True, pivots)
+                assert combinatorial_verdict(net, d).decision == NOT_IDENTIFIABLE
 
     def test_cancellation_kept_as_zero_entry(self):
         t = repetition_table(cancel_net(), 12)
@@ -468,18 +480,20 @@ class TestExhaustiveBound:
         assert exhaustive_degree_bound(fan_net()) == 2
         assert exhaustive_degree_bound(cancel_net()) == 4
         assert exhaustive_degree_bound(unreachable_net()) == 0
-        assert exhaustive_degree_bound(cyclic9_net()) is None
+        # cyclic: D = m(|R_B| + |R_C| - 2) = 2 * (8 + 1 - 2)
+        assert exhaustive_degree_bound(cyclic9_net()) == 14
 
     def test_cycle_in_the_measured_block_only(self):
-        """The backward pass over the measured block finds its cycle; the excited block is a single node."""
+        """The backward pass over the measured block finds its cycle, so the bound is D = 1 * (1 + 3 - 2)."""
         net = NetworkModel(
             4,
             [Edge(1, 2, known=True), Edge(2, 1, known=True), Edge(2, 3, known=True), Edge(0, 1, known=False)],
             [0],
             [3],
         )
-        assert exhaustive_degree_bound(net) is None
-        assert repetition_table(net, 2 * net.n).exhaustive is False
+        assert exhaustive_degree_bound(net) == 2
+        assert repetition_table(net, 2 * net.n).exhaustive is True
+        assert repetition_table(net, 1).exhaustive is False
 
     def test_measured_block_suffix_counts(self):
         """An acyclic 2-edge suffix after the unknown edge adds 2 to the bound; the excited side adds nothing."""
@@ -500,6 +514,30 @@ class TestExhaustiveBound:
             assert repetition_table(net, d).exhaustive is True
             if d > 0 and not repetition_table(net, d - 1).infeasible_pivots:
                 assert repetition_table(net, d - 1).exhaustive is False
+
+
+class TestOneStructuralPass:
+    def test_separate_and_each_sweep_run_once_per_table(self):
+        """One table separates once and sweeps from the same starts at most once.
+
+        The sweeps are from all excitations and into all measurements, then,
+        unless a zero column settles it, from each excitation and into each
+        measurement (a one-port sweep is the all-port one).
+        """
+        nets = [cyclic9_net(), fan_net(), cancel_net(), unreachable_net()]
+        nets += list(separable_square_corpus(16, acyclic=False, start_seed=1000))
+        full = 0
+        for net in nets:
+            assert len(calls(netmodel.separate, lambda: repetition_table(net, 6))) == 1
+            sweeps = [args["starts"] for args in calls(identifiability._reach, lambda: repetition_table(net, 6))]
+            union = {net.excited, net.measured}
+            per_port = {(v,) for v in net.excited + net.measured}
+            assert len(sweeps) == len(set(sweeps))
+            assert union <= set(sweeps) <= union | per_port
+            if repetition_table(net, 6).counts:
+                full += 1
+                assert set(sweeps) == union | per_port
+        assert full >= 3
 
 
 class TestVerdicts:
