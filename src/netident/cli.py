@@ -129,6 +129,15 @@ def _print_witness(v: Verdict) -> None:
         print("  zero columns (unreachable unknown edges): " + " ".join(w["zero_columns"]))
     if "no_walk_pivots" in w:
         print("  unknown edges with no walk: " + " ".join(w["no_walk_pivots"]))
+    if "no_walk_rows" in w:
+        print("  (excitation, measurement) pairs with no walk: " + " ".join(f"({b}, {c})" for b, c in w["no_walk_rows"]))
+    if "rank_bound" in w:
+        bound = w["rank_bound"]
+        limit = ""
+        if "node" in bound:
+            side = "into" if bound["by"] == "heads" else "out of"
+            limit = f": the {bound['unknown_edges']} unknown edges {side} node {bound['node']} have rank at most {bound['rank']}"
+        print(f"  structural rank bound {bound['bound']} < {v.m_unknown} unknown edges (by {bound['by']}{limit})")
     if "monomial" in w:
         print(f"  witness monomial: {w['monomial']} (repetition {w['repetition']:+d})")
     for walk in w.get("walks", ()):

@@ -17,13 +17,21 @@ when the table is exhaustive.  ``exhaustive_degree_bound`` is the single
 rule for that: 0 when no collection exists, the longest collection on
 acyclic blocks, else a degree D where an all-zero table proves det K = 0.
 
+With no bound given, the walk route stops as soon as the answer is
+decided.  First from the graph alone: no collection, or a rank bound of
+the sensitivity matrix, from vertex-disjoint walks, below the number of
+unknown edges.  Otherwise it counts one table per bound, upward from the
+least collection degree to min(D, 2n), and stops at the first table with a
+surviving monomial; that survivor, its count and its collection are the
+ones the table at min(D, 2n) would give.
+
 One layered count adds the unknown edges one at a time, merging partial
 collections that reach the same (rows used, monomial so far, sign) state,
 and keeps the first collection that reaches each state.  Within the count
 a monomial is one packed integer, a bit field per known edge holding its
 multiplicity, so extending a state is one addition.  The table keeps its
 counts and first collections under those packed keys: the verdict decodes
-only the monomials that survive, and the ``Monomial`` tuples of every entry
+only the least surviving monomial, and the ``Monomial`` tuples of every entry
 are decoded once, when the table is first read.  States and walks are
 visited in order, so the collection kept is the lexicographically smallest,
 and the verdict reads its witness from the table.
@@ -51,7 +59,6 @@ from .netmodel import (
     NotSquareError,
     SeparableBlocks,
     decouple,
-    separate,
 )
 
 __all__ = [
@@ -222,16 +229,26 @@ class RepetitionTable:
     bits j * width up to (j + 1) * width.  ``entries`` and ``first`` are the
     same two dicts keyed by ``Monomial`` tuples, decoded on first read.  A
     cancelled entry has both signs recorded.  Every dict lists its keys in
-    the order of those first collections.
+    the order of those first collections.  ``degrees`` maps each packed
+    monomial to its total degree.
+
+    An empty table can carry the structural reason no monomial survives:
+    unknown edges no walk serves (``infeasible_pivots``), (excitation,
+    measurement) node pairs no walk serves (``infeasible_rows``), or a rank
+    bound of the sensitivity matrix below the number of unknown edges
+    (``rank_bound``, as ``_Structure.rank_bound`` gives it).
     """
 
     max_degree: int
     exhaustive: bool
     counts: dict[int, int] = field(default_factory=dict, repr=False)
     collections: dict[tuple[int, int], tuple[Walk, ...]] = field(default_factory=dict, repr=False, compare=False)
+    degrees: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     fields: tuple[int, ...] = ()
     width: int = 1
     infeasible_pivots: tuple[int, ...] = ()
+    infeasible_rows: tuple[tuple[int, int], ...] = ()
+    rank_bound: dict | None = None
 
     def _decode(self, packed: int) -> Monomial:
         mask = (1 << self.width) - 1
@@ -249,42 +266,29 @@ class RepetitionTable:
     def least_survivor(self) -> tuple[Monomial, int, tuple[Walk, ...]] | None:
         """The nonzero entry least by (degree, monomial), its count and its sign's first collection.
 
-        None when every entry cancelled.  Only the surviving monomials are decoded.
+        None when every entry cancelled.  Only the least survivor is decoded.
+        Among monomials of one degree none is a prefix of another, so the
+        least one is found field by field from the lowest edge up: a
+        multiplicity there beats none, which leaves the field to a higher
+        edge, and a smaller multiplicity beats a larger one.
         """
-        least = min(
-            ((self._decode(packed), packed) for packed, r in self.counts.items() if r != 0),
-            key=lambda pair: (monomial_degree(pair[0]), pair[0]),
-            default=None,
-        )
-        if least is None:
+        survivors = [packed for packed, r in self.counts.items() if r != 0]
+        if not survivors:
             return None
-        mu, packed = least
-        r = self.counts[packed]
+        low = min(map(self.degrees.__getitem__, survivors))
+        least = [packed for packed in survivors if self.degrees[packed] == low]
+        mask, shift = (1 << self.width) - 1, 0
+        while len(least) > 1:
+            lowest = min((c for packed in least if (c := packed >> shift & mask)), default=0)
+            if lowest:
+                least = [packed for packed in least if packed >> shift & mask == lowest]
+            shift += self.width
+        packed = least[0]
+        mu, r = self._decode(packed), self.counts[packed]
         return mu, r, self.collections[packed, 1 if r > 0 else -1]
 
     def sorted_items(self) -> list[tuple[Monomial, int]]:
         return sorted(self.entries.items(), key=lambda kv: (monomial_degree(kv[0]), kv[0]))
-
-
-def _longest_walks(adj: list[list[int]], starts: Iterable[int]) -> dict[int, int] | None:
-    """Longest walk along ``adj`` from ``starts`` to each node they reach, or None when ``adj`` has a cycle.
-
-    Kahn's order carries the lengths; with predecessors as ``adj``, walks run into ``starts``.
-    """
-    indeg = [0] * len(adj)
-    for targets in adj:
-        for v in targets:
-            indeg[v] += 1
-    longest = dict.fromkeys(starts, 0)
-    ordered = [u for u, d in enumerate(indeg) if d == 0]
-    for u in ordered:  # grows as nodes become ready
-        for v in adj[u]:
-            if u in longest:
-                longest[v] = max(longest.get(v, 0), longest[u] + 1)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ordered.append(v)
-    return longest if len(ordered) == len(adj) else None
 
 
 def exhaustive_degree_bound(net: NetworkModel) -> int:
@@ -311,29 +315,34 @@ def exhaustive_degree_bound(net: NetworkModel) -> int:
     det N's coefficients up to degree D follow from det K's.  A table zero
     up to D thus makes det N, and with it det K, identically zero.
     """
-    separate(net)
-    return _completeness_bound(_Structure(net))
+    structure = _Structure(net)
+    structure.blocks  # NotSeparableError on a network that is not separable
+    return structure.completeness_bound
 
 
-def _completeness_bound(structure: _Structure) -> int:
-    """``exhaustive_degree_bound`` from a separable network's structural record.
+def _walk_blocks(net: NetworkModel, structure: _Structure) -> SeparableBlocks:
+    """The walk route's input guards, the bipartition they return included: separable, square, not too large."""
+    blocks = structure.blocks
+    if not net.is_square:
+        raise NotSquareError(net)
+    if net.m_unknown > MAX_WALK_UNKNOWNS:
+        raise TooLargeError(f"{net.m_unknown} unknown edges exceed the walk-route guard of {MAX_WALK_UNKNOWNS}")
+    return blocks
 
-    On a separable network an unknown edge lies on no cycle, and a walk
-    into a tail or out of a head stays in its known block, so passes over
-    every edge find the blocks' cycles and longest walks.
+
+def _least_degrees(net: NetworkModel, structure: _Structure) -> list[int]:
+    """Per unknown edge, the fewest known edges of a walk through it; the network must have no zero column.
+
+    That is the nearest excitation's distance to the tail plus the head's
+    distance to the nearest measurement.  A shortest walk into a tail never
+    leaves the excited part, nor one out of a head the measured part, so
+    sweeps over every edge measure them.
     """
-    net = structure.net
-    if structure.no_collection:
-        return 0
-    into_tail = _longest_walks(structure.succ, net.excited)
-    if into_tail is None:
-        walked = structure.sweep(net.excited) & structure.sweep(net.measured, True)
-        return net.m_unknown * (len(walked) - 2)
-    out_of_head = _longest_walks(structure.pred, net.measured)  # acyclic too: the same edges reversed
-    return sum(into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges)
+    into_tail, out_of_head = structure.sweep(net.excited), structure.sweep(net.measured, True)
+    return [into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges]
 
 
-def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
+def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structure | None = None) -> RepetitionTable:
     """Signed count of bounded walk collections per monomial.
 
     One loop over the unknown edges, in net.edges order, extends every
@@ -346,6 +355,8 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     is the lexicographically smallest one.  Every collection uses every
     unknown edge and every row, so an unknown edge or a row that no walk
     serves leaves the table empty at every bound, and no walk is listed.
+    Each unknown edge's walks are listed only up to the degree the bound
+    leaves it once every other unknown edge takes its shortest walk.
 
     A state is (rows used, packed monomial, sign).  Each known edge that
     some listed walk uses owns a field of max(max_degree, 1).bit_length()
@@ -355,20 +366,28 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     multiplicity is at most the degree, so it fits its field.  Packing is
     then one-to-one and a sum of packed monomials is the packed product, so
     states merge exactly as the (edge, multiplicity) tuples would.  The
-    table keeps the final counts and collections under these packed keys,
-    with the field edges and width to decode them; nothing is decoded here.
+    table keeps the final counts, collections and degrees under these
+    packed keys, with the field edges and width to decode them; nothing is
+    decoded here.
+
+    ``structure`` is the caller's ``_Structure`` of ``net``, so that a
+    search over bounds separates and sweeps the network once; by default
+    the table builds its own.
     """
-    blocks = separate(net)
-    if not net.is_square:
-        raise NotSquareError(net)
+    structure = _Structure(net) if structure is None else structure
+    blocks = _walk_blocks(net, structure)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if net.m_unknown > MAX_WALK_UNKNOWNS:
-        raise TooLargeError(f"{net.m_unknown} unknown edges exceed the walk-route guard of {MAX_WALK_UNKNOWNS}")
-    structure = _Structure(net)
     if structure.no_collection:
         pivots = tuple(net.edges.index(e) for e in structure.zero_columns)
-        return RepetitionTable(max_degree=max_degree, exhaustive=True, infeasible_pivots=pivots)
+        rows = () if pivots else tuple(structure.dead_rows)
+        return RepetitionTable(max_degree=max_degree, exhaustive=True, infeasible_pivots=pivots, infeasible_rows=rows)
+    exhaustive = max_degree >= structure.completeness_bound
+    width = max(max_degree, 1).bit_length()
+    least = _least_degrees(net, structure)
+    spare = max_degree - sum(least)  # degree a collection may spend beyond its shortest walks
+    if spare < 0:
+        return RepetitionTable(max_degree=max_degree, exhaustive=exhaustive, width=width)
 
     b_slot = {b: i for i, b in enumerate(net.excited)}
     c_slot = {c: i for i, c in enumerate(net.measured)}
@@ -377,20 +396,19 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     # Per unknown edge: its walks in edge-sequence order, each with its
     # (excitation, measurement) row and known edges.
     steps: list[list[tuple[Walk, int, tuple[int, ...]]]] = []
-    for e in net.unknown_edges:
-        ws = sorted(enumerate_walks(net, blocks, e, max_degree), key=lambda w: w.edges)
+    for e, shortest in zip(net.unknown_edges, least):
+        ws = sorted(enumerate_walks(net, blocks, e, shortest + spare), key=lambda w: w.edges)
         steps.append([(w, b_slot[w.start] * n_c + c_slot[w.end], w.known_edge_indices()) for w in ws])
     m = len(steps)
 
-    # Minimum attainable degree of the remaining unknown edges, for pruning.
+    # Least degree of the remaining unknown edges, for pruning.
     min_rest = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
-        min_rest[k] = min_rest[k + 1] + min((len(known) for _, _, known in steps[k]), default=0)
+        min_rest[k] = min_rest[k + 1] + least[k]
 
     # Packed monomials: each known edge some walk uses owns a field of
     # ``width`` bits, in ascending edge order, holding its multiplicity; a
     # walk's known edges pack to the sum of their units.
-    width = max(max_degree, 1).bit_length()
     fields = sorted({i for walks in steps for _, _, known in walks for i in known})
     unit = {i: 1 << j * width for j, i in enumerate(fields)}
 
@@ -402,7 +420,7 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     # smallest collection.  The fitting walks, each with its new row mask,
     # sign flip, packed monomial and degree, are listed once per layer, rows
     # used and room: a filter of the edge-ordered list, never a reordering.
-    layer: dict[tuple[int, int, int], list] = {(0, 0, 1): [1, (), 0]} if all(steps) else {}
+    layer: dict[tuple[int, int, int], list] = {(0, 0, 1): [1, (), 0]}
     for k, walks in enumerate(steps):
         packed = [(w, row, len(known), sum(map(unit.__getitem__, known))) for w, row, known in walks]
         extended: dict[tuple[int, int, int], list] = {}
@@ -429,15 +447,18 @@ def repetition_table(net: NetworkModel, max_degree: int) -> RepetitionTable:
     # sign); the table keeps them packed.
     counts: dict[int, int] = {}
     collections: dict[tuple[int, int], tuple[Walk, ...]] = {}
-    for (_, mono, sign), (count, coll, _) in layer.items():
+    degrees: dict[int, int] = {}
+    for (_, mono, sign), (count, coll, degree) in layer.items():
         collections[mono, sign] = coll
         counts[mono] = counts.get(mono, 0) + sign * count
+        degrees[mono] = degree
 
     return RepetitionTable(
         max_degree=max_degree,
-        exhaustive=max_degree >= _completeness_bound(structure),
+        exhaustive=exhaustive,
         counts=counts,
         collections=collections,
+        degrees=degrees,
         fields=tuple(fields),
         width=width,
     )
@@ -448,11 +469,13 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
 
     A surviving monomial proves identifiability outright; the witness is
     the least survivor by (degree, monomial), with the first collection of
-    its count's sign, and only the survivors are decoded to find it.  An
-    all-zero table refutes it only when the table is exhaustive; otherwise
-    the outcome is inconclusive at this bound.
+    its count's sign, and only that survivor is decoded.  A structural
+    reason on an empty table refutes it and is the witness.  An all-zero
+    table refutes it only when the table is exhaustive; otherwise the
+    outcome is inconclusive at this bound.
     """
     least = table.least_survivor()
+    decision = NOT_IDENTIFIABLE
     if least is not None:
         mu, r, coll = least
         decision = IDENTIFIABLE
@@ -465,8 +488,11 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
             ],
         }
     elif table.infeasible_pivots:
-        decision = NOT_IDENTIFIABLE
         witness = {"no_walk_pivots": [str(net.edges[i]) for i in table.infeasible_pivots]}
+    elif table.infeasible_rows:
+        witness = {"no_walk_rows": [[b + 1, c + 1] for b, c in table.infeasible_rows]}
+    elif table.rank_bound:
+        witness = {"rank_bound": table.rank_bound}
     else:
         decision = NOT_IDENTIFIABLE if table.exhaustive else INCONCLUSIVE
         witness = None
@@ -481,13 +507,47 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
 
 
 def _degree_bound(net: NetworkModel, max_degree: int | None) -> int:
-    """The walk route's degree bound: ``max_degree``, or 2n when it is None.
+    """The oracle's degree bound: ``max_degree``, or 2n when it is None.
 
-    2n traverses every simple path twice over in each block.  On cyclic
-    blocks it may fall short of ``exhaustive_degree_bound``, and an all-zero
-    table there is inconclusive rather than wrong.
+    2n traverses every simple path twice over in each block.  The walk
+    route's default is not a fixed bound: ``_least_decided_table`` refutes
+    from the structure, or searches the bounds from the least collection
+    degree up to min(``exhaustive_degree_bound``, 2n).
     """
     return 2 * net.n if max_degree is None else max_degree
+
+
+def _least_decided_table(net: NetworkModel) -> RepetitionTable:
+    """The walk route's default table: decided by the structure, else the first bound with a survivor.
+
+    * No collection (a zero column or a dead row): the empty table at
+      bound 0, exhaustive, with its unknown edges or rows.
+    * ``_Structure.rank_bound`` below the number of unknown edges: rank K
+      is below m at every edge value, so det K is identically zero.  The
+      empty table at bound 0, exhaustive, with the bound; no walk is listed.
+    * Otherwise one table per bound d = d0, d0 + 1, ..., up to min(D, 2n),
+      D being ``exhaustive_degree_bound`` and d0 the least collection
+      degree, stopping at the first table with a survivor.  Entries of
+      degree <= d are exact at bound d and the least survivor has the least
+      degree, so the survivor, its count and its first collection are the
+      ones the table at min(D, 2n) gives; with no survivor the last table
+      is that table.
+
+    The network is separated, swept and bounded once for the whole search.
+    """
+    structure = _Structure(net)
+    _walk_blocks(net, structure)
+    cap = min(structure.completeness_bound, 2 * net.n)
+    if structure.no_collection:
+        return repetition_table(net, cap, structure=structure)
+    if structure.rank_bound["bound"] < net.m_unknown:
+        return RepetitionTable(max_degree=0, exhaustive=True, rank_bound=structure.rank_bound)
+    degree = min(sum(_least_degrees(net, structure)), cap)
+    while True:
+        table = repetition_table(net, degree, structure=structure)
+        if degree == cap or any(table.counts.values()):
+            return table
+        degree += 1
 
 
 def _walk_route(
@@ -497,13 +557,13 @@ def _walk_route(
 
     With ``decouple_first`` the table is built on ``decouple(net)`` (the
     count reads the structure only, never edge values) and the verdict
-    carries the decoupled notion; the default bound is 2n of the network
-    analyzed.
+    carries the decoupled notion.  Without ``max_degree`` the table is
+    ``_least_decided_table`` of the network analyzed.
     """
     target = decouple(net) if decouple_first else net
     if target.m_unknown == 0:
         raise NoUnknownEdgesError()
-    table = repetition_table(target, _degree_bound(target, max_degree))
+    table = _least_decided_table(target) if max_degree is None else repetition_table(target, max_degree)
     verdict = verdict_from_table(target, table)
     if decouple_first:
         verdict = replace(verdict, notion=DECOUPLED_GENERIC)
@@ -511,7 +571,13 @@ def _walk_route(
 
 
 def combinatorial_verdict(net: NetworkModel, max_degree: int | None = None) -> Verdict:
-    """Identifiability of a separable square network by signed walk counting, at bound 2n by default."""
+    """Identifiability of a separable square network by signed walk counting.
+
+    At ``max_degree`` when given.  By default the structure refutes it when
+    it can, and otherwise the bounds are searched upward from the least
+    collection degree to min(``exhaustive_degree_bound``, 2n), stopping at
+    the first survivor (``_least_decided_table``).
+    """
     return _walk_route(net, max_degree)[2]
 
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
-from .netmodel import Edge, NetworkModel, decouple
+from .netmodel import Edge, NetworkModel, SeparableBlocks, decouple, separate
 from .numeric import _square_rank, generic_rank
 
 __all__ = [
@@ -66,8 +67,9 @@ class Verdict:
     ``rank`` and ``seed`` (which, with the network, fixes every sample) are
     set by the rank-based notions, ``max_degree``/``exhaustive`` by the
     walk-counting route.  ``witness`` is a small JSON-ready dict:
-    structurally zero columns, a surviving monomial with its walks, or the
-    unknown edges no walk can serve.
+    structurally zero columns, a surviving monomial with its walks, the
+    unknown edges or (excitation, measurement) pairs no walk can serve, or
+    a structural rank bound below the number of unknown edges.
     """
 
     decision: str
@@ -93,23 +95,103 @@ def _require_unknowns(net: NetworkModel) -> None:
         raise NoUnknownEdgesError()
 
 
-def _reach(adj: list[list[int]], starts: tuple[int, ...]) -> set[int]:
-    """Nodes a walk along ``adj`` (successors, or predecessors to walk backwards) reaches from ``starts``."""
-    seen = set(starts)
-    stack = list(starts)
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _reach(adj: list[list[int]], starts: tuple[int, ...]) -> dict[int, int]:
+    """Each node a walk along ``adj`` (successors, or predecessors to walk backwards) reaches from ``starts``.
+
+    Breadth first, so each node maps to the fewest edges such a walk takes.
+    """
+    dist = dict.fromkeys(starts, 0)
+    frontier = list(dist)
+    for u in frontier:  # grows as nodes are reached
+        step = dist[u] + 1
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = step
+                frontier.append(v)
+    return dist
+
+
+def _disjoint_paths(succ: list[list[int]], sources: Iterable[int], targets: Iterable[int]) -> int:
+    """The largest number of vertex-disjoint walks along ``succ`` from ``sources`` to ``targets``.
+
+    A node in both sets is a walk of no edge.  Augmenting paths of unit
+    capacity on the node-split graph: every node has an in-copy and an
+    out-copy joined by one unit, so no two walks share a node.  ``prev[v]``
+    and ``nxt[v]`` are v's neighbours on its walk, -1 where the walk starts
+    at a source or ends at a target, None while v is on no walk.  In the
+    residual graph the in-copy of a node on a walk leads only back to its
+    predecessor's out-copy, and an out-copy leads along every edge its walk
+    does not use, and back to its own in-copy when it is on a walk.
+    """
+    sources, targets = tuple(dict.fromkeys(sources)), frozenset(targets)
+    prev: dict[int, int | None] = {}
+    nxt: dict[int, int | None] = {}
+    for flow in range(min(len(sources), len(targets))):
+        # Breadth first over node copies, 2v for v's in-copy and 2v + 1 for its out-copy.
+        parent = {2 * v: None for v in sources if prev.get(v) != -1}
+        frontier = list(parent)
+        end = None
+        for state in frontier:  # grows as copies are reached
+            v, out = divmod(state, 2)
+            if not out:
+                before = prev.get(v)
+                moves = [2 * v + 1] if before is None else [2 * before + 1] if before >= 0 else []
+            else:
+                if v in targets and nxt.get(v) != -1:
+                    end = state
+                    break
+                after = nxt.get(v)
+                moves = [2 * w for w in succ[v] if w != after]
+                if prev.get(v) is not None:
+                    moves.append(2 * v)  # back through v, undoing its unit
+            for move in moves:
+                if move not in parent:
+                    parent[move] = state
+                    frontier.append(move)
+        if end is None:
+            return flow
+        # Reroute along the path: a forward edge u -> v joins u to v; undoing v's own unit frees it.
+        nxt[end // 2] = -1
+        state = end
+        while (before := parent[state]) is not None:
+            if state % 2 == 0 and before % 2:
+                u, v = before // 2, state // 2
+                if u == v:
+                    prev[v] = nxt[v] = None
+                else:
+                    nxt[u], prev[v] = v, u
+            state = before
+        prev[state // 2] = -1
+    return min(len(sources), len(targets))
+
+
+def _longest_walks(adj: list[list[int]], starts: Iterable[int]) -> dict[int, int] | None:
+    """Longest walk along ``adj`` from ``starts`` to each node they reach, or None when ``adj`` has a cycle.
+
+    Kahn's order carries the lengths; with predecessors as ``adj``, walks run into ``starts``.
+    """
+    indeg = [0] * len(adj)
+    for targets in adj:
+        for v in targets:
+            indeg[v] += 1
+    longest = dict.fromkeys(starts, 0)
+    ordered = [u for u, d in enumerate(indeg) if d == 0]
+    for u in ordered:  # grows as nodes become ready
+        for v in adj[u]:
+            if u in longest:
+                longest[v] = max(longest.get(v, 0), longest[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ordered.append(v)
+    return longest if len(ordered) == len(adj) else None
 
 
 class _Structure:
     """Reach facts of one network, built per verdict and never kept on the model; each sweep runs once.
 
     The rank witness reads ``zero_columns``: one sweep from all excitations
-    and one into all measurements.  ``no_collection`` adds one per port.
+    and one into all measurements.  ``dead_rows`` adds one per port, and
+    ``rank_bound`` one flow per head and per tail of the unknown edges.
     """
 
     def __init__(self, net: NetworkModel):
@@ -119,14 +201,19 @@ class _Structure:
         for e in net.edges:
             self.succ[e.src].append(e.dst)
             self.pred[e.dst].append(e.src)
-        self._sweeps: dict[tuple[tuple[int, ...], bool], set[int]] = {}
+        self._sweeps: dict[tuple[tuple[int, ...], bool], dict[int, int]] = {}
 
-    def sweep(self, starts: tuple[int, ...], backward: bool = False) -> set[int]:
-        """Nodes reached from ``starts``, or with ``backward`` the nodes that reach them."""
+    def sweep(self, starts: tuple[int, ...], backward: bool = False) -> dict[int, int]:
+        """Nodes reached from ``starts``, or with ``backward`` the nodes that reach them, each with its distance."""
         key = (starts, backward)
         if key not in self._sweeps:
             self._sweeps[key] = _reach(self.pred if backward else self.succ, starts)
         return self._sweeps[key]
+
+    @cached_property
+    def blocks(self) -> SeparableBlocks:
+        """The separable bipartition (``separate``), found once; NotSeparableError when there is none."""
+        return separate(self.net)
 
     @cached_property
     def zero_columns(self) -> list[Edge]:
@@ -140,21 +227,84 @@ class _Structure:
         return [e for e in self.net.unknown_edges if e.src not in from_excited or e.dst not in to_measured]
 
     @cached_property
-    def no_collection(self) -> bool:
-        """Whether a separable network has no walk collection: a zero column, or a row no walk serves.
+    def dead_rows(self) -> list[tuple[int, int]]:
+        """(excitation, measurement) rows of a separable network that no walk serves, in row order.
 
         A walk of row (b, c) runs from excitation b to an unknown edge's
         tail and from its head to measurement c.
         """
-        if self.zero_columns:
-            return True
-        into = [self.sweep((c,), True) for c in self.net.measured]
+        into = [(c, self.sweep((c,), True)) for c in self.net.measured]
+        dead = []
         for b in self.net.excited:
             out_of = self.sweep((b,))
-            for to_c in into:
+            for c, to_c in into:
                 if not any(e.src in out_of and e.dst in to_c for e in self.net.unknown_edges):
-                    return True
-        return False
+                    dead.append((b, c))
+        return dead
+
+    @cached_property
+    def no_collection(self) -> bool:
+        """Whether a separable network has no walk collection: a zero column, or a row no walk serves."""
+        return bool(self.zero_columns or self.dead_rows)
+
+    @cached_property
+    def completeness_bound(self) -> int:
+        """``combinatorial.exhaustive_degree_bound`` of a separable network; the proof is in its docstring.
+
+        On a separable network an unknown edge lies on no cycle, and a walk
+        into a tail or out of a head stays in its known block, so passes over
+        every edge find the blocks' cycles and longest walks.
+        """
+        net = self.net
+        if self.no_collection:
+            return 0
+        into_tail = _longest_walks(self.succ, net.excited)
+        if into_tail is None:
+            walked = self.sweep(net.excited).keys() & self.sweep(net.measured, True).keys()
+            return net.m_unknown * (len(walked) - 2)
+        out_of_head = _longest_walks(self.pred, net.measured)  # acyclic too: the same edges reversed
+        return sum(into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges)
+
+    @cached_property
+    def rank_bound(self) -> dict:
+        """An upper bound on the generic rank of the sensitivity matrix K for every edge value, from the graph alone.
+
+        Column j->h of K is T[C, h] T[j, B], T the closed loop.  The columns
+        of the unknown edges into one head h therefore span at most
+        rank T[tails, B] dimensions, and none when T[C, h] is zero (h
+        reaches no measurement); the generic rank of T[X, Y] is the largest
+        number of vertex-disjoint walks from Y to X (van der Woude 1991),
+        and it holds at every edge value since a rank only drops there.
+        Summing over heads bounds rank K; so does summing over tails,
+        mirrored, and so does the row count |B||C|.  Decoupled sampling
+        draws the two factors of each column independently, which the
+        argument never uses, so the bound holds there too.
+
+        Returns ``{"bound": ..., "by": "heads" | "tails" | "rows"}``, the
+        least of the three (heads first on a tie).  A sum below the number
+        of unknown edges also names the first ``node`` (1-based) whose
+        ``unknown_edges`` span less than their count, and that ``rank``.
+        """
+        net = self.net
+        by_head: dict[int, list[int]] = {}
+        by_tail: dict[int, list[int]] = {}
+        for e in net.unknown_edges:
+            by_head.setdefault(e.dst, []).append(e.src)
+            by_tail.setdefault(e.src, []).append(e.dst)
+        sides = []
+        for by, groups, live, flow in (
+            ("heads", by_head, self.sweep(net.measured, True), lambda tails: _disjoint_paths(self.succ, net.excited, tails)),
+            ("tails", by_tail, self.sweep(net.excited), lambda heads: _disjoint_paths(self.succ, heads, net.measured)),
+        ):
+            total, limit = 0, {}
+            for v, ends in groups.items():
+                rank = flow(ends) if v in live else 0
+                total += rank
+                if rank < len(ends) and not limit:
+                    limit = {"node": v + 1, "unknown_edges": len(ends), "rank": rank}
+            sides.append({"bound": total, "by": by, **limit})
+        sides.append({"bound": net.n_excited * net.n_measured, "by": "rows"})
+        return min(sides, key=lambda side: side["bound"])
 
 
 def _rank_verdict(net: NetworkModel, notion: str, rank: int, seed: int) -> Verdict:

@@ -104,7 +104,7 @@ class NetworkFormatError(ValueError):
     """A network file or dict does not match the JSON schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Directed edge src -> dst; ``known`` distinguishes given from unknown coefficients.
 
@@ -121,7 +121,7 @@ class Edge:
         return f"{self.src + 1}->{self.dst + 1}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkModel:
     """Immutable network: node count, ordered edge list, excited and measured node lists.
 

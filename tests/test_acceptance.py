@@ -28,7 +28,9 @@ from netident import (
     separable_global_identifiability,
     symbolic_det,
     terms_sorted,
+    verdict_from_table,
 )
+from netident.identifiability import _Structure
 from netident.series import float_closed_loop, inf_norm, neumann_series, random_float_values
 
 from corpus import (
@@ -66,20 +68,24 @@ class TestAcceptance:
         """Walk verdicts are final and agree with the generic determinant.
 
         On the acyclic corpus at the exhaustive bound, and on 40 cyclic nets
-        at the default bound 2n, where no verdict may be inconclusive.
+        both at the default (a structural refutation, else a search up to
+        min(D, 2n)), where no verdict may be inconclusive, and as the bare
+        count at the exhaustive bound D, which no structural rank bound or
+        early stop shortens, so the count itself stays checked.
         """
         started = time.perf_counter()
         failures = []
         acyclic = separable_square_corpus(50, acyclic=True, start_seed=2000, max_nodes=8)
-        cyclic = separable_square_corpus(40, acyclic=False, start_seed=1000)
+        cyclic = list(separable_square_corpus(40, acyclic=False, start_seed=1000))
         cases = [(net, exhaustive_degree_bound(net)) for net in acyclic] + [(net, None) for net in cyclic]
-        for net, bound in cases:
-            v = combinatorial_verdict(net, bound)
+        verdicts = [(net, combinatorial_verdict(net, bound)) for net, bound in cases]
+        verdicts += [(net, verdict_from_table(net, repetition_table(net, exhaustive_degree_bound(net)))) for net in cyclic]
+        for net, v in verdicts:
             if v.decision == INCONCLUSIVE:
                 failures.append(f"inconclusive at bound {v.max_degree} on {net}")
                 continue
             if (v.decision == IDENTIFIABLE) != generic_det_nonzero(net):
-                failures.append(f"walk verdict {v.decision} against determinant on {net}")
+                failures.append(f"walk verdict {v.decision} at bound {v.max_degree} against determinant on {net}")
         _report(2, "combinatorial matches algebraic", started, failures)
 
     def test_criterion_3_series_truncation_bounds(self):
@@ -117,14 +123,27 @@ class TestAcceptance:
         _report(3, "series truncation bounds", started, failures)
 
     def test_criterion_4_necessity_chain(self):
-        """No net is locally identifiable yet decoupled-refuted, over 500 instances."""
+        """No net is locally identifiable yet decoupled-refuted, over 500 instances.
+
+        Neither sampled rank exceeds the structural rank bound, which holds
+        for every edge value in both notions; the share of rank-deficient
+        nets whose bound is below m is printed.
+        """
         started = time.perf_counter()
         failures = []
+        deficient = explained = 0
         for net in general_square_corpus(500, start_seed=4000):
-            local = local_identifiability(net).decision
-            dec = decoupled_identifiability(net).decision
-            if local == IDENTIFIABLE and dec == NOT_IDENTIFIABLE:
+            local = local_identifiability(net)
+            dec = decoupled_identifiability(net)
+            if local.decision == IDENTIFIABLE and dec.decision == NOT_IDENTIFIABLE:
                 failures.append(f"necessity violated on {net}")
+            bound = _Structure(net).rank_bound["bound"]
+            if max(local.rank, dec.rank) > bound:
+                failures.append(f"sampled ranks {local.rank}, {dec.rank} above the structural bound {bound} on {net}")
+            if local.rank < net.m_unknown:
+                deficient += 1
+                explained += bound < net.m_unknown
+        print(f"structural rank bound below m on {explained} of {deficient} locally rank-deficient nets")
         _report(4, "necessity chain", started, failures)
 
     def test_criterion_5_decoupled_equivalence(self):

@@ -131,10 +131,31 @@ class TestCombinatorial:
         path = write_net(tmp_path, fan_net())
         code, out, _ = run(capsys, ["combinatorial", path])
         assert code == 0
-        assert "global-separable: identifiable (max degree 10, exhaustive)" in out
+        assert "global-separable: identifiable (max degree 2, exhaustive)" in out
         assert "  r[g(1->3)*g(2->4)] = +1" in out
         assert "  r[g(1->4)*g(2->3)] = -1" in out
         assert "witness monomial: g(1->3)*g(2->4) (repetition +1)" in out
+
+    def test_structural_refutations_name_their_reason(self, tmp_path, capsys):
+        """A rank bound below the unknown-edge count, and a row no walk serves, each print why."""
+        cancel = NetworkModel(
+            6,
+            [Edge(u, v, known=True) for u, v in ((0, 2), (1, 2), (3, 5), (4, 5))]
+            + [Edge(2, 3, known=False), Edge(2, 4, known=False)],
+            [0, 1],
+            [5],
+        )
+        dead_row = NetworkModel(4, [Edge(0, 2, known=True), Edge(2, 3, known=False), Edge(0, 3, known=False)], [0, 1], [3])
+        code, out, _ = run(capsys, ["combinatorial", write_net(tmp_path, cancel)])
+        assert code == 1
+        assert "global-separable: not-identifiable (max degree 0, exhaustive)" in out
+        assert (
+            "  structural rank bound 1 < 2 unknown edges"
+            " (by tails: the 2 unknown edges out of node 3 have rank at most 1)" in out
+        )
+        code, out, _ = run(capsys, ["combinatorial", write_net(tmp_path, dead_row), "--max-degree", "4"])
+        assert code == 1
+        assert "  (excitation, measurement) pairs with no walk: (2, 4)" in out
 
     def test_degree_bound_changes_the_verdict(self, tmp_path, capsys):
         path = write_net(tmp_path, cyclic9_net())

@@ -1,8 +1,10 @@
 """Walk enumeration, signed counting and the verdicts they support."""
 
+import importlib.util
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -221,13 +223,19 @@ class TestRepetitionTable:
             raise AssertionError("enumerate_walks called on a net with no collection")
 
         monkeypatch.setattr(combinatorial, "enumerate_walks", refuse)
-        for net, pivots in ((dead_row, ()), (zero_column, (len(zero_column.edges) - 1,))):
+        cases = (
+            (dead_row, (), ((1, 3),), {"no_walk_rows": [[2, 4]]}),
+            (zero_column, (len(zero_column.edges) - 1,), (), {"no_walk_pivots": ["4->5"]}),
+        )
+        for net, pivots, rows, witness in cases:
             assert exhaustive_degree_bound(net) == 0
-            for d in (0, 3, 8):
-                t = repetition_table(net, d)
+            for d in (0, 3, 8, None):
+                t = repetition_table(net, d or 0)
                 # the table the full enumeration builds
-                assert (t.entries, t.first, t.max_degree, t.exhaustive, t.infeasible_pivots) == ({}, {}, d, True, pivots)
-                assert combinatorial_verdict(net, d).decision == NOT_IDENTIFIABLE
+                assert (t.entries, t.first, t.max_degree, t.exhaustive) == ({}, {}, d or 0, True)
+                assert (t.infeasible_pivots, t.infeasible_rows) == (pivots, rows)
+                v = combinatorial_verdict(net, d)
+                assert (v.decision, v.max_degree, v.witness) == (NOT_IDENTIFIABLE, d or 0, witness)
 
     def test_cancellation_kept_as_zero_entry(self):
         t = repetition_table(cancel_net(), 12)
@@ -422,14 +430,22 @@ class TestLazyTable:
         net = layered_net()
         yield net, exhaustive_degree_bound(net)
 
-    def test_least_survivor_matches_the_rule_over_decoded_entries(self):
+    def test_least_survivor_matches_the_rule_over_decoded_entries(self, monkeypatch):
+        """Only the least survivor is decoded, though all 81 survivors of layered_net have degree 16."""
+        decode = combinatorial.RepetitionTable._decode
+        decoded = []
         survivors = cancelled = 0
         for net, bound in self._cases():
             table = repetition_table(net, bound)
+            decoded.clear()
+            monkeypatch.setattr(combinatorial.RepetitionTable, "_decode", lambda t, p: decoded.append(p) or decode(t, p))
             least = table.least_survivor()
+            monkeypatch.undo()
+            assert len(decoded) == (least is not None)
             verdict = verdict_from_table(net, table)
             assert "entries" not in vars(table) and "first" not in vars(table)
             assert least == _least_by_decoded_entries(table), f"{net} at {bound}"
+            assert table.degrees == {p: monomial_degree(mu) for p, mu in zip(table.counts, table.entries)}
             if least is None:
                 cancelled += bool(table.entries)
                 assert verdict.decision != IDENTIFIABLE
@@ -539,6 +555,91 @@ class TestOneStructuralPass:
                 assert set(sweeps) == union | per_port
         assert full >= 3
 
+    def test_one_pass_per_default_search(self):
+        """The default search separates once and sweeps from the same starts at most once, over all its bounds."""
+        nets = [cyclic9_net(), cancel_net()] + list(separable_square_corpus(16, acyclic=False, start_seed=1000))
+        searched = 0
+        for net in nets:
+            assert len(calls(netmodel.separate, lambda: combinatorial_verdict(net))) == 1
+            sweeps = [args["starts"] for args in calls(identifiability._reach, lambda: combinatorial_verdict(net))]
+            assert len(sweeps) == len(set(sweeps))
+            searched += len(calls(repetition_table, lambda: combinatorial_verdict(net))) > 1
+        assert searched >= 1
+
+
+def _perfbench_inputs():
+    """The benchmark's own seeded network generator, ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDefaultSearch:
+    """With no bound the walk route refutes from the structure, or searches the bounds upward to min(D, 2n)."""
+
+    def test_rank_bound_refutes_without_listing_a_walk(self, monkeypatch):
+        """cancel_net's two unknown edges leave one tail, whose heads reach the measurement along one walk.
+
+        The lift of a separable 8-node draw is refuted the same way; without
+        the bound, its count at 2n = 32 runs for more than 20 s.
+        """
+        source = random_network(
+            nodes=8, unknowns=4, excited=2, measured=2, known_density=0.3, separable=True, acyclic=False, seed=7
+        )
+
+        def refuse(*args):
+            raise AssertionError("enumerate_walks called on a structurally refuted net")
+
+        monkeypatch.setattr(combinatorial, "enumerate_walks", refuse)
+        v = combinatorial_verdict(cancel_net())
+        assert (v.decision, v.max_degree, v.exhaustive) == (NOT_IDENTIFIABLE, 0, True)
+        assert v.witness == {"rank_bound": {"bound": 1, "by": "tails", "node": 3, "unknown_edges": 2, "rank": 1}}
+        lift = necessary_condition_any_topology(source)
+        assert (lift.decision, lift.notion, lift.exhaustive) == (NOT_IDENTIFIABLE, DECOUPLED_GENERIC, True)
+        assert lift.witness["rank_bound"]["bound"] < source.m_unknown
+
+    @staticmethod
+    def _pool():
+        yield from separable_square_corpus(40, acyclic=True)
+        yield from separable_square_corpus(40, acyclic=False, start_seed=1000)
+        inputs = _perfbench_inputs()
+        for i in range(300):
+            yield inputs.cyclic_net(1, i)
+
+    def test_same_decision_and_witness_as_the_2n_route(self):
+        """Wherever the 2n table is final, the default decides alike; an identifiable verdict has the same witness."""
+        kinds = Counter()
+        for net in self._pool():
+            default, full = combinatorial_verdict(net), combinatorial_verdict(net, 2 * net.n)
+            if full.decision == INCONCLUSIVE:
+                assert default.decision == INCONCLUSIVE or "rank_bound" in default.witness, net
+                continue
+            assert default.decision == full.decision, net
+            if default.decision == IDENTIFIABLE:
+                assert default.witness == full.witness, net
+                kinds["survivor below 2n" if default.max_degree < 2 * net.n else "survivor at 2n"] += 1
+            elif default.witness and "rank_bound" in default.witness:
+                kinds["rank bound"] += 1
+        assert kinds["rank bound"] >= 50 and kinds["survivor below 2n"] >= 200, kinds
+
+    def test_each_bound_counted_once_up_to_the_stop(self):
+        """The searched bounds run upward by one from the least collection degree; none passes the verdict's bound."""
+        inputs = _perfbench_inputs()
+        nets = [cyclic9_net(), fan_net()] + list(separable_square_corpus(40, acyclic=False, start_seed=1000))
+        nets += [inputs.cyclic_net(1, i) for i in range(60)]
+        for net in nets:
+            verdicts = []
+            tables = [c["max_degree"] for c in calls(repetition_table, lambda: verdicts.append(combinatorial_verdict(net)))]
+            walks = [c["max_degree"] for c in calls(enumerate_walks, lambda: combinatorial_verdict(net))]
+            stop = verdicts[0].max_degree
+            if tables:
+                assert tables == list(range(tables[0], stop + 1)), net
+            assert all(d <= stop for d in walks), net
+        tables = [c["max_degree"] for c in calls(repetition_table, lambda: combinatorial_verdict(cyclic9_net()))]
+        assert tables == [4, 5]
+
 
 class TestVerdicts:
     def test_minimal_witness(self):
@@ -569,7 +670,8 @@ class TestVerdicts:
         assert v.witness == {"no_walk_pivots": ["2->3"]}
 
     def test_cancellation_refuted_without_witness(self):
-        v = combinatorial_verdict(cancel_net())
+        """At an explicit bound the all-zero table is the whole refutation; by default the structure gives it."""
+        v = combinatorial_verdict(cancel_net(), 4)
         assert v.decision == NOT_IDENTIFIABLE
         assert v.exhaustive is True
         assert v.witness is None

@@ -1,5 +1,7 @@
 """Verdict semantics for the three identifiability notions."""
 
+import random
+
 import pytest
 
 from netident import (
@@ -19,6 +21,8 @@ from netident import (
     local_identifiability,
     separable_global_identifiability,
 )
+from netident.identifiability import _disjoint_paths, _Structure
+from netident.numeric import closed_loop, network_matrix, random_field_values, rank_field
 
 from corpus import (
     chain_net,
@@ -162,3 +166,32 @@ class TestDecouplingEquivalence:
     def test_random_corpus(self):
         for net in general_square_corpus(25, start_seed=600):
             assert check_decoupling_equivalence(net), f"equivalence broken on {net}"
+
+
+class TestStructuralRankBound:
+    def test_disjoint_walks_are_the_sampled_rank_of_the_closed_loop(self):
+        """van der Woude: the generic rank of T[X, Y] is the largest number of vertex-disjoint walks from Y to X.
+
+        One sample reaches the generic rank except with probability about n / 2^61.
+        """
+        rng = random.Random(17)
+        ranks = set()
+        for net in general_square_corpus(60, start_seed=700):
+            T = closed_loop(network_matrix(net, random_field_values(net, rng)))
+            succ = _Structure(net).succ
+            for _ in range(5):
+                xs = rng.sample(range(net.n), rng.randint(1, net.n))
+                ys = rng.sample(range(net.n), rng.randint(1, net.n))
+                paths = _disjoint_paths(succ, ys, xs)
+                assert paths == rank_field([[T[x][y] for y in ys] for x in xs]), (net, xs, ys)
+                ranks.add(paths)
+        assert {0, 1, 2, 3} <= ranks
+
+    def test_handmade_bounds(self):
+        assert _Structure(fan_net()).rank_bound == {"bound": 2, "by": "heads"}
+        assert _Structure(unreachable_net()).rank_bound == {
+            "bound": 0, "by": "heads", "node": 3, "unknown_edges": 1, "rank": 0,
+        }
+        # a third unknown edge into the one measured node: three columns, two rows
+        net = NetworkModel(4, [Edge(0, 3, known=False), Edge(1, 3, known=False), Edge(2, 3, known=False)], [0, 1], [3])
+        assert _Structure(net).rank_bound == {"bound": 2, "by": "heads", "node": 4, "unknown_edges": 3, "rank": 2}
