@@ -52,6 +52,7 @@ from .identifiability import (
     NoUnknownEdgesError,
     Verdict,
     _Structure,
+    _known_adjacency,
 )
 from .netmodel import (
     Edge,
@@ -137,15 +138,6 @@ def walk_nodes(net: NetworkModel, walk: Walk) -> list[int]:
     return nodes
 
 
-def _adjacency(net: NetworkModel, part: frozenset[int]) -> dict[int, list[tuple[int, int]]]:
-    """Known edges inside one block as tail -> [(edge index, head)], in net.edges order."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for i, e in enumerate(net.edges):
-        if e.known and e.src in part:
-            adj.setdefault(e.src, []).append((i, e.dst))
-    return adj
-
-
 def _walks_between(
     adj: dict[int, list[tuple[int, int]]], start: int, goal: int, bound: int
 ) -> list[tuple[int, ...]]:
@@ -176,20 +168,30 @@ def enumerate_walks(
     blocks: SeparableBlocks,
     pivot: Edge,
     max_degree: int,
+    *,
+    adjacency: tuple[dict, dict] | None = None,
+    pivot_idx: int | None = None,
 ) -> list[Walk]:
     """All walks through ``pivot`` with at most ``max_degree`` known edges.
 
     A walk is an excited-block prefix, the pivot, then a measured-block
     suffix.  The one bound caps prefix and suffix together, so no walk
     above it is ever built.
+
+    ``adjacency`` is the blocks' known-edge adjacency
+    (``_Structure.block_adjacency``) and ``pivot_idx`` the pivot's index
+    in ``net.edges``; ``repetition_table`` passes both, so that its
+    search builds them once.  By default they are found here.
     """
-    pivot_idx = net.edges.index(pivot)
-    adj_b = _adjacency(net, blocks.b_part)
+    if pivot_idx is None:
+        pivot_idx = net.edges.index(pivot)
+    if adjacency is None:
+        adjacency = _known_adjacency(net, blocks.b_part), _known_adjacency(net, blocks.c_part)
+    adj_b, adj_c = adjacency
     prefixes = {b: sorted(_walks_between(adj_b, b, pivot.src, max_degree), key=len) for b in net.excited}
     shortest = min((len(ps[0]) for ps in prefixes.values() if ps), default=None)
     if shortest is None:
         return []
-    adj_c = _adjacency(net, blocks.c_part)
     walks: list[Walk] = []
     for c in net.measured:
         for suffix in _walks_between(adj_c, pivot.dst, c, max_degree - shortest):
@@ -396,8 +398,12 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     # Per unknown edge: its walks in edge-sequence order, each with its
     # (excitation, measurement) row and known edges.
     steps: list[list[tuple[Walk, int, tuple[int, ...]]]] = []
-    for e, shortest in zip(net.unknown_edges, least):
-        ws = sorted(enumerate_walks(net, blocks, e, shortest + spare), key=lambda w: w.edges)
+    pivots = [(i, e) for i, e in enumerate(net.edges) if not e.known]
+    for (i, e), shortest in zip(pivots, least):
+        ws = sorted(
+            enumerate_walks(net, blocks, e, shortest + spare, adjacency=structure.block_adjacency, pivot_idx=i),
+            key=lambda w: w.edges,
+        )
         steps.append([(w, b_slot[w.start] * n_c + c_slot[w.end], w.known_edge_indices()) for w in ws])
     m = len(steps)
 

@@ -186,6 +186,15 @@ def _longest_walks(adj: list[list[int]], starts: Iterable[int]) -> dict[int, int
     return longest if len(ordered) == len(adj) else None
 
 
+def _known_adjacency(net: NetworkModel, part: frozenset[int]) -> dict[int, list[tuple[int, int]]]:
+    """Known edges inside one block as tail -> [(edge index, head)], in net.edges order."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, e in enumerate(net.edges):
+        if e.known and e.src in part:
+            adj.setdefault(e.src, []).append((i, e.dst))
+    return adj
+
+
 class _Structure:
     """Reach facts of one network, built per verdict and never kept on the model; each sweep runs once.
 
@@ -214,6 +223,11 @@ class _Structure:
     def blocks(self) -> SeparableBlocks:
         """The separable bipartition (``separate``), found once; NotSeparableError when there is none."""
         return separate(self.net)
+
+    @cached_property
+    def block_adjacency(self) -> tuple[dict, dict]:
+        """The known edges inside the excited block and inside the measured block, as ``_known_adjacency`` lists them."""
+        return _known_adjacency(self.net, self.blocks.b_part), _known_adjacency(self.net, self.blocks.c_part)
 
     @cached_property
     def zero_columns(self) -> list[Edge]:

@@ -9,9 +9,12 @@ the edge list, on dict rows in a fill-reducing (Markowitz) pivot order,
 and its factors give rows and columns of T = (I - G)^{-1} by solves that
 touch only the stored nonzeros, so a sample of the sensitivity matrix
 needs one factorization plus one solve per excited and per measured node
-instead of the full inverse.  The sensitivity matrix is dense by
+instead of the full inverse.  The sensitivity matrix K is dense by
 construction, and ``_factor``, a forward elimination on list rows, gives
-its rank; dict rows would only slow that one down.
+its rank; dict rows would only slow that one down.  K has one row per
+(excitation, measurement) pair but rank at most m, the number of unknown
+edges, so a taller K is ranked through an m x m sketch of it, built from
+the same solves without forming K.
 
 The identifiability test is a polynomial identity in the edge values, so
 drawing the values from a large prime field instead of the complex numbers
@@ -22,6 +25,7 @@ closed loop lives in ``netident.series``.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .netmodel import NetworkModel, NotSquareError, separate
@@ -63,8 +67,13 @@ def random_field_values(net: NetworkModel, rng: random.Random) -> list[int]:
     ``getrandbits(61)`` is uniform on 0..2^61 - 1 = 0..PRIME; redrawing 0
     and PRIME leaves 1..PRIME - 1 equally likely.
     """
+    return _nonzero_values(rng, len(net.edges))
+
+
+def _nonzero_values(rng: random.Random, count: int) -> list[int]:
+    """``count`` values uniform over the nonzero field elements, drawn as ``random_field_values`` draws them."""
     values = []
-    for _ in net.edges:
+    for _ in range(count):
         v = rng.getrandbits(61)
         while v == 0 or v == PRIME:
             v = rng.getrandbits(61)
@@ -313,8 +322,8 @@ def rank_field(A: list[list[int]]) -> int:
     return _factor(A)[0]
 
 
-def _sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool):
-    """One exact sample of the sensitivity matrix, resampling singular draws.
+def _sample_ports(net: NetworkModel, rng: random.Random, decoupled: bool) -> tuple[dict, dict]:
+    """One sample's measured rows and excited columns of T = (I - G)^{-1}, resampling singular draws.
 
     Each draw factors I - G once and solves for the measured rows and the
     excited columns of its inverse; in decoupled mode the rows come from
@@ -327,19 +336,59 @@ def _sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool):
             right = _loop_factor(net, random_field_values(net, rng)) if decoupled else left
         except SingularMatrixError:
             continue
-        return _sensitivity(net, _solve_rows(left, net.measured), _solve_columns(right, net.excited))
+        return _solve_rows(left, net.measured), _solve_columns(right, net.excited)
     raise AllSamplesSingularError(f"{RESAMPLE_BUDGET} draws in a row gave a singular closed loop")
 
 
+def _sample_rank(net: NetworkModel, rng: random.Random, rows: dict, cols: dict) -> int:
+    """Rank at one sample: of K when it has at most m rows, else of an m x m sketch of K.
+
+    The sketch is R K, where row i of R is beta_i (x) alpha_i for nonzero
+    values drawn from ``rng``: beta_i one per measurement, then alpha_i one
+    per excitation.  Its entry for unknown edge a factors as
+
+        (sum over c of beta_ic T[c, head a]) * (sum over b of alpha_ib T[tail a, b]),
+
+    so it is built from T's solved rows and columns without forming K.
+    Each of the two combinations is one sum of big-integer multiples over
+    the ports: the m values of a port are packed into one int, one field
+    per unknown edge, wide enough that no sum carries into the next field.
+    rank(R K) <= rank K; ``generic_rank`` bounds the chance it falls short.
+    """
+    if net.n_excited * net.n_measured <= net.m_unknown:
+        return rank_field(_sensitivity(net, rows, cols))
+    heads = [e.dst for e in net.unknown_edges]
+    tails = [e.src for e in net.unknown_edges]
+    # A field sums at most max(|B|, |C|) products of two values below p < 2^61.
+    width = (122 + max(net.n_excited, net.n_measured).bit_length() + 7) // 8  # bytes
+    size = width * len(heads)
+
+    def pack(values: list[int]) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+    def combine(weights: list[int], packed: list[int]) -> list[int]:
+        fields = sum(map(operator.mul, weights, packed)).to_bytes(size, "little")
+        return [int.from_bytes(fields[k : k + width], "little") % PRIME for k in range(0, size, width)]
+
+    at_head = [pack([rows[c][h] for h in heads]) for c in net.measured]
+    at_tail = [pack([cols[b][t] for t in tails]) for b in net.excited]
+    sketch = []
+    for _ in heads:
+        u = combine(_nonzero_values(rng, net.n_measured), at_head)
+        v = combine(_nonzero_values(rng, net.n_excited), at_tail)
+        sketch.append([x * y % PRIME for x, y in zip(u, v)])
+    return rank_field(sketch)
+
+
 def _samples_needed(n: int, m: int) -> int:
-    """Fewest samples s with q^s <= FAILURE_BOUND, for q = 2m(n - 1) / (p - 1 - 2n).
+    """Fewest samples s with q^s <= FAILURE_BOUND, for q = 2mn / (p - 1 - 2n).
 
     q bounds the chance that one sample of an n-node net with m unknown
     edges misses the generic rank (derived in ``generic_rank``).  Exact
     integer comparison; raises ValueError when q >= 1, which takes over a
     million nodes.
     """
-    degree = 2 * m * (n - 1)
+    degree = 2 * m * n
     room = PRIME - 1 - 2 * n
     if degree >= room:
         raise ValueError(f"no sample count bounds the failure probability at n={n}, m={m}")
@@ -357,28 +406,40 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     field elements, redrawing while I - G is singular, factors I - G once
     and solves for the excited columns and measured rows of
     T = (I - G)^{-1} that K reads.  Decoupled mode draws two independent
-    value lists per sample, one per closed-loop factor.  The draws come
-    from one ``random.Random(seed)`` stream: 61 random bits per edge, in
-    edge order, drawn again when they read 0 or p (p = 2^61 - 1), which
-    leaves the nonzero elements equally likely (``random_field_values``).
-    A sample whose RESAMPLE_BUDGET draws are all singular raises
+    value lists per sample, one per closed-loop factor.  A K with at most
+    m = ``m_unknown`` rows, |B||C| <= m, is ranked as it is; a taller one
+    through an m x m sketch R K (``_sample_rank``), whose rows
+    beta_i (x) alpha_i are drawn after the sample's edge values.  The draws
+    come from one ``random.Random(seed)`` stream: 61 random bits per value,
+    drawn again when they read 0 or p (p = 2^61 - 1), which leaves the
+    nonzero elements equally likely (``random_field_values``).  A sample
+    whose RESAMPLE_BUDGET draws are all singular raises
     AllSamplesSingularError.
 
-    Failure bound.  No sample exceeds the generic rank r <= m, so the
-    maximum falls short of r only if every sample is a zero of a nonzero
-    r x r minor of K.  T = adj(I - G) / det(I - G), and each cofactor has
-    degree at most n - 1 in the edge values, so an entry
-    T[c, head] * T[tail, b] of K is a polynomial of degree at most 2(n - 1)
-    over det(I - G)^2; in decoupled mode it is over det(I - G_1) det(I - G_2),
-    the two draws being separate sets of variables.  With its denominator
-    cleared, the minor is a polynomial P of degree at most
-    2r(n - 1) <= 2m(n - 1), and Schwartz-Zippel over the nonzero values
-    gives Pr[P = 0] <= 2m(n - 1) / (p - 1).  The redraw rule conditions on
-    Q != 0, Q = det(I - G) (the product of both determinants in decoupled
-    mode): a polynomial of degree at most 2n with constant term 1, so
-    Pr[Q != 0] >= 1 - 2n / (p - 1) and
+    Failure bound.  No sample exceeds the generic rank r <= m, a sketch
+    R K no more than K, so the maximum falls short of r only if every
+    sample is a zero of a nonzero r x r minor of the matrix it ranks.
+    T = adj(I - G) / det(I - G), and each cofactor has degree at most
+    n - 1 in the edge values, so an entry T[c, head] * T[tail, b] of K is
+    a polynomial of degree at most 2(n - 1) over det(I - G)^2; in
+    decoupled mode it is over det(I - G_1) det(I - G_2), the two draws
+    being separate sets of variables.  An entry of R K,
+    (sum_c beta_ic T[c, head]) * (sum_b alpha_ib T[tail, b]), is linear in
+    beta_i and in alpha_i, so over the same denominator it has degree at
+    most 2n in the edge values, beta and alpha together.  The sketch keeps
+    a nonzero minor of K nonzero: take one with rows (b_1, c_1), ...,
+    (b_r, c_r); at alpha_i = e_{b_i} and beta_i = e_{c_i} rows 1..r of R K
+    are those rows of K (the rank-one tensors e_b (x) e_c span
+    F^{|B||C|}), so the minor of R K on rows 1..r and the same columns is
+    a nonzero polynomial.  With its denominator cleared, the minor of
+    either matrix is a nonzero polynomial P of degree at most 2rn <= 2mn
+    (2m(n - 1) on K; the one bound covers both), and Schwartz-Zippel over
+    the nonzero values gives Pr[P = 0] <= 2mn / (p - 1).  The redraw rule
+    conditions on Q != 0, Q = det(I - G) (the product of both
+    determinants in decoupled mode): a polynomial of degree at most 2n
+    with constant term 1, so Pr[Q != 0] >= 1 - 2n / (p - 1) and
 
-        Pr[P = 0 | Q != 0] <= Pr[P = 0] / Pr[Q != 0] <= 2m(n - 1) / (p - 1 - 2n) = q.
+        Pr[P = 0 | Q != 0] <= Pr[P = 0] / Pr[Q != 0] <= 2mn / (p - 1 - 2n) = q.
 
     Samples are independent, so s of them all miss with probability at
     most q^s.
@@ -388,13 +449,13 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     q^s* <= FAILURE_BOUND (2^-40).  s* uses m, not the running rank, so it
     is fixed by (n, m) before any sample is drawn and needs no
     optional-stopping argument; it also bounds the reported rank, whatever
-    r is.  s* is 1 until m(n - 1) exceeds about 2^20.  Deterministic in
+    r is.  s* is 1 until mn exceeds about 2^20.  Deterministic in
     (net, decoupled, seed).
     """
     rng = random.Random(seed)
     best = 0
     for _ in range(_samples_needed(net.n, net.m_unknown)):
-        best = max(best, rank_field(_sample_sensitivity(net, rng, decoupled)))
+        best = max(best, _sample_rank(net, rng, *_sample_ports(net, rng, decoupled)))
         if best == net.m_unknown:
             break
     return best

@@ -1,20 +1,22 @@
-"""Test-only arithmetic, monomial, relabeling and call-recording helpers, kept out of the library API.
+"""Test-only arithmetic, sampling, monomial, relabeling and call-recording helpers, kept out of the library API.
 
 The field determinant and null space read the library's own elimination
-(``numeric._factor``); the product, identity, polynomial evaluation, the
+(``numeric._factor``), and a sample's full sensitivity matrix its own
+per-sample solves (``numeric._sample_ports``); the product, identity, polynomial evaluation, the
 permutation-expansion determinant and the largest-minor rank are written out
 independently so tests can check the library against them.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import replace
 from itertools import combinations, permutations
 from typing import Iterable
 
 from netident import Monomial, NetworkModel, Poly, netmodel
-from netident.numeric import PRIME, _factor
+from netident.numeric import PRIME, _factor, _sample_ports, _sensitivity
 
 
 def identity_field(n: int) -> list[list[int]]:
@@ -39,6 +41,11 @@ def mat_mul_field(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
 def det_field(A: list[list[int]]) -> int:
     """Determinant of a square matrix over the prime field; 0 on singular input."""
     return _factor(A)[1]
+
+
+def sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool) -> list[list[int]]:
+    """The full sensitivity matrix K at the next sample ``generic_rank`` would draw from ``rng``, sketch or not."""
+    return _sensitivity(net, *_sample_ports(net, rng, decoupled))
 
 
 def kernel_field(A: list[list[int]]) -> list[list[int]]:
@@ -116,13 +123,14 @@ def permute(net: NetworkModel, perm: list[int]) -> NetworkModel:
 
 
 def calls(fn, action) -> list[dict]:
-    """The arguments of each call of ``fn`` during ``action()``, under whatever name it is reached."""
+    """The arguments of each call of ``fn`` during ``action()``, keyword-only ones included, under whatever name it is reached."""
     code = fn.__code__
+    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
     seen: list[dict] = []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is code:
-            seen.append({name: frame.f_locals[name] for name in code.co_varnames[: code.co_argcount]})
+            seen.append({name: frame.f_locals[name] for name in names})
 
     sys.setprofile(profile)
     try:

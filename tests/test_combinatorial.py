@@ -640,6 +640,23 @@ class TestDefaultSearch:
         tables = [c["max_degree"] for c in calls(repetition_table, lambda: combinatorial_verdict(cyclic9_net()))]
         assert tables == [4, 5]
 
+    def test_block_adjacency_built_once_per_verdict(self):
+        """The searched bounds share one adjacency per block; the walks equal those listed without it."""
+        inputs = _perfbench_inputs()
+        nets = [cyclic9_net()] + [inputs.cyclic_net(1, i) for i in range(60)]
+        searched = 0
+        for net in nets:
+            tables = calls(repetition_table, lambda: combinatorial_verdict(net))
+            built = calls(identifiability._known_adjacency, lambda: combinatorial_verdict(net))
+            walks = calls(enumerate_walks, lambda: combinatorial_verdict(net))
+            assert len(built) == (2 if walks else 0), net
+            searched += len(tables) >= 2
+            for c in walks:
+                assert c["pivot_idx"] == net.edges.index(c["pivot"]), net
+                bare = enumerate_walks(net, c["blocks"], c["pivot"], c["max_degree"])
+                assert enumerate_walks(**c) == bare, net
+        assert searched >= 5
+
 
 class TestVerdicts:
     def test_minimal_witness(self):

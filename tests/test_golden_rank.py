@@ -25,7 +25,8 @@ from netident import (
     random_network,
     separable_global_identifiability,
 )
-from netident.numeric import _sample_sensitivity
+
+from helpers import sample_sensitivity
 
 GOLDEN = Path(__file__).with_name("golden_rank_verdicts.json")
 
@@ -40,7 +41,7 @@ SHAPES = [
 
 
 def _k_digest(net, seed: int, decoupled: bool) -> str:
-    K = _sample_sensitivity(net, random.Random(seed), decoupled)
+    K = sample_sensitivity(net, random.Random(seed), decoupled)
     return hashlib.sha256(json.dumps(K).encode()).hexdigest()
 
 

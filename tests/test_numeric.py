@@ -38,7 +38,16 @@ from corpus import (
     minimal_net,
     unreachable_net,
 )
-from helpers import det_field, identity_field, kernel_field, leibniz_det, mat_mul_field, minor_rank
+from helpers import (
+    calls,
+    det_field,
+    identity_field,
+    kernel_field,
+    leibniz_det,
+    mat_mul_field,
+    minor_rank,
+    sample_sensitivity,
+)
 
 rng = np.random.default_rng
 field_rng = random.Random
@@ -376,7 +385,7 @@ class TestSparseFactor:
 
 
 def same_draws(net, seed, decoupled):
-    """The closed loops ``_sample_sensitivity`` draws at ``seed`` (no singular draw expected), in full."""
+    """The closed loops ``sample_sensitivity`` draws at ``seed`` (no singular draw expected), in full."""
     gen = field_rng(seed)
     Gs = [network_matrix(net, random_field_values(net, gen)) for _ in range(2 if decoupled else 1)]
     return Gs, [closed_loop(G) for G in Gs]
@@ -400,7 +409,7 @@ class TestSolvePath:
                         M = [[int(i == j) - G[i][j] for j in range(net.n)] for i in range(net.n)]
                         assert mat_mul_field(T, M) == identity_field(net.n)
                     T_left, T_right = Ts[0], Ts[-1]
-                    K = numeric._sample_sensitivity(net, field_rng(seed), decoupled)
+                    K = sample_sensitivity(net, field_rng(seed), decoupled)
                     assert K == sensitivity_matrix(net, T_left, T_right)
 
     def test_solves_through_row_exchanges(self):
@@ -454,7 +463,7 @@ class TestSolvePath:
             return values
 
         monkeypatch.setattr(numeric, "random_field_values", patched)
-        K = numeric._sample_sensitivity(net, field_rng(3), decoupled)
+        K = sample_sensitivity(net, field_rng(3), decoupled)
         # the real draws from the same stream, with the singular round dropped
         gen = field_rng(3)
         real = [draw(net, gen) for _ in range(len(calls))]
@@ -462,6 +471,56 @@ class TestSolvePath:
         Ts = [closed_loop(network_matrix(net, values)) for values in kept]
         assert len(calls) == (4 if singular_call == 1 else 3 if decoupled else 2)
         assert K == sensitivity_matrix(net, Ts[0], Ts[-1])
+
+
+def wide_port_nets(count: int = 200):
+    """Networks whose sensitivity matrix has more rows than unknown edges, |B||C| > m, about a third of full rank."""
+    for seed in range(count):
+        gen = field_rng(seed)
+        b, c = gen.randint(2, 4), gen.randint(2, 4)
+        m = gen.randint(2, b * c - 1)
+        n = gen.randint(max(b, c) + 2, 14)
+        density = gen.choice([0.1, 0.2, 0.35])
+        yield random_network(nodes=n, unknowns=m, excited=b, measured=c, known_density=density, seed=seed)
+
+
+class TestSketch:
+    def test_sketched_rank_equals_the_rank_of_the_same_samples_k(self):
+        """On wide ports the m x m sketch of a sample has the rank of that sample's full K."""
+        ranks = Counter()
+        for net in wide_port_nets():
+            assert net.n_excited * net.n_measured > net.m_unknown
+            for seed in range(5):
+                for decoupled in (False, True):
+                    gen = field_rng(seed)
+                    rows, cols = numeric._sample_ports(net, gen, decoupled)
+                    full = rank_field(numeric._sensitivity(net, rows, cols))
+                    assert numeric._sample_rank(net, gen, rows, cols) == full, (net, seed, decoupled)
+                    ranks[full == net.m_unknown] += 1
+        assert ranks[True] >= 100 and ranks[False] >= 100
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_rank_field_sees_the_sketch_on_wide_ports_and_k_otherwise(self, decoupled):
+        """``rank_field`` gets R K, m x m, when |B||C| > m, R's rows drawn after the edge values; else K itself."""
+        wide = list(wide_port_nets(12))
+        others = [fan_net(), bipartite_net(), *general_square_corpus(4, start_seed=40)]
+        others.append(random_network(nodes=9, unknowns=8, excited=2, measured=3, known_density=0.3, seed=1))
+        for net in wide + others:
+            seen = calls(numeric.rank_field, lambda: generic_rank(net, decoupled=decoupled, seed=7))
+            assert len(seen) == 1
+            gen = field_rng(7)
+            K = sample_sensitivity(net, gen, decoupled)
+            if net.n_excited * net.n_measured <= net.m_unknown:
+                assert seen[0]["A"] == K
+                continue
+            sketch = []
+            for _ in range(net.m_unknown):
+                beta = numeric._nonzero_values(gen, net.n_measured)
+                alpha = numeric._nonzero_values(gen, net.n_excited)
+                weights = [a * b for a in alpha for b in beta]  # row (b, c) of K sits at b * |C| + c
+                sketch.append([sum(w * k for w, k in zip(weights, col)) % PRIME for col in zip(*K)])
+            assert seen[0]["A"] == sketch
+            assert len(sketch) == len(sketch[0]) == net.m_unknown
 
 
 class TestGenericRank:
@@ -481,13 +540,13 @@ class TestGenericRank:
     @staticmethod
     def _count_draws(monkeypatch) -> list:
         draws = []
-        sample = numeric._sample_sensitivity
+        sample = numeric._sample_ports
 
         def counting(*args, **kwargs):
             draws.append(1)
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(numeric, "_sample_sensitivity", counting)
+        monkeypatch.setattr(numeric, "_sample_ports", counting)
         return draws
 
     def test_stops_at_first_full_rank_sample(self, monkeypatch):
@@ -544,9 +603,9 @@ class TestGenericRank:
         assert eps == Fraction(1, 1 << 40)
         for n in (2, 10, 40, 160, MAX_NODES):
             # the largest m one sample covers, and the next
-            one = (PRIME - 1 - 2 * n) // (2 * (n - 1) << 40)
+            one = (PRIME - 1 - 2 * n) // (2 * n << 40)
             for m in sorted({1, n, one, one + 1, n * (n - 1) // 4, n * (n - 1)}):
-                q = Fraction(2 * m * (n - 1), PRIME - 1 - 2 * n)
+                q = Fraction(2 * m * n, PRIME - 1 - 2 * n)
                 s = numeric._samples_needed(n, m)
                 assert q**s <= eps
                 assert s == 1 or q ** (s - 1) > eps
