@@ -10,11 +10,13 @@ and its factors give rows and columns of T = (I - G)^{-1} by solves that
 touch only the stored nonzeros, so a sample of the sensitivity matrix
 needs one factorization plus one solve per excited and per measured node
 instead of the full inverse.  The sensitivity matrix K is dense by
-construction, and ``_factor``, a forward elimination on list rows, gives
-its rank; dict rows would only slow that one down.  K has one row per
-(excitation, measurement) pair but rank at most m, the number of unknown
-edges, so a taller K is ranked through an m x m sketch of it, built from
-the same solves without forming K.
+construction, and ``rank_field`` ranks it on packed rows: each row is one
+big integer with a field per column, so clearing a row against a pivot
+row is one multiply-add, and its fields are reduced modulo p all at once
+by Mersenne folds.  K has one row per (excitation, measurement) pair but
+rank at most m, the number of unknown edges, so a taller K is ranked
+through an m x m sketch of it, built from the same solves without
+forming K.
 
 The identifiability test is a polynomial identity in the edge values, so
 drawing the values from a large prime field instead of the complex numbers
@@ -90,55 +92,6 @@ def network_matrix(net: NetworkModel, values) -> list[list]:
     for e, v in zip(net.edges, values):
         G[e.dst][e.src] = v
     return G
-
-
-def _factor(A: list[list[int]]) -> tuple[int, int, list[int], list[int], list[list[int]]]:
-    """Forward elimination modulo PRIME: (rank, det, pivot columns, row order, factor rows).
-
-    Column by column, the first row at or below the current one with a
-    nonzero entry is swapped up as pivot, and each row below it is cleared
-    by subtracting a multiple of the pivot row from the columns right of
-    the pivot; the multiple itself is stored in the cleared entry.  Nothing
-    above a pivot is touched, and elimination stops once every row holds a
-    pivot.
-
-    Row k of the result holds U (the echelon form) from column
-    ``pivot_cols[k]`` on, and L's multipliers in the pivot columns to its
-    left; ``perm[k]`` is the row of A moved to row k.  For square
-    nonsingular A that is A[perm[k]] = (L U)[k] with L unit lower
-    triangular.  ``det`` is the determinant when A is square, and 0
-    whenever some row is left without a pivot.
-    """
-    rows = [[x % PRIME for x in row] for row in A]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    perm = list(range(nrows))
-    pivot_cols: list[int] = []
-    det = 1
-    for col in range(ncols):
-        rank = len(pivot_cols)
-        if rank == nrows:
-            break
-        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            perm[rank], perm[piv] = perm[piv], perm[rank]
-            det = PRIME - det
-        pivot = rows[rank][col]
-        det = (det * pivot) % PRIME
-        inv = pow(pivot, -1, PRIME)
-        right = rows[rank][col + 1 :]
-        for r in range(rank + 1, nrows):
-            row = rows[r]
-            f = row[col]
-            if f:
-                f = row[col] = (f * inv) % PRIME
-                row[col + 1 :] = [(x - f * y) % PRIME for x, y in zip(row[col + 1 :], right)]
-        pivot_cols.append(col)
-    if len(pivot_cols) < nrows:
-        det = 0
-    return len(pivot_cols), det, pivot_cols, perm, rows
 
 
 def _loop_rows(n: int, entries) -> list[dict[int, int]]:
@@ -311,15 +264,65 @@ def _sensitivity(net: NetworkModel, rows: dict, cols: dict) -> list[list[int]]:
     ]
 
 
-def rank_field(A: list[list[int]]) -> int:
-    """Rank over the prime field.
+def _pack(values, width: int) -> int:
+    """Nonnegative ints below 2^(8 width) as one int, a little-endian field of ``width`` bytes each."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
-    A tall matrix is eliminated as its transpose, which has the same rank:
-    the same multiplies then come in fewer, longer row updates.
+
+def rank_field(A: list[list[int]]) -> int:
+    """Rank over the prime field, by row insertion on rows packed into one int each.
+
+    A tall matrix is eliminated as its transpose: the same rank from fewer,
+    longer rows.  Each row is packed, one field per column holding its
+    entry mod p, and cleared against each basis row in turn: a field read
+    at that row's pivot gives the multiplier f, and one big-integer
+    multiply-add, r += f * N, subtracts f times the row, N being the basis
+    row scaled to pivot 1 and stored negated as p - x in every field.  The
+    fields are then reduced all at once; the first one left nonzero, if
+    any, is the new row's pivot.  The interpreter reads about one field per
+    entry; the O(rows * rank * columns) word work is big-integer arithmetic.
+
+    Field width.  A new row's fields start below p, and each clear adds
+    f * (p - x) <= (p - 1) p per field, so after k clears a field is below
+    (k + 1) p^2 < (k + 1) 2^122.  A row meets at most k <= ncols basis
+    rows, and ncols + 1 <= 2^b for b = ``ncols.bit_length()``, so a field
+    of 122 + b bits, rounded up to whole bytes, holds every sum: nothing
+    carries into the next field, and each field read is exact.
+
+    Reduction.  2^61 = p + 1, so a fold (v mod 2^61) + (v >> 61) keeps v
+    modulo p, and on a packed row it is two masks and a shift.  From
+    v < 2^(122 + b) one fold leaves less than 2^61 + 2^(61 + b), and a
+    second at most p + 2^b < 2p.  A third, taken on v + 1 and followed by
+    - 1, maps v in [0, 2p) to v mod p: v + 1 < 2^62 folds to v + 1 below
+    2^61 and to v + 1 - p above it, at least 1 either way, so no field
+    borrows.  Canonical fields make a row zero mod p exactly when it is 0,
+    and put its pivot at its lowest set bit.
     """
     if A and len(A) > len(A[0]):
-        A = [list(col) for col in zip(*A)]
-    return _factor(A)[0]
+        A = list(zip(*A))
+    ncols = len(A[0]) if A else 0
+    width = (122 + ncols.bit_length() + 7) // 8  # bytes per field
+    bits = 8 * width
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * ncols, "little")
+    low, high, full = PRIME * ones, ((1 << bits - 61) - 1) * ones, (1 << bits) - 1
+
+    def reduce(r: int) -> int:
+        r = (r & low) + (r >> 61 & high)
+        r = (r & low) + (r >> 61 & high) + ones
+        return (r & low) + (r >> 61 & high) - ones
+
+    basis = []  # (bit offset of the pivot field, the row scaled to pivot 1, negated)
+    for row in A:
+        r = _pack((x % PRIME for x in row), width)
+        for shift, neg in basis:
+            f = (r >> shift & full) % PRIME
+            if f:
+                r += f * neg
+        r = reduce(r)
+        if r:
+            shift = ((r & -r).bit_length() - 1) // bits * bits
+            basis.append((shift, low - reduce(r * pow(r >> shift & PRIME, -1, PRIME))))
+    return len(basis)
 
 
 def _sample_ports(net: NetworkModel, rng: random.Random, decoupled: bool) -> tuple[dict, dict]:
@@ -363,15 +366,12 @@ def _sample_rank(net: NetworkModel, rng: random.Random, rows: dict, cols: dict) 
     width = (122 + max(net.n_excited, net.n_measured).bit_length() + 7) // 8  # bytes
     size = width * len(heads)
 
-    def pack(values: list[int]) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
     def combine(weights: list[int], packed: list[int]) -> list[int]:
         fields = sum(map(operator.mul, weights, packed)).to_bytes(size, "little")
         return [int.from_bytes(fields[k : k + width], "little") % PRIME for k in range(0, size, width)]
 
-    at_head = [pack([rows[c][h] for h in heads]) for c in net.measured]
-    at_tail = [pack([cols[b][t] for t in tails]) for b in net.excited]
+    at_head = [_pack([rows[c][h] for h in heads], width) for c in net.measured]
+    at_tail = [_pack([cols[b][t] for t in tails], width) for b in net.excited]
     sketch = []
     for _ in heads:
         u = combine(_nonzero_values(rng, net.n_measured), at_head)

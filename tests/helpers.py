@@ -1,10 +1,12 @@
 """Test-only arithmetic, sampling, monomial, relabeling and call-recording helpers, kept out of the library API.
 
-The field determinant and null space read the library's own elimination
-(``numeric._factor``), and a sample's full sensitivity matrix its own
-per-sample solves (``numeric._sample_ports``); the product, identity, polynomial evaluation, the
-permutation-expansion determinant and the largest-minor rank are written out
-independently so tests can check the library against them.
+The field determinant and null space come from ``_factor``, a plain forward
+elimination on list rows that shares no code with the library's packed
+``numeric.rank_field``, so a rank test can check one against the other.  A
+sample's full sensitivity matrix reads the library's own per-sample solves
+(``numeric._sample_ports``); the product, identity, polynomial evaluation,
+the permutation-expansion determinant and the largest-minor rank are
+written out independently so tests can check the library against them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, permutations
 from typing import Iterable
 
 from netident import Monomial, NetworkModel, Poly, netmodel
-from netident.numeric import PRIME, _factor, _sample_ports, _sensitivity
+from netident.numeric import PRIME, _sample_ports, _sensitivity
 
 
 def identity_field(n: int) -> list[list[int]]:
@@ -36,6 +38,55 @@ def mat_mul_field(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
                 for j in range(cols):
                     row[j] = (row[j] + a * Bk[j]) % PRIME
     return out
+
+
+def _factor(A: list[list[int]]) -> tuple[int, int, list[int], list[int], list[list[int]]]:
+    """Forward elimination modulo PRIME: (rank, det, pivot columns, row order, factor rows).
+
+    Column by column, the first row at or below the current one with a
+    nonzero entry is swapped up as pivot, and each row below it is cleared
+    by subtracting a multiple of the pivot row from the columns right of
+    the pivot; the multiple itself is stored in the cleared entry.  Nothing
+    above a pivot is touched, and elimination stops once every row holds a
+    pivot.
+
+    Row k of the result holds U (the echelon form) from column
+    ``pivot_cols[k]`` on, and L's multipliers in the pivot columns to its
+    left; ``perm[k]`` is the row of A moved to row k.  For square
+    nonsingular A that is A[perm[k]] = (L U)[k] with L unit lower
+    triangular.  ``det`` is the determinant when A is square, and 0
+    whenever some row is left without a pivot.
+    """
+    rows = [[x % PRIME for x in row] for row in A]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    perm = list(range(nrows))
+    pivot_cols: list[int] = []
+    det = 1
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            perm[rank], perm[piv] = perm[piv], perm[rank]
+            det = PRIME - det
+        pivot = rows[rank][col]
+        det = (det * pivot) % PRIME
+        inv = pow(pivot, -1, PRIME)
+        right = rows[rank][col + 1 :]
+        for r in range(rank + 1, nrows):
+            row = rows[r]
+            f = row[col]
+            if f:
+                f = row[col] = (f * inv) % PRIME
+                row[col + 1 :] = [(x - f * y) % PRIME for x, y in zip(row[col + 1 :], right)]
+        pivot_cols.append(col)
+    if len(pivot_cols) < nrows:
+        det = 0
+    return len(pivot_cols), det, pivot_cols, perm, rows
 
 
 def det_field(A: list[list[int]]) -> int:

@@ -39,6 +39,7 @@ from corpus import (
     unreachable_net,
 )
 from helpers import (
+    _factor,
     calls,
     det_field,
     identity_field,
@@ -267,8 +268,8 @@ class TestFactorAgainstReferences:
     def test_rank_and_det_match_leibniz_and_minors(self):
         swapped = skipped = 0
         for A in small_matrices():
-            rank, det, pivot_cols, perm, rows = numeric._factor(A)
-            assert rank == minor_rank(A) == rank_field(A) == len(pivot_cols)
+            rank, det, pivot_cols, perm, rows = _factor(A)
+            assert rank == minor_rank(A) == len(pivot_cols)
             if len(A) == len(A[0]):
                 assert det == leibniz_det(A)
             assert sorted(perm) == list(range(len(A)))
@@ -281,7 +282,7 @@ class TestFactorAgainstReferences:
         checked = 0
         for A in small_matrices():
             n = len(A)
-            rank, _, _, perm, rows = numeric._factor(A)
+            rank, _, _, perm, rows = _factor(A)
             if n != len(A[0]) or rank < n:
                 continue
             L = [[rows[i][j] if j < i else int(i == j) for j in range(n)] for i in range(n)]
@@ -291,10 +292,82 @@ class TestFactorAgainstReferences:
         assert checked >= 20
 
     def test_zero_and_empty_shapes(self):
-        assert numeric._factor([[0, 0], [0, 0], [0, 0]])[:3] == (0, 0, [])
-        assert numeric._factor([[0, 5], [0, 0]])[:3] == (1, 0, [1])
-        assert numeric._factor([])[:3] == (0, 1, [])
+        assert _factor([[0, 0], [0, 0], [0, 0]])[:3] == (0, 0, [])
+        assert _factor([[0, 5], [0, 0]])[:3] == (1, 0, [1])
+        assert _factor([])[:3] == (0, 1, [])
+
+
+def low_rank_product(gen, rows, cols, rank):
+    """A seeded rows x cols product of a rows x rank and a rank x cols matrix, reduced mod PRIME."""
+    L = [[gen.randrange(PRIME) for _ in range(rank)] for _ in range(rows)]
+    R = [[gen.randrange(PRIME) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(Li, col)) % PRIME for col in zip(*R)] for Li in L]
+
+
+class TestPackedRank:
+    """``rank_field`` on packed rows against the largest nonzero minor and the list-row ``_factor``."""
+
+    def test_small_matrices(self):
+        for A in small_matrices():
+            assert rank_field(A) == minor_rank(A) == _factor(A)[0], A
+
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_low_rank_products(self, tall):
+        gen = field_rng(19)
+        for _ in range(40):
+            rows, cols = sorted((gen.randint(1, 40), gen.randint(1, 40)), reverse=tall)
+            rank = gen.randint(0, min(rows, cols))
+            A = low_rank_product(gen, rows, cols, rank)
+            assert rank_field(A) == _factor(A)[0] == rank == rank_field([list(c) for c in zip(*A)])
+
+    def test_entries_as_negatives_and_multiples_of_p(self):
+        gen = field_rng(23)
+        for A in small_matrices():
+            shifted = [[x - gen.randint(1, 3) * PRIME for x in row] for row in A]
+            negated = [[-x for x in row] for row in A]
+            assert rank_field(shifted) == rank_field(negated) == rank_field(A)
+        assert rank_field([[PRIME, 2 * PRIME], [-PRIME, 0]]) == 0
+        assert rank_field([[PRIME + 1, -1], [1, PRIME - 1]]) == 1
+
+    def test_empty_and_zero_shapes(self):
+        assert rank_field([]) == 0
+        assert rank_field([[], []]) == 0
+        assert rank_field([[0, 0, 0]]) == rank_field([[0], [0], [0]]) == 0
+        assert rank_field([[0, 0], [0, 0], [0, 0]]) == 0
+        assert rank_field([[0, 5], [0, 0]]) == 1
+        assert rank_field([[0, 0, 0], [1, 0, 2], [0, 0, 0]]) == 1
         assert rank_field([[0], [0], [7]]) == 1
+
+
+def repeated_triangle(ncols: int) -> list[list[int]]:
+    """Rows -(e_0 + ... + e_i) for i < ncols - 1, entries p - 1, then the last of them again: rank ncols - 1.
+
+    Each row meets every earlier basis row with multiplier p - 1, and the
+    repeated row meets ncols - 1 of them, so its fields reach about
+    (ncols - 1) p^2 before they are reduced to 0.
+    """
+    rows = [[PRIME - 1] * (i + 1) + [0] * (ncols - i - 1) for i in range(ncols - 1)]
+    return rows + [list(rows[-1])]
+
+
+class TestPackedRankFieldWidth:
+    """``rank_field`` gives each field 122 + ncols.bit_length() bits, in whole bytes.
+
+    The widths sit on either side of each step of the bit length.  At
+    ncols = 63 the width is exactly 16 bytes, and the repeated row's fields
+    reach 62 (p - 1) p, within 4 % of 2^128.  A field that carries, or one
+    left unreduced by a missing fold, leaves the repeated row nonzero,
+    which shows as rank ncols.
+    """
+
+    @pytest.mark.parametrize("ncols", [2**k + d for k in range(2, 8) for d in (-1, 0)])
+    def test_rank_at_the_widest_sums(self, ncols):
+        A = repeated_triangle(ncols)
+        assert rank_field(A) == ncols - 1
+        assert rank_field([list(col) for col in zip(*A)]) == ncols - 1
+        assert rank_field([[-1 if x else 0 for x in row] for row in A]) == ncols - 1
+        if ncols <= 32:
+            assert _factor(A)[0] == ncols - 1
 
 
 def loop_factor(G):
