@@ -55,8 +55,6 @@ from .identifiability import (
     Verdict,
     local_identifiability,
     decoupled_identifiability,
-    separable_global_identifiability,
-    check_decoupling_equivalence,
 )
 from .combinatorial import (
     TooLargeError,

@@ -1,7 +1,6 @@
 """Identifiability verdicts for the unknown edges of a network.
 
-Three notions, each decided by a randomized exact test on the sensitivity
-matrix:
+Two notions decided by a randomized exact test on the sensitivity matrix:
 
 * local-generic: the unknown edges are locally recoverable from the
   excitation-to-measurement map at almost every choice of edge values.
@@ -11,10 +10,10 @@ matrix:
   surrounding the unknown-edge perturbation vary independently.  A
   necessary condition for the local notion, and exactly what the 2n-node
   decoupled construction turns into a separable problem.
-* global-separable: for separable networks the local and global questions
-  coincide.  On a square sensitivity matrix a nonzero generic determinant
-  is full generic rank, so this is the local rank test under the
-  separable-square guard, and full rank certifies global identifiability.
+
+The third notion, global-separable, is the walk verdict of
+``combinatorial``: on separable networks the local and global questions
+coincide, and the signed walk-collection count decides them with no sample.
 
 Every verdict carries its evidence (rank, seed, witness), so a decision
 can be replayed.
@@ -26,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .netmodel import Edge, NetworkModel, SeparableBlocks, decouple, separate
-from .numeric import _square_rank, generic_rank
+from .netmodel import Edge, NetworkModel, SeparableBlocks, separate
+from .numeric import generic_rank
 
 __all__ = [
     "IDENTIFIABLE",
@@ -40,8 +39,6 @@ __all__ = [
     "Verdict",
     "local_identifiability",
     "decoupled_identifiability",
-    "separable_global_identifiability",
-    "check_decoupling_equivalence",
 ]
 
 IDENTIFIABLE = "identifiable"
@@ -345,28 +342,3 @@ def decoupled_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
     """Generic decoupled identifiability: the two closed-loop factors sampled independently."""
     _require_unknowns(net)
     return _rank_verdict(net, DECOUPLED_GENERIC, generic_rank(net, decoupled=True, seed=seed), seed)
-
-
-def separable_global_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
-    """Global identifiability for separable square networks: full generic rank under the guard.
-
-    Refuses non-separable input rather than falling back to the local test:
-    the global claim is only licensed by the separable block structure,
-    where local and global identifiability coincide.  On square input a
-    nonzero generic determinant and full generic rank are the same test.
-    """
-    _require_unknowns(net)
-    return _rank_verdict(net, GLOBAL_SEPARABLE, _square_rank(net, seed), seed)
-
-
-def check_decoupling_equivalence(net: NetworkModel, seed: int = 0) -> bool:
-    """Whether the decoupled verdict matches the global verdict of the decoupled form.
-
-    The 2n-node decoupled construction is separable and square whenever the
-    source network is square, and its sensitivity matrix coincides entry by
-    entry with the decoupled-mode sensitivity matrix of the source, so the
-    two decisions are expected to agree on every network.
-    """
-    direct = decoupled_identifiability(net, seed=seed)
-    via_construction = separable_global_identifiability(decouple(net), seed=seed)
-    return direct.decision == via_construction.decision

@@ -461,14 +461,6 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     return best
 
 
-def _square_rank(net: NetworkModel, seed: int) -> int:
-    """``generic_rank`` after the separable-square guard (NotSeparableError, NotSquareError)."""
-    separate(net)
-    if not net.is_square:
-        raise NotSquareError(net)
-    return generic_rank(net, seed=seed)
-
-
 def generic_det_nonzero(net: NetworkModel, seed: int = 0) -> bool:
     """Whether det of the (square) sensitivity matrix is nonzero at some random sample.
 
@@ -478,6 +470,10 @@ def generic_det_nonzero(net: NetworkModel, seed: int = 0) -> bool:
     is generically nonzero; false means it vanished at every sample, which
     makes it identically zero except with probability at most
     FAILURE_BOUND.  Requires a separable network with one unknown
-    edge per (excitation, measurement) pair.
+    edge per (excitation, measurement) pair: NotSeparableError or
+    NotSquareError otherwise.
     """
-    return _square_rank(net, seed) == net.m_unknown
+    separate(net)
+    if not net.is_square:
+        raise NotSquareError(net)
+    return generic_rank(net, seed=seed) == net.m_unknown

@@ -21,11 +21,11 @@ from netident import (
     decoupled_identifiability,
     exhaustive_degree_bound,
     generic_det_nonzero,
+    is_separable,
     local_identifiability,
     network_matrix,
     random_network,
     repetition_table,
-    separable_global_identifiability,
     symbolic_det,
     terms_sorted,
     verdict_from_table,
@@ -147,29 +147,39 @@ class TestAcceptance:
         _report(4, "necessity chain", started, failures)
 
     def test_criterion_5_decoupled_equivalence(self):
-        """Decoupled-mode rank decision equals the 2n-node construction's global decision."""
+        """Decoupled-mode rank decision equals the local rank decision of the separable square 2n-node lift.
+
+        At one seed the decoupled-mode sample of a net is the local sample of
+        its lift, entry by entry, so the lift reads a disjoint seed.
+        """
         started = time.perf_counter()
         failures = []
         for net in general_square_corpus(100, start_seed=5000):
+            lifted = decouple(net)
+            if not (is_separable(lifted) and lifted.is_square):
+                failures.append(f"lift not separable and square on {net}")
+                continue
             direct = decoupled_identifiability(net).decision
-            via = separable_global_identifiability(decouple(net)).decision
+            via = local_identifiability(lifted, seed=0x5EED).decision
             if direct != via:
-                failures.append(f"{direct} direct but {via} via construction on {net}")
+                failures.append(f"{direct} direct but {via} on the lift of {net}")
         _report(5, "decoupled equivalence", started, failures)
 
     def test_criterion_6_separable_local_is_global(self):
-        """Local and global decisions coincide on 100 separable square nets.
+        """The local rank decision equals the default walk verdict on 100 separable square nets.
 
-        Global is the rank test under the separable-square guard, so it reads
-        a disjoint seed: at the same seed both would see the same samples.
+        The walk verdict decides global identifiability with no sample; an
+        inconclusive one fails the criterion.
         """
         started = time.perf_counter()
         failures = []
         for net in separable_square_corpus(100, acyclic=False, start_seed=6000):
-            loc = local_identifiability(net, seed=0).decision
-            glob = separable_global_identifiability(net, seed=0x5EED).decision
-            if loc != glob:
-                failures.append(f"local {loc} but global {glob} on {net}")
+            loc = local_identifiability(net).decision
+            glob = combinatorial_verdict(net)
+            if glob.decision == INCONCLUSIVE:
+                failures.append(f"walk verdict inconclusive at bound {glob.max_degree} on {net}")
+            elif loc != glob.decision:
+                failures.append(f"local {loc} but global {glob.decision} on {net}")
         _report(6, "separable local is global", started, failures)
 
     def test_criterion_7_trivial_certificates(self):
@@ -180,17 +190,12 @@ class TestAcceptance:
         for verdict in (
             local_identifiability(good),
             decoupled_identifiability(good),
-            separable_global_identifiability(good),
             combinatorial_verdict(good),
         ):
             if verdict.decision != IDENTIFIABLE:
                 failures.append(f"minimal net {verdict.notion} decided {verdict.decision}")
         bad = unreachable_net()
-        for verdict in (
-            local_identifiability(bad),
-            decoupled_identifiability(bad),
-            separable_global_identifiability(bad),
-        ):
+        for verdict in (local_identifiability(bad), decoupled_identifiability(bad)):
             if verdict.decision != NOT_IDENTIFIABLE:
                 failures.append(f"unreachable net {verdict.notion} decided {verdict.decision}")
             if verdict.witness != {"zero_columns": ["2->3"]}:

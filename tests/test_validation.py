@@ -22,10 +22,9 @@ from netident import (
     network_from_dict,
     network_to_dict,
     repetition_table,
-    separable_global_identifiability,
 )
 
-from corpus import fan_net, minimal_net
+from corpus import fan_net
 from helpers import validate_calls
 
 # A valid 3-node chain; each malformed shape below overrides some of its fields.
@@ -115,7 +114,6 @@ ENTRY_POINTS = {
     "exhaustive_degree_bound": exhaustive_degree_bound,
     "local_identifiability": local_identifiability,
     "decoupled_identifiability": decoupled_identifiability,
-    "separable_global_identifiability": separable_global_identifiability,
     "combinatorial_verdict": combinatorial_verdict,
 }
 
@@ -129,17 +127,12 @@ def test_invalid_node_index_raises_validation_error(call, make_net):
 
 
 @pytest.mark.parametrize(
-    "call, make_net",
-    [
-        (local_identifiability, fan_net),
-        (decoupled_identifiability, fan_net),
-        (separable_global_identifiability, minimal_net),
-        (combinatorial_verdict, fan_net),
-    ],
-    ids=["local", "decoupled", "global", "walks"],
+    "call",
+    [local_identifiability, decoupled_identifiability, combinatorial_verdict],
+    ids=["local", "decoupled", "walks"],
 )
-def test_one_validation_per_verdict(call, make_net):
+def test_one_validation_per_verdict(call):
     """Building the network validates it once; the verdict on the built network validates nothing more."""
     built = []
-    assert validate_calls(lambda: built.append(make_net())) == 1
+    assert validate_calls(lambda: built.append(fan_net())) == 1
     assert validate_calls(lambda: call(built[0])) == 0
