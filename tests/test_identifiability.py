@@ -153,8 +153,17 @@ class TestSeparableGlobal:
             assert g == loc, f"local {loc} but walk verdict {g} on {net}"
 
 
+def handmade_nets() -> list[NetworkModel]:
+    return [minimal_net(), chain_net(), fan_net(), unreachable_net()]
+
+
 def decoupling_nets() -> list[NetworkModel]:
-    return [minimal_net(), chain_net(), fan_net(), unreachable_net()] + list(general_square_corpus(25, start_seed=600))
+    return handmade_nets() + list(general_square_corpus(25, start_seed=600))
+
+
+def assert_decoupled_matches_lift_walks(net: NetworkModel) -> None:
+    walks = necessary_condition_any_topology(net).decision
+    assert walks == decoupled_identifiability(net).decision, f"walk verdict {walks} on the lift of {net}"
 
 
 class TestDecouplingEquivalence:
@@ -170,11 +179,14 @@ class TestDecouplingEquivalence:
                 direct = sample_sensitivity(net, random.Random(seed), True)
                 assert direct == sample_sensitivity(decouple(net), random.Random(seed), False), net
 
-    def test_decoupled_verdict_matches_the_lift_walk_verdict(self):
+    def test_handmade_nets(self):
         """The decoupled rank decision equals the walk verdict on the lift; an inconclusive one fails."""
-        for net in decoupling_nets():
-            walks = necessary_condition_any_topology(net).decision
-            assert walks == decoupled_identifiability(net).decision, f"walk verdict {walks} on the lift of {net}"
+        for net in handmade_nets():
+            assert_decoupled_matches_lift_walks(net)
+
+    def test_random_corpus(self):
+        for net in general_square_corpus(25, start_seed=600):
+            assert_decoupled_matches_lift_walks(net)
 
     def test_decoupled_form_is_always_separable_and_square(self):
         """The lift is decided by its rank at a disjoint seed: its walk search on the third net runs past 15 s."""
