@@ -6,17 +6,20 @@ probability that a random sample misses the generic value is bounded by
 Schwartz-Zippel.  There are two eliminations, one per kind of matrix.  The
 closed loop I - G is sparse: ``_sparse_factor`` factors it straight from
 the edge list, on dict rows in a fill-reducing (Markowitz) pivot order,
-and its factors give rows and columns of T = (I - G)^{-1} by solves that
-touch only the stored nonzeros, so a sample of the sensitivity matrix
-needs one factorization plus one solve per excited and per measured node
-instead of the full inverse.  The sensitivity matrix K is dense by
-construction, and ``rank_field`` ranks it on packed rows: each row is one
-big integer with a field per column, so clearing a row against a pivot
-row is one multiply-add, and its fields are reduced modulo p all at once
-by Mersenne folds.  K has one row per (excitation, measurement) pair but
-rank at most m, the number of unknown edges, so a taller K is ranked
-through an m x m sketch of it, built from the same solves without
-forming K.
+and ``_solve`` runs many right-hand sides through its steps at once,
+touching only the stored nonzeros.  The sensitivity matrix K is dense by
+construction, and ``rank_field`` ranks it on packed rows.  Both pack
+the same way (``_fields``): one big integer holds many field values side
+by side, a row of K in ``rank_field`` and one node's entry for every
+right-hand side in ``_solve``, each field wide enough that no sum
+carries into the next, so a multiply-add on all of them is one
+big-integer operation, and every field is reduced modulo p at once by
+Mersenne folds.  A sample of the rank
+route needs one factorization and one packed solve per side: K has one
+row per (excitation, measurement) pair but rank at most m, the number of
+unknown edges, so a taller K is ranked through an m x m sketch, and the
+sketch's random weights are the solves' right-hand sides, one field per
+sketch row; K itself comes from unit right-hand sides, one field per port.
 
 The identifiability test is a polynomial identity in the edge values, so
 drawing the values from a large prime field instead of the complex numbers
@@ -27,7 +30,6 @@ closed loop lives in ``netident.series``.
 
 from __future__ import annotations
 
-import operator
 import random
 
 from .netmodel import NetworkModel, NotSquareError, separate
@@ -167,49 +169,98 @@ def _sparse_factor(rows: list[dict[int, int]]) -> list[tuple]:
     return steps
 
 
-def _solve_columns(steps: list[tuple], targets) -> dict[int, list[int]]:
-    """Column b of the inverse for each b in ``targets``: the row operations on e_b, then back-substitution."""
-    n = len(steps)
-    out = {}
-    for b in targets:
-        z = [0] * n
-        z[b] = 1
-        for r, _, _, ops, _ in steps:
-            zr = z[r]
-            if zr:
-                for i, f in ops:
-                    z[i] = (z[i] - f * zr) % PRIME
-        x = [0] * n
-        for r, c, inv, _, upper in reversed(steps):
-            s = z[r]
-            for j, u in upper:
-                s -= u * x[j]
-            x[c] = s * inv % PRIME
-        out[b] = x
-    return out
+def _fields(count: int, k: int):
+    """The packed layout of ``count`` fields that each hold a value below (k + 1) p^2: (width, low, reduce).
+
+    Field i of a packed int is bytes i * width to (i + 1) * width - 1,
+    little-endian.  A field has 122 + b bits, b = k.bit_length(), rounded
+    up to whole bytes: k + 1 <= 2^b, so (k + 1) p^2 < 2^(122 + b), and a
+    sum that stays below that bound in every field carries nothing into
+    the next field and reads back exactly.  ``low`` masks the low 61 bits
+    of every field: it is p = 2^61 - 1 in each.
+
+    ``reduce`` takes every field of a packed int below the bound to its
+    value mod p at once.  2^61 = p + 1, so a fold (v mod 2^61) + (v >> 61)
+    keeps v modulo p, and on a packed int it is two masks and a shift.
+    From v < 2^(122 + b) one fold leaves less than 2^61 + 2^(61 + b), and a
+    second at most p + 2^b < 2p.  A third, taken on v + 1 and followed by
+    - 1, maps v in [0, 2p) to v mod p: v + 1 < 2^62 folds to v + 1 below
+    2^61 and to v + 1 - p above it, at least 1 either way, so no field
+    borrows.  Canonical fields make a packed int zero mod p exactly when it
+    is 0.
+    """
+    width = (122 + k.bit_length() + 7) // 8  # bytes per field
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+    low, high = PRIME * ones, ((1 << 8 * width - 61) - 1) * ones
+
+    def reduce(r: int) -> int:
+        r = (r & low) + (r >> 61 & high)
+        r = (r & low) + (r >> 61 & high) + ones
+        return (r & low) + (r >> 61 & high) - ones
+
+    return width, low, reduce
 
 
-def _solve_rows(steps: list[tuple], targets) -> dict[int, list[int]]:
-    """Row c of the inverse for each c in ``targets``: a scatter solve against U^T, then the row operations reversed."""
+def _pack(values, width: int) -> int:
+    """Nonnegative ints below 2^(8 width) as one int, a little-endian field of ``width`` bytes each."""
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+
+
+def _unpack(r: int, width: int, count: int) -> list[int]:
+    """The ``count`` fields of ``width`` bytes each of the packed int ``r``, lowest first."""
+    data = r.to_bytes(width * count, "little")
+    return [int.from_bytes(data[k : k + width], "little") for k in range(0, width * count, width)]
+
+
+def _solve(steps: list[tuple], rhs: dict[int, int], reduce, transposed: bool = False) -> list[int]:
+    """A^{-1} y, or y^T A^{-1} when ``transposed``, for A factored into ``steps`` and packed y.
+
+    y is given as node -> packed int (0 where absent), each field below p;
+    field i of the result is A^{-1} (or its transpose) applied to field i
+    of y, so one pass solves for every field at once.  The direct solve
+    runs the row operations on y, then back-substitutes through the pivot
+    rows; the transposed one scatters through the pivot rows (U^T), then
+    runs the row operations reversed (L^T).  Zero entries are skipped, so
+    a solve touches only the stored nonzeros that reach y's support.
+
+    Subtractions are additions of p - f times an entry with canonical
+    fields, and an entry is reduced (``reduce``, from ``_fields``) once it
+    is final or is about to multiply: a field sums its value from y or a
+    reduced one, below p, and at most n - 1 products below p^2, so it
+    stays below n p^2, which ``_fields(count, n + 1)`` holds.  Every field
+    of the result is canonical.
+    """
     n = len(steps)
-    out = {}
-    for target in targets:
-        acc = [0] * n  # by column: the pivot rows solved so far, times their w
+    if transposed:
+        acc = [0] * n  # by column: -u times the solved pivot rows, summed
         w = [0] * n  # by row
         for r, c, inv, _, upper in steps:
-            v = ((c == target) - acc[c]) * inv % PRIME
+            v = reduce(rhs.get(c, 0) + acc[c])
             if v:
-                w[r] = v
+                v = w[r] = reduce(v * inv)
                 for j, u in upper:
-                    acc[j] += v * u
+                    acc[j] += (PRIME - u) * v
         for r, _, _, ops, _ in reversed(steps):
             if ops:
                 s = w[r]
                 for i, f in ops:
-                    s -= f * w[i]
-                w[r] = s % PRIME
-        out[target] = w
-    return out
+                    s += (PRIME - f) * w[i]
+                w[r] = reduce(s)
+        return w
+    z = [rhs.get(i, 0) for i in range(n)]  # by row
+    for r, _, _, ops, _ in steps:
+        if z[r]:
+            zr = z[r] = reduce(z[r])
+            for i, f in ops:
+                z[i] += (PRIME - f) * zr
+    x = [0] * n  # by column
+    for r, c, inv, _, upper in reversed(steps):
+        s = z[r]
+        for j, u in upper:
+            s += (PRIME - u) * x[j]
+        if s:
+            x[c] = reduce(reduce(s) * inv)
+    return x
 
 
 def _loop_factor(net: NetworkModel, values) -> list[tuple]:
@@ -218,16 +269,17 @@ def _loop_factor(net: NetworkModel, values) -> list[tuple]:
 
 
 def closed_loop(G: list[list[int]]) -> list[list[int]]:
-    """(I - G)^{-1} over the field: I - G factored once, then one solve per row.
+    """(I - G)^{-1} over the field: I - G factored once, then one packed solve for every column.
 
     Raises SingularMatrixError when I - G is not invertible, a non-generic
     sample the caller should redraw.  The rank route never forms the whole
-    inverse; it solves for the ports it needs.
+    inverse; it solves for the combinations of ports it needs.
     """
     n = len(G)
     steps = _sparse_factor(_loop_rows(n, ((i, j, v) for i, row in enumerate(G) for j, v in enumerate(row) if v)))
-    rows = _solve_rows(steps, range(n))
-    return [rows[i] for i in range(n)]
+    width, _, reduce = _fields(n, n + 1)
+    columns = _solve(steps, {b: 1 << 8 * width * b for b in range(n)}, reduce)
+    return [_unpack(x, width, n) for x in columns]
 
 
 def sensitivity_matrix(
@@ -244,29 +296,56 @@ def sensitivity_matrix(
     sampled closed loops.  Only the measured rows of T_left and the excited
     columns of T_right are read.
     """
-    return _sensitivity(
-        net,
-        {c: T_left[c] for c in net.measured},
-        {b: [row[b] for row in T_right] for b in net.excited},
-    )
+    at_head = [[T_left[c][e.dst] for e in net.unknown_edges] for c in net.measured]
+    at_tail = [[T_right[e.src][b] for e in net.unknown_edges] for b in net.excited]
+    return [_products(h, t) for t in at_tail for h in at_head]
 
 
-def _sensitivity(net: NetworkModel, rows: dict, cols: dict) -> list[list[int]]:
-    """``sensitivity_matrix`` from T_left's measured rows and T_right's excited columns."""
+def _products(x: list[int], y: list[int]) -> list[int]:
+    """The entrywise products of ``x`` and ``y`` mod p: one row of K, or of its sketch."""
+    return [a * b % PRIME for a, b in zip(x, y)]
+
+
+def _port_values(net: NetworkModel, left: list[tuple], right: list[tuple], beta, alpha) -> tuple[list, list]:
+    """beta_i^T T_left at each unknown edge's head and T_right alpha_i at its tail, for every i.
+
+    ``beta`` holds rows over the measured nodes and ``alpha`` rows over the
+    excited nodes; ``left`` and ``right`` are the factors of the two closed
+    loops.  Returns (at_head, at_tail) with
+
+        at_head[i][a] = sum over c of beta_ic T_left[c, head a],
+        at_tail[i][a] = sum over b of T_right[tail a, b] alpha_ib,
+
+    from one packed solve per side: node c's right-hand side holds beta_ic
+    in field i, so field i of the transposed solve is beta_i^T T_left, and
+    node b's holds alpha_ib, so field i of the direct solve is
+    T_right alpha_i.
+    """
     heads = [e.dst for e in net.unknown_edges]
     tails = [e.src for e in net.unknown_edges]
-    at_head = {c: [rows[c][h] for h in heads] for c in net.measured}
-    at_tail = {b: [cols[b][t] for t in tails] for b in net.excited}
-    return [
-        [(x * y) % PRIME for x, y in zip(at_head[c], at_tail[b])]
-        for b in net.excited
-        for c in net.measured
-    ]
+    out = []
+    for steps, weights, ports, ends, transposed in (
+        (left, beta, net.measured, heads, True),
+        (right, alpha, net.excited, tails, False),
+    ):
+        count = len(weights)
+        width, _, reduce = _fields(count, net.n + 1)
+        rhs = {node: _pack(column, width) for node, column in zip(ports, zip(*weights))}
+        solved = _solve(steps, rhs, reduce, transposed)
+        fields = {v: _unpack(solved[v], width, count) for v in set(ends)}
+        out.append(list(zip(*(fields[v] for v in ends))))  # row i: field i at each unknown edge
+    return out[0], out[1]
 
 
-def _pack(values, width: int) -> int:
-    """Nonnegative ints below 2^(8 width) as one int, a little-endian field of ``width`` bytes each."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+def _sensitivity(net: NetworkModel, left: list[tuple], right: list[tuple]) -> list[list[int]]:
+    """``sensitivity_matrix`` at the sample factored into ``left`` and ``right``: unit right-hand sides, one field per port."""
+    at_head, at_tail = _port_values(net, left, right, _identity(net.n_measured), _identity(net.n_excited))
+    return [_products(h, t) for t in at_tail for h in at_head]
+
+
+def _identity(n: int) -> list[list[int]]:
+    """Unit weights, one row per port: the right-hand sides that give K itself."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def rank_field(A: list[list[int]]) -> int:
@@ -282,38 +361,22 @@ def rank_field(A: list[list[int]]) -> int:
     any, is the new row's pivot.  The interpreter reads about one field per
     entry; the O(rows * rank * columns) word work is big-integer arithmetic.
 
-    Field width.  A new row's fields start below p, and each clear adds
+    A new row's fields start below p, and each clear adds
     f * (p - x) <= (p - 1) p per field, so after k clears a field is below
-    (k + 1) p^2 < (k + 1) 2^122.  A row meets at most k <= ncols basis
-    rows, and ncols + 1 <= 2^b for b = ``ncols.bit_length()``, so a field
-    of 122 + b bits, rounded up to whole bytes, holds every sum: nothing
-    carries into the next field, and each field read is exact.
-
-    Reduction.  2^61 = p + 1, so a fold (v mod 2^61) + (v >> 61) keeps v
-    modulo p, and on a packed row it is two masks and a shift.  From
-    v < 2^(122 + b) one fold leaves less than 2^61 + 2^(61 + b), and a
-    second at most p + 2^b < 2p.  A third, taken on v + 1 and followed by
-    - 1, maps v in [0, 2p) to v mod p: v + 1 < 2^62 folds to v + 1 below
-    2^61 and to v + 1 - p above it, at least 1 either way, so no field
-    borrows.  Canonical fields make a row zero mod p exactly when it is 0,
-    and put its pivot at its lowest set bit.
+    (k + 1) p^2.  A row meets at most k <= ncols basis rows, so the layout
+    ``_fields(ncols, ncols)`` holds every sum, each field read is exact,
+    and its ``reduce`` leaves every field canonical: a row is then zero mod
+    p exactly when it is 0, and its pivot sits at its lowest set bit.
     """
     if A and len(A) > len(A[0]):
         A = list(zip(*A))
     ncols = len(A[0]) if A else 0
-    width = (122 + ncols.bit_length() + 7) // 8  # bytes per field
+    width, low, reduce = _fields(ncols, ncols)
     bits = 8 * width
-    ones = int.from_bytes((b"\1" + bytes(width - 1)) * ncols, "little")
-    low, high, full = PRIME * ones, ((1 << bits - 61) - 1) * ones, (1 << bits) - 1
-
-    def reduce(r: int) -> int:
-        r = (r & low) + (r >> 61 & high)
-        r = (r & low) + (r >> 61 & high) + ones
-        return (r & low) + (r >> 61 & high) - ones
-
+    full = (1 << bits) - 1
     basis = []  # (bit offset of the pivot field, the row scaled to pivot 1, negated)
     for row in A:
-        r = _pack((x % PRIME for x in row), width)
+        r = _pack([x % PRIME for x in row], width)
         for shift, neg in basis:
             f = (r >> shift & full) % PRIME
             if f:
@@ -325,13 +388,13 @@ def rank_field(A: list[list[int]]) -> int:
     return len(basis)
 
 
-def _sample_ports(net: NetworkModel, rng: random.Random, decoupled: bool) -> tuple[dict, dict]:
-    """One sample's measured rows and excited columns of T = (I - G)^{-1}, resampling singular draws.
+def _sample_factors(net: NetworkModel, rng: random.Random, decoupled: bool) -> tuple[list, list]:
+    """One sample's factors of I - G, (left, right), resampling singular draws.
 
-    Each draw factors I - G once and solves for the measured rows and the
-    excited columns of its inverse; in decoupled mode the rows come from
-    the first draw and the columns from the second.  Raises
-    AllSamplesSingularError when all RESAMPLE_BUDGET draws are singular.
+    Each draw factors I - G once; in decoupled mode the left factor comes
+    from the first draw and the right one from the second, and otherwise
+    they are the same.  Raises AllSamplesSingularError when all
+    RESAMPLE_BUDGET draws are singular.
     """
     for _ in range(RESAMPLE_BUDGET):
         try:
@@ -339,45 +402,34 @@ def _sample_ports(net: NetworkModel, rng: random.Random, decoupled: bool) -> tup
             right = _loop_factor(net, random_field_values(net, rng)) if decoupled else left
         except SingularMatrixError:
             continue
-        return _solve_rows(left, net.measured), _solve_columns(right, net.excited)
+        return left, right
     raise AllSamplesSingularError(f"{RESAMPLE_BUDGET} draws in a row gave a singular closed loop")
 
 
-def _sample_rank(net: NetworkModel, rng: random.Random, rows: dict, cols: dict) -> int:
+def _sample_rank(net: NetworkModel, rng: random.Random, left: list[tuple], right: list[tuple]) -> int:
     """Rank at one sample: of K when it has at most m rows, else of an m x m sketch of K.
 
     The sketch is R K, where row i of R is beta_i (x) alpha_i for nonzero
-    values drawn from ``rng``: beta_i one per measurement, then alpha_i one
-    per excitation.  Its entry for unknown edge a factors as
+    values drawn from ``rng`` once the sample's factors exist: beta_i one
+    per measurement, then alpha_i one per excitation.  Its entry for
+    unknown edge a factors as
 
-        (sum over c of beta_ic T[c, head a]) * (sum over b of alpha_ib T[tail a, b]),
+        (sum over c of beta_ic T[c, head a]) * (sum over b of T[tail a, b] alpha_ib),
 
-    so it is built from T's solved rows and columns without forming K.
-    Each of the two combinations is one sum of big-integer multiples over
-    the ports: the m values of a port are packed into one int, one field
-    per unknown edge, wide enough that no sum carries into the next field.
+    and both sums are linear in the weights, so one transposed solve with
+    the beta_i as right-hand sides and one direct solve with the alpha_i
+    give all m rows (``_port_values``), with no row or column of T formed.
+    K itself comes from the same two solves on unit right-hand sides.
     rank(R K) <= rank K; ``generic_rank`` bounds the chance it falls short.
     """
     if net.n_excited * net.n_measured <= net.m_unknown:
-        return rank_field(_sensitivity(net, rows, cols))
-    heads = [e.dst for e in net.unknown_edges]
-    tails = [e.src for e in net.unknown_edges]
-    # A field sums at most max(|B|, |C|) products of two values below p < 2^61.
-    width = (122 + max(net.n_excited, net.n_measured).bit_length() + 7) // 8  # bytes
-    size = width * len(heads)
-
-    def combine(weights: list[int], packed: list[int]) -> list[int]:
-        fields = sum(map(operator.mul, weights, packed)).to_bytes(size, "little")
-        return [int.from_bytes(fields[k : k + width], "little") % PRIME for k in range(0, size, width)]
-
-    at_head = [_pack([rows[c][h] for h in heads], width) for c in net.measured]
-    at_tail = [_pack([cols[b][t] for t in tails], width) for b in net.excited]
-    sketch = []
-    for _ in heads:
-        u = combine(_nonzero_values(rng, net.n_measured), at_head)
-        v = combine(_nonzero_values(rng, net.n_excited), at_tail)
-        sketch.append([x * y % PRIME for x, y in zip(u, v)])
-    return rank_field(sketch)
+        return rank_field(_sensitivity(net, left, right))
+    beta, alpha = [], []
+    for _ in range(net.m_unknown):
+        beta.append(_nonzero_values(rng, net.n_measured))
+        alpha.append(_nonzero_values(rng, net.n_excited))
+    at_head, at_tail = _port_values(net, left, right, beta, alpha)
+    return rank_field(list(map(_products, at_head, at_tail)))
 
 
 def _samples_needed(n: int, m: int) -> int:
@@ -403,18 +455,19 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     """Max rank of the sensitivity matrix K over random samples, drawn until the failure bound is met.
 
     Each sample draws every edge value uniformly from the p - 1 nonzero
-    field elements, redrawing while I - G is singular, factors I - G once
-    and solves for the excited columns and measured rows of
-    T = (I - G)^{-1} that K reads.  Decoupled mode draws two independent
-    value lists per sample, one per closed-loop factor.  A K with at most
-    m = ``m_unknown`` rows, |B||C| <= m, is ranked as it is; a taller one
-    through an m x m sketch R K (``_sample_rank``), whose rows
-    beta_i (x) alpha_i are drawn after the sample's edge values.  The draws
-    come from one ``random.Random(seed)`` stream: 61 random bits per value,
-    drawn again when they read 0 or p (p = 2^61 - 1), which leaves the
-    nonzero elements equally likely (``random_field_values``).  A sample
-    whose RESAMPLE_BUDGET draws are all singular raises
-    AllSamplesSingularError.
+    field elements, redrawing while I - G is singular, and factors I - G
+    once.  Decoupled mode draws two independent value lists per sample,
+    one per closed-loop factor.  A K with at most m = ``m_unknown`` rows,
+    |B||C| <= m, is ranked as it is; a taller one through an m x m sketch
+    R K (``_sample_rank``), whose rows beta_i (x) alpha_i are drawn after
+    the sample's edge values.  Either way the sample takes one transposed
+    packed solve against the measurements and one direct solve against
+    the excitations, with the weights (unit ones for K) as right-hand
+    sides.  The draws come from one ``random.Random(seed)`` stream: 61
+    random bits per value, drawn again when they read 0 or p
+    (p = 2^61 - 1), which leaves the nonzero elements equally likely
+    (``random_field_values``).  A sample whose RESAMPLE_BUDGET draws are
+    all singular raises AllSamplesSingularError.
 
     Failure bound.  No sample exceeds the generic rank r <= m, a sketch
     R K no more than K, so the maximum falls short of r only if every
@@ -455,7 +508,7 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     rng = random.Random(seed)
     best = 0
     for _ in range(_samples_needed(net.n, net.m_unknown)):
-        best = max(best, _sample_rank(net, rng, *_sample_ports(net, rng, decoupled)))
+        best = max(best, _sample_rank(net, rng, *_sample_factors(net, rng, decoupled)))
         if best == net.m_unknown:
             break
     return best

@@ -3,8 +3,9 @@
 The field determinant and null space come from ``_factor``, a plain forward
 elimination on list rows that shares no code with the library's packed
 ``numeric.rank_field``, so a rank test can check one against the other.  A
-sample's full sensitivity matrix reads the library's own per-sample solves
-(``numeric._sample_ports``); the product, identity, polynomial evaluation,
+sample's full sensitivity matrix comes from the library's own per-sample
+factors and packed solves (``numeric._sample_factors`` and
+``numeric._sensitivity``); the product, identity, polynomial evaluation,
 the permutation-expansion determinant and the largest-minor rank are
 written out independently so tests can check the library against them.
 """
@@ -18,7 +19,7 @@ from itertools import combinations, permutations
 from typing import Iterable
 
 from netident import Monomial, NetworkModel, Poly, netmodel
-from netident.numeric import PRIME, _sample_ports, _sensitivity
+from netident.numeric import PRIME, _sample_factors, _sensitivity
 
 
 def identity_field(n: int) -> list[list[int]]:
@@ -96,7 +97,7 @@ def det_field(A: list[list[int]]) -> int:
 
 def sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool) -> list[list[int]]:
     """The full sensitivity matrix K at the next sample ``generic_rank`` would draw from ``rng``, sketch or not."""
-    return _sensitivity(net, *_sample_ports(net, rng, decoupled))
+    return _sensitivity(net, *_sample_factors(net, rng, decoupled))
 
 
 def kernel_field(A: list[list[int]]) -> list[list[int]]:

@@ -380,12 +380,22 @@ def pivots(steps):
     return [(r, c) for r, c, *_ in steps]
 
 
-def solved_inverse(steps):
-    """T from the row solves, after checking that the column solves give the same matrix."""
+def unit_solve(steps, transposed=False):
+    """The packed solve on unit right-hand sides, one field per node, unpacked: T, or T's transpose when ``transposed``.
+
+    Field k of the direct solve's entry j is T[j][k]; field k of the
+    transposed solve's entry j is T[k][j].
+    """
     n = len(steps)
-    rows, columns = numeric._solve_rows(steps, range(n)), numeric._solve_columns(steps, range(n))
-    T = [rows[i] for i in range(n)]
-    assert [[columns[j][i] for j in range(n)] for i in range(n)] == T
+    width, _, reduce = numeric._fields(n, n + 1)
+    units = {k: 1 << 8 * width * k for k in range(n)}
+    return [numeric._unpack(x, width, n) for x in numeric._solve(steps, units, reduce, transposed)]
+
+
+def solved_inverse(steps):
+    """T from the transposed solve (rows of T), after checking that the direct solve (columns) gives the same matrix."""
+    T = [list(row) for row in zip(*unit_solve(steps, transposed=True))]
+    assert unit_solve(steps) == T
     return T
 
 
@@ -457,6 +467,33 @@ class TestSparseFactor:
         assert solved_inverse(shuffled) == solved_inverse(steps)
 
 
+class TestPackedSolveWidth:
+    """The solves give each field 122 + (n + 1).bit_length() bits, in whole bytes: 16 at n = 62, 17 at n = 63.
+
+    On a dense closed loop a solve sums up to n - 1 products below p^2 in
+    a field.  G = J - I (every off-diagonal entry 1) makes I - G = 2I - J,
+    with every off-diagonal entry p - 1; the other G is dense and random.
+    Both directions of the solve, ``closed_loop`` and the K of the rank
+    route (every node excited and measured) are checked at each width.
+    """
+
+    @pytest.mark.parametrize("n, width", [(62, 16), (63, 17)])
+    @pytest.mark.parametrize("kind", ["ones", "random"])
+    def test_dense_loops_at_the_byte_boundary(self, n, width, kind):
+        assert numeric._fields(n, n + 1)[0] == width
+        edges = [Edge(j, i, known=i + j > 3) for i in range(n) for j in range(n) if i != j]
+        net = NetworkModel(n, edges, range(n), range(n))
+        values = [1] * len(edges) if kind == "ones" else numeric._nonzero_values(field_rng(n), len(edges))
+        G = network_matrix(net, values)
+        M = [[(int(i == j) - G[i][j]) % PRIME for j in range(n)] for i in range(n)]
+        steps = numeric._loop_factor(net, values)
+        T = solved_inverse(steps)
+        assert mat_mul_field(T, M) == identity_field(n)
+        assert mat_mul_field(M, T) == identity_field(n)
+        assert closed_loop(G) == T
+        assert numeric._sensitivity(net, steps, steps) == sensitivity_matrix(net, T, T)
+
+
 def same_draws(net, seed, decoupled):
     """The closed loops ``sample_sensitivity`` draws at ``seed`` (no singular draw expected), in full."""
     gen = field_rng(seed)
@@ -501,8 +538,7 @@ class TestSolvePath:
             M = [[(int(i == j) - G[i][j]) % PRIME for j in range(4)] for i in range(4)]
             assert mat_mul_field(T, M) == identity_field(4)
             assert mat_mul_field(M, T) == identity_field(4)
-            columns = numeric._solve_columns(steps, range(4))
-            assert [[columns[j][i] for j in range(4)] for i in range(4)] == T
+            assert solved_inverse(steps) == T
 
     def test_rank_route_builds_no_dense_matrix(self, monkeypatch):
         """The rank route factors I - G from the edge list: no n x n ``network_matrix`` on the way."""
@@ -515,35 +551,63 @@ class TestSolvePath:
         monkeypatch.setattr(numeric, "network_matrix", refuse)
         assert [[route(net).to_dict() for route in routes] for net in solve_path_nets()] == expected
 
-    @pytest.mark.parametrize("decoupled, singular_call", [(False, 0), (True, 0), (True, 1)])
-    def test_singular_draw_is_resampled_from_the_next_draws(self, monkeypatch, decoupled, singular_call):
-        """A singular I - G discards its draw (and, on the left, skips the right one) and draws again."""
+    @pytest.mark.parametrize(
+        "excited, decoupled, singular_call",
+        [
+            pytest.param([0], False, 0, id="False-0"),
+            pytest.param([0], True, 0, id="True-0"),
+            pytest.param([0], True, 1, id="True-1"),
+            pytest.param([0, 1], False, 0, id="wide-False-0"),
+            pytest.param([0, 1], True, 0, id="wide-True-0"),
+            pytest.param([0, 1], True, 1, id="wide-True-1"),
+        ],
+    )
+    def test_singular_draw_is_resampled_from_the_next_draws(self, monkeypatch, excited, decoupled, singular_call):
+        """A singular I - G discards its draw (and, on the left, skips the right one) and draws again.
+
+        With two excitations |B||C| = 2 > m = 1, so the sample is sketched,
+        and the sketch's weights come from the stream after the redrawn
+        values.
+        """
         net = NetworkModel(
             3,
             [Edge(0, 1, known=True), Edge(1, 0, known=True), Edge(1, 2, known=False)],
-            [0],
+            excited,
             [2],
         )
         draw = numeric.random_field_values
-        calls = []
+        draws = []
 
         def patched(net_, gen):
             values = draw(net_, gen)
-            calls.append(values)
-            if len(calls) - 1 == singular_call:
+            draws.append(values)
+            if len(draws) - 1 == singular_call:
                 # g(0->1) * g(1->0) = 1 makes det(I - G) = 0
                 return [1 if e.known else v for e, v in zip(net_.edges, values)]
             return values
 
         monkeypatch.setattr(numeric, "random_field_values", patched)
-        K = sample_sensitivity(net, field_rng(3), decoupled)
+        seen = calls(numeric.rank_field, lambda: generic_rank(net, decoupled=decoupled, seed=3))
         # the real draws from the same stream, with the singular round dropped
         gen = field_rng(3)
-        real = [draw(net, gen) for _ in range(len(calls))]
+        real = [draw(net, gen) for _ in range(len(draws))]
         kept = real[2:] if (decoupled and singular_call == 1) else real[1:]
         Ts = [closed_loop(network_matrix(net, values)) for values in kept]
-        assert len(calls) == (4 if singular_call == 1 else 3 if decoupled else 2)
-        assert K == sensitivity_matrix(net, Ts[0], Ts[-1])
+        assert len(draws) == (4 if singular_call == 1 else 3 if decoupled else 2)
+        assert [call["A"] for call in seen] == [replayed_sketch(net, sensitivity_matrix(net, Ts[0], Ts[-1]), gen)]
+
+
+def replayed_sketch(net, K, gen):
+    """K on narrow ports; on wide ones R K, with R's rows beta_i (x) alpha_i drawn next from ``gen``, beta_i first."""
+    if net.n_excited * net.n_measured <= net.m_unknown:
+        return K
+    sketch = []
+    for _ in range(net.m_unknown):
+        beta = numeric._nonzero_values(gen, net.n_measured)
+        alpha = numeric._nonzero_values(gen, net.n_excited)
+        weights = [a * b for a in alpha for b in beta]  # row (b, c) of K sits at b * |C| + c
+        sketch.append([sum(w * k for w, k in zip(weights, col)) % PRIME for col in zip(*K)])
+    return sketch
 
 
 def wide_port_nets(count: int = 200):
@@ -566,9 +630,9 @@ class TestSketch:
             for seed in range(5):
                 for decoupled in (False, True):
                     gen = field_rng(seed)
-                    rows, cols = numeric._sample_ports(net, gen, decoupled)
-                    full = rank_field(numeric._sensitivity(net, rows, cols))
-                    assert numeric._sample_rank(net, gen, rows, cols) == full, (net, seed, decoupled)
+                    left, right = numeric._sample_factors(net, gen, decoupled)
+                    full = rank_field(numeric._sensitivity(net, left, right))
+                    assert numeric._sample_rank(net, gen, left, right) == full, (net, seed, decoupled)
                     ranks[full == net.m_unknown] += 1
         assert ranks[True] >= 100 and ranks[False] >= 100
 
@@ -595,6 +659,27 @@ class TestSketch:
             assert seen[0]["A"] == sketch
             assert len(sketch) == len(sketch[0]) == net.m_unknown
 
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_each_sample_draws_its_weights_after_its_own_values(self, monkeypatch, decoupled):
+        """Over three samples of a deficient wide-port net, ``rank_field`` gets R_s K_s, sample by sample.
+
+        Each sample draws its edge values, then its m pairs (beta_i, alpha_i),
+        and the next sample's values follow them in the stream.
+        """
+        net = next(
+            net
+            for net in wide_port_nets()
+            if max(generic_rank(net, decoupled=d, seed=7) for d in (False, True)) < net.m_unknown
+        )
+        monkeypatch.setattr(numeric, "_samples_needed", lambda n, m: 3)
+        seen = calls(numeric.rank_field, lambda: generic_rank(net, decoupled=decoupled, seed=7))
+        assert len(seen) == 3
+        gen = field_rng(7)
+        for call in seen:
+            K = sample_sensitivity(net, gen, decoupled)
+            assert call["A"] == replayed_sketch(net, K, gen)
+            assert len(K) > net.m_unknown == len(call["A"])
+
 
 class TestGenericRank:
     def test_minimal_net(self):
@@ -613,13 +698,13 @@ class TestGenericRank:
     @staticmethod
     def _count_draws(monkeypatch) -> list:
         draws = []
-        sample = numeric._sample_ports
+        sample = numeric._sample_factors
 
         def counting(*args, **kwargs):
             draws.append(1)
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(numeric, "_sample_ports", counting)
+        monkeypatch.setattr(numeric, "_sample_factors", counting)
         return draws
 
     def test_stops_at_first_full_rank_sample(self, monkeypatch):
