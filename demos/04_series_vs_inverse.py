@@ -10,8 +10,8 @@ dropped tail is bounded by norm^(L+1) / (1 - norm).
 
 import numpy as np
 
-from netident import network_matrix, random_network
-from netident.series import float_closed_loop, inf_norm, neumann_series, random_float_values
+from netident import random_network
+from netident.series import float_closed_loop, inf_norm, network_matrix, neumann_series, random_float_values
 
 rng = np.random.default_rng(7)
 net = random_network(nodes=6, unknowns=2, excited=1, measured=1, known_density=0.6, seed=7)

@@ -13,7 +13,6 @@ determinant.
 from .netmodel import (
     Edge,
     NetworkModel,
-    SeparableBlocks,
     ValidationError,
     SelfLoopError,
     DuplicateEdgeError,
@@ -27,23 +26,10 @@ from .netmodel import (
     separate,
     is_separable,
     decouple,
-    network_from_dict,
-    network_to_dict,
     load_network,
     save_network,
 )
-from .numeric import (
-    PRIME,
-    SingularMatrixError,
-    AllSamplesSingularError,
-    random_field_values,
-    network_matrix,
-    closed_loop,
-    sensitivity_matrix,
-    rank_field,
-    generic_rank,
-    generic_det_nonzero,
-)
+from .numeric import AllSamplesSingularError
 from .identifiability import (
     IDENTIFIABLE,
     NOT_IDENTIFIABLE,
@@ -58,26 +44,12 @@ from .identifiability import (
 )
 from .combinatorial import (
     TooLargeError,
-    Monomial,
-    Walk,
-    RepetitionTable,
-    monomial_degree,
     format_monomial,
-    walk_nodes,
-    enumerate_walks,
     repetition_table,
-    exhaustive_degree_bound,
-    verdict_from_table,
     combinatorial_verdict,
     necessary_condition_any_topology,
 )
-from .oracle import (
-    Poly,
-    symbolic_closed_loop,
-    symbolic_det,
-    coefficient,
-    terms_sorted,
-)
+from .oracle import symbolic_det, coefficient
 from .generate import GenerationError, random_network
 
 __version__ = "0.1.0"

@@ -409,9 +409,11 @@ def network_from_dict(data: dict) -> NetworkModel:
         _require(_is_index(raw["to"]), f"{where}.to must be an integer")
         _require(isinstance(raw["known"], bool), f"{where}.known must be a boolean")
         value = raw.get("value")
-        # int-float comparison is exact, so an integer past the float range fails here, not in float()
+        # int-float comparison is exact, so an integer past the float range fails here, not in float();
+        # JSON true is a Python int, so a bool is refused by name
         _require(
-            value is None or (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max),
+            value is None
+            or (isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max),
             f"{where}.value must be a finite number",
         )
         edges.append(

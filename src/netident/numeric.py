@@ -4,11 +4,12 @@ One scalar kind: integers modulo the prime 2^61 - 1, held as plain Python
 ints.  Rank and determinant answers are exact per sample, and the
 probability that a random sample misses the generic value is bounded by
 Schwartz-Zippel.  There are two eliminations, one per kind of matrix.  The
-closed loop I - G is sparse: ``_sparse_factor`` factors it straight from
-the edge list, on dict rows in a fill-reducing (Markowitz) pivot order,
-and ``_solve`` runs many right-hand sides through its steps at once,
-touching only the stored nonzeros.  The sensitivity matrix K is dense by
-construction, and ``rank_field`` ranks it on packed rows.  Both pack
+closed loop I - G is sparse: ``_loop_factor`` builds its nonzeros from the
+edge list as dict rows, ``_sparse_factor`` factors them in a fill-reducing
+(Markowitz) pivot order, and ``_solve`` runs many right-hand sides through
+the steps at once, touching only the stored nonzeros; no n x n matrix is
+laid out.  ``rank_field`` ranks the sensitivity matrix K, or its sketch,
+on packed rows.  Both pack
 the same way (``_fields``): one big integer holds many field values side
 by side, a row of K in ``rank_field`` and one node's entry for every
 right-hand side in ``_solve``, each field wide enough that no sum
@@ -41,9 +42,6 @@ __all__ = [
     "SingularMatrixError",
     "AllSamplesSingularError",
     "random_field_values",
-    "network_matrix",
-    "closed_loop",
-    "sensitivity_matrix",
     "rank_field",
     "generic_rank",
     "generic_det_nonzero",
@@ -63,19 +61,14 @@ class AllSamplesSingularError(ArithmeticError):
     """A sample exhausted its resample budget on singular closed loops."""
 
 
-def random_field_values(net: NetworkModel, rng: random.Random) -> list[int]:
-    """One value per edge, in edge order, uniform over the p - 1 nonzero field elements.
+def random_field_values(rng: random.Random, count: int) -> list[int]:
+    """``count`` values uniform over the p - 1 nonzero field elements: a sample's edge values or a sketch row's weights.
 
     Known edges get random values too: identifiability is generic over all
     nonzero entries, and "known" only means the procedure is told the value.
     ``getrandbits(61)`` is uniform on 0..2^61 - 1 = 0..PRIME; redrawing 0
     and PRIME leaves 1..PRIME - 1 equally likely.
     """
-    return _nonzero_values(rng, len(net.edges))
-
-
-def _nonzero_values(rng: random.Random, count: int) -> list[int]:
-    """``count`` values uniform over the nonzero field elements, drawn as ``random_field_values`` draws them."""
     values = []
     for _ in range(count):
         v = rng.getrandbits(61)
@@ -83,34 +76,6 @@ def _nonzero_values(rng: random.Random, count: int) -> list[int]:
             v = rng.getrandbits(61)
         values.append(v)
     return values
-
-
-def network_matrix(net: NetworkModel, values) -> list[list]:
-    """n x n matrix with entry [i][j] = ``values[k]`` for edge k = j->i, 0 where absent.
-
-    Entries are placed as given; the field routines reduce them modulo PRIME.
-    """
-    G = [[0] * net.n for _ in range(net.n)]
-    for e, v in zip(net.edges, values):
-        G[e.dst][e.src] = v
-    return G
-
-
-def _loop_rows(n: int, entries) -> list[dict[int, int]]:
-    """I - G as one dict per row, column -> nonzero value modulo PRIME.
-
-    ``entries`` are G's nonzero entries as (row, column, value); a later
-    entry at the same position replaces an earlier one, as in
-    ``network_matrix``.
-    """
-    rows = [{i: 1} for i in range(n)]
-    for i, j, v in entries:
-        x = ((i == j) - v) % PRIME
-        if x:
-            rows[i][j] = x
-        else:
-            rows[i].pop(j, None)
-    return rows
 
 
 def _sparse_factor(rows: list[dict[int, int]]) -> list[tuple]:
@@ -264,41 +229,17 @@ def _solve(steps: list[tuple], rhs: dict[int, int], reduce, transposed: bool = F
 
 
 def _loop_factor(net: NetworkModel, values) -> list[tuple]:
-    """``_sparse_factor`` of I - G built from the edge list; raises SingularMatrixError when it is singular."""
-    return _sparse_factor(_loop_rows(net.n, ((e.dst, e.src, v) for e, v in zip(net.edges, values))))
+    """``_sparse_factor`` of I - G built from the edge list; raises SingularMatrixError when it is singular.
 
-
-def closed_loop(G: list[list[int]]) -> list[list[int]]:
-    """(I - G)^{-1} over the field: I - G factored once, then one packed solve for every column.
-
-    Raises SingularMatrixError when I - G is not invertible, a non-generic
-    sample the caller should redraw.  The rank route never forms the whole
-    inverse; it solves for the combinations of ports it needs.
+    Edge j -> i with value g puts -g mod p at row i, column j, unless that is
+    0; a network has no self-loops, so no edge lands on the diagonal's 1.
     """
-    n = len(G)
-    steps = _sparse_factor(_loop_rows(n, ((i, j, v) for i, row in enumerate(G) for j, v in enumerate(row) if v)))
-    width, _, reduce = _fields(n, n + 1)
-    columns = _solve(steps, {b: 1 << 8 * width * b for b in range(n)}, reduce)
-    return [_unpack(x, width, n) for x in columns]
-
-
-def sensitivity_matrix(
-    net: NetworkModel, T_left: list[list[int]], T_right: list[list[int]]
-) -> list[list[int]]:
-    """The derivative of the measured closed-loop map with respect to the unknown edges.
-
-    Rows are (excitation, measurement) pairs at flat index
-    b_idx * n_measured + c_idx; columns are the unknown edges in canonical
-    edge-list order.  Entry at row (b, c), column for unknown edge a is
-    T_left[c, head(a)] * T_right[tail(a), b]: T_left propagates the edge's
-    head to the measurement, T_right the excitation to its tail.  The local
-    test uses T_left = T_right; the decoupled test feeds two independently
-    sampled closed loops.  Only the measured rows of T_left and the excited
-    columns of T_right are read.
-    """
-    at_head = [[T_left[c][e.dst] for e in net.unknown_edges] for c in net.measured]
-    at_tail = [[T_right[e.src][b] for e in net.unknown_edges] for b in net.excited]
-    return [_products(h, t) for t in at_tail for h in at_head]
+    rows = [{i: 1} for i in range(net.n)]
+    for e, v in zip(net.edges, values):
+        x = -v % PRIME
+        if x:
+            rows[e.dst][e.src] = x
+    return _sparse_factor(rows)
 
 
 def _products(x: list[int], y: list[int]) -> list[int]:
@@ -338,7 +279,13 @@ def _port_values(net: NetworkModel, left: list[tuple], right: list[tuple], beta,
 
 
 def _sensitivity(net: NetworkModel, left: list[tuple], right: list[tuple]) -> list[list[int]]:
-    """``sensitivity_matrix`` at the sample factored into ``left`` and ``right``: unit right-hand sides, one field per port."""
+    """The sensitivity matrix K at the sample factored into ``left`` and ``right``, from unit right-hand sides.
+
+    K is the derivative of the measured closed-loop map with respect to the
+    unknown edges: row b_idx * n_measured + c_idx for each (excitation,
+    measurement) pair, one column per unknown edge a in edge-list order,
+    entry T_left[c, head a] * T_right[tail a, b].
+    """
     at_head, at_tail = _port_values(net, left, right, _identity(net.n_measured), _identity(net.n_excited))
     return [_products(h, t) for t in at_tail for h in at_head]
 
@@ -351,25 +298,23 @@ def _identity(n: int) -> list[list[int]]:
 def rank_field(A: list[list[int]]) -> int:
     """Rank over the prime field, by row insertion on rows packed into one int each.
 
-    A tall matrix is eliminated as its transpose: the same rank from fewer,
-    longer rows.  Each row is packed, one field per column holding its
-    entry mod p, and cleared against each basis row in turn: a field read
-    at that row's pivot gives the multiplier f, and one big-integer
-    multiply-add, r += f * N, subtracts f times the row, N being the basis
-    row scaled to pivot 1 and stored negated as p - x in every field.  The
-    fields are then reduced all at once; the first one left nonzero, if
-    any, is the new row's pivot.  The interpreter reads about one field per
-    entry; the O(rows * rank * columns) word work is big-integer arithmetic.
+    Each row is packed, one field per column holding its entry mod p, and
+    cleared against each basis row in turn: a field read at that row's pivot
+    gives the multiplier f, and one big-integer multiply-add, r += f * N,
+    subtracts f times the row, N being the basis row scaled to pivot 1 and
+    stored negated as p - x in every field.  The fields are then reduced all
+    at once; the first one left nonzero, if any, is the new row's pivot.  The
+    interpreter reads about one field per entry; the
+    O(rows * rank * columns) word work is big-integer arithmetic.
 
     A new row's fields start below p, and each clear adds
     f * (p - x) <= (p - 1) p per field, so after k clears a field is below
-    (k + 1) p^2.  A row meets at most k <= ncols basis rows, so the layout
-    ``_fields(ncols, ncols)`` holds every sum, each field read is exact,
-    and its ``reduce`` leaves every field canonical: a row is then zero mod
-    p exactly when it is 0, and its pivot sits at its lowest set bit.
+    (k + 1) p^2.  A row meets at most k <= ncols basis rows, however many
+    rows A has, so the layout ``_fields(ncols, ncols)`` holds every sum,
+    each field read is exact, and its ``reduce`` leaves every field
+    canonical: a row is then zero mod p exactly when it is 0, and its pivot
+    sits at its lowest set bit.
     """
-    if A and len(A) > len(A[0]):
-        A = list(zip(*A))
     ncols = len(A[0]) if A else 0
     width, low, reduce = _fields(ncols, ncols)
     bits = 8 * width
@@ -398,8 +343,8 @@ def _sample_factors(net: NetworkModel, rng: random.Random, decoupled: bool) -> t
     """
     for _ in range(RESAMPLE_BUDGET):
         try:
-            left = _loop_factor(net, random_field_values(net, rng))
-            right = _loop_factor(net, random_field_values(net, rng)) if decoupled else left
+            left = _loop_factor(net, random_field_values(rng, len(net.edges)))
+            right = _loop_factor(net, random_field_values(rng, len(net.edges))) if decoupled else left
         except SingularMatrixError:
             continue
         return left, right
@@ -426,8 +371,8 @@ def _sample_rank(net: NetworkModel, rng: random.Random, left: list[tuple], right
         return rank_field(_sensitivity(net, left, right))
     beta, alpha = [], []
     for _ in range(net.m_unknown):
-        beta.append(_nonzero_values(rng, net.n_measured))
-        alpha.append(_nonzero_values(rng, net.n_excited))
+        beta.append(random_field_values(rng, net.n_measured))
+        alpha.append(random_field_values(rng, net.n_excited))
     at_head, at_tail = _port_values(net, left, right, beta, alpha)
     return rank_field(list(map(_products, at_head, at_tail)))
 

@@ -4,7 +4,7 @@ The closed loop (I - G)^{-1} is the sum I + G + G^2 + ... over all walks.
 This module checks that numerically, on real edge values with the row-sum
 norm of G held below 1.  No verdict reads these floats.  It is the one
 library module that imports numpy at top level.  A matrix argument may be
-an array or the lists ``numeric.network_matrix`` lays out.
+an array or the lists ``network_matrix`` lays out.
 """
 
 from __future__ import annotations
@@ -13,9 +13,17 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .netmodel import NetworkModel
-from .numeric import SingularMatrixError, network_matrix
+from .numeric import SingularMatrixError
 
-__all__ = ["random_float_values", "float_closed_loop", "neumann_series", "inf_norm"]
+__all__ = ["network_matrix", "random_float_values", "float_closed_loop", "neumann_series", "inf_norm"]
+
+
+def network_matrix(net: NetworkModel, values) -> list[list]:
+    """n x n matrix with entry [i][j] = ``values[k]`` for edge k = j->i, 0 where absent."""
+    G = [[0] * net.n for _ in range(net.n)]
+    for e, v in zip(net.edges, values):
+        G[e.dst][e.src] = v
+    return G
 
 
 def random_float_values(

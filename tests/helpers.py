@@ -5,9 +5,12 @@ elimination on list rows that shares no code with the library's packed
 ``numeric.rank_field``, so a rank test can check one against the other.  A
 sample's full sensitivity matrix comes from the library's own per-sample
 factors and packed solves (``numeric._sample_factors`` and
-``numeric._sensitivity``); the product, identity, polynomial evaluation,
-the permutation-expansion determinant and the largest-minor rank are
-written out independently so tests can check the library against them.
+``numeric._sensitivity``); ``sensitivity_matrix`` builds the same matrix by
+its definition from whole closed loops, and ``closed_loop`` gives those
+from the library's factor and one packed solve on unit right-hand sides.
+The product, identity, polynomial evaluation, the permutation-expansion
+determinant and the largest-minor rank are written out independently so
+tests can check the library against them.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from dataclasses import replace
 from itertools import combinations, permutations
 from typing import Iterable
 
-from netident import Monomial, NetworkModel, Poly, netmodel
+from netident import NetworkModel, netmodel, numeric
+from netident.combinatorial import Monomial
 from netident.numeric import PRIME, _sample_factors, _sensitivity
+from netident.oracle import Poly
 
 
 def identity_field(n: int) -> list[list[int]]:
@@ -98,6 +103,48 @@ def det_field(A: list[list[int]]) -> int:
 def sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool) -> list[list[int]]:
     """The full sensitivity matrix K at the next sample ``generic_rank`` would draw from ``rng``, sketch or not."""
     return _sensitivity(net, *_sample_factors(net, rng, decoupled))
+
+
+def loop_factor(G: list[list[int]]) -> list[tuple]:
+    """The library's sparse factor of I - G for a hand-made square G, whose nonzeros become the dict rows."""
+    n = len(G)
+    rows = [{j: x for j in range(n) if (x := (int(i == j) - G[i][j]) % PRIME)} for i in range(n)]
+    return numeric._sparse_factor(rows)
+
+
+def unit_solve(steps: list[tuple], transposed: bool = False) -> list[list[int]]:
+    """The packed solve on unit right-hand sides, one field per node, unpacked: T, or T's transpose when ``transposed``.
+
+    Field k of the direct solve's entry j is T[j][k]; field k of the
+    transposed solve's entry j is T[k][j].
+    """
+    n = len(steps)
+    width, _, reduce = numeric._fields(n, n + 1)
+    units = {k: 1 << 8 * width * k for k in range(n)}
+    return [numeric._unpack(x, width, n) for x in numeric._solve(steps, units, reduce, transposed)]
+
+
+def closed_loop(net: NetworkModel, values) -> list[list[int]]:
+    """(I - G)^{-1} over the field at these edge values; SingularMatrixError when I - G is singular."""
+    return unit_solve(numeric._loop_factor(net, values))
+
+
+def sensitivity_matrix(net: NetworkModel, T_left: list[list[int]], T_right: list[list[int]]) -> list[list[int]]:
+    """The sensitivity matrix K by its definition, from whole closed loops.
+
+    Rows are (excitation, measurement) pairs at flat index
+    b_idx * n_measured + c_idx; columns are the unknown edges in edge-list
+    order.  Entry at row (b, c), column for unknown edge a is
+    T_left[c, head(a)] * T_right[tail(a), b]: T_left propagates the edge's
+    head to the measurement, T_right the excitation to its tail.  The local
+    test uses T_left = T_right; the decoupled test feeds two independently
+    sampled closed loops.
+    """
+    return [
+        [T_left[c][e.dst] * T_right[e.src][b] % PRIME for e in net.unknown_edges]
+        for b in net.excited
+        for c in net.measured
+    ]
 
 
 def kernel_field(A: list[list[int]]) -> list[list[int]]:

@@ -19,19 +19,17 @@ from netident import (
     combinatorial_verdict,
     decouple,
     decoupled_identifiability,
-    exhaustive_degree_bound,
-    generic_det_nonzero,
     is_separable,
     local_identifiability,
-    network_matrix,
     random_network,
     repetition_table,
     symbolic_det,
-    terms_sorted,
-    verdict_from_table,
 )
+from netident.combinatorial import exhaustive_degree_bound, verdict_from_table
 from netident.identifiability import _Structure
-from netident.series import float_closed_loop, inf_norm, neumann_series, random_float_values
+from netident.numeric import generic_det_nonzero
+from netident.oracle import terms_sorted
+from netident.series import float_closed_loop, inf_norm, network_matrix, neumann_series, random_float_values
 
 from corpus import (
     general_square_corpus,

@@ -13,12 +13,12 @@ from netident import (
     Edge,
     NetworkModel,
     load_network,
-    network_to_dict,
     random_network,
     save_network,
 )
 from netident import numeric
 from netident.cli import _build_parser, main
+from netident.netmodel import network_to_dict
 
 from corpus import cyclic9_net, fan_net, minimal_net, unreachable_net
 from helpers import validate_calls
@@ -329,6 +329,17 @@ class TestErrorsAndDeterminism:
         code, out, err = run(capsys, ["check", str(path)])
         assert code == 3
         assert err.startswith("error: edges[0].value")
+        assert out == ""
+
+    def test_boolean_edge_value(self, tmp_path, capsys):
+        """JSON true is a Python int; read as 1.0 it would load a network the file never described."""
+        data = network_to_dict(fan_net())
+        data["edges"][0]["value"] = True
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["check", str(path)])
+        assert code == 3
+        assert err.startswith("error: edges[0].value must be a finite number")
         assert out == ""
 
     @pytest.mark.parametrize(

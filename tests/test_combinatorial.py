@@ -21,23 +21,24 @@ from netident import (
     NoUnknownEdgesError,
     NotSquareError,
     combinatorial_verdict,
-    enumerate_walks,
-    exhaustive_degree_bound,
     format_monomial,
-    generic_det_nonzero,
     local_identifiability,
-    monomial_degree,
     necessary_condition_any_topology,
     random_network,
     repetition_table,
     separate,
     symbolic_det,
-    terms_sorted,
+)
+from netident.combinatorial import (
+    enumerate_walks,
+    exhaustive_degree_bound,
+    monomial_degree,
     verdict_from_table,
     walk_nodes,
 )
+from netident.numeric import generic_det_nonzero
+from netident.oracle import _parity, terms_sorted
 from netident import combinatorial, identifiability, netmodel
-from netident.oracle import _parity
 
 from corpus import (
     SQUARE_COMBOS,

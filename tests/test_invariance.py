@@ -22,8 +22,8 @@ from netident import (
     local_identifiability,
     random_network,
     repetition_table,
-    verdict_from_table,
 )
+from netident.combinatorial import verdict_from_table
 from netident.oracle import _parity
 
 from corpus import SQUARE_COMBOS

@@ -19,12 +19,11 @@ from netident import (
     decouple,
     is_separable,
     load_network,
-    network_from_dict,
-    network_to_dict,
     random_network,
     save_network,
     separate,
 )
+from netident.netmodel import network_from_dict, network_to_dict
 
 from corpus import chain_net, fan_net, minimal_net
 from helpers import permute
@@ -244,7 +243,7 @@ class TestJsonFormat:
         with pytest.raises(NetworkFormatError, match=field):
             network_from_dict(data)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])
     def test_non_finite_value_rejected(self, value):
         data = network_to_dict(chain_net())
         data["edges"][0]["value"] = value

@@ -13,21 +13,20 @@ from netident import (
     NetworkModel,
     NotSeparableError,
     NotSquareError,
+    decoupled_identifiability,
+    local_identifiability,
+    random_network,
+)
+from netident import numeric, series
+from netident.numeric import (
     PRIME,
     SingularMatrixError,
-    closed_loop,
-    decoupled_identifiability,
     generic_det_nonzero,
     generic_rank,
-    local_identifiability,
-    network_matrix,
     random_field_values,
-    random_network,
     rank_field,
-    sensitivity_matrix,
 )
-from netident import numeric
-from netident.series import float_closed_loop, inf_norm, neumann_series, random_float_values
+from netident.series import float_closed_loop, inf_norm, network_matrix, neumann_series, random_float_values
 
 from corpus import (
     bipartite_net,
@@ -41,13 +40,17 @@ from corpus import (
 from helpers import (
     _factor,
     calls,
+    closed_loop,
     det_field,
     identity_field,
     kernel_field,
     leibniz_det,
+    loop_factor,
     mat_mul_field,
     minor_rank,
     sample_sensitivity,
+    sensitivity_matrix,
+    unit_solve,
 )
 
 rng = np.random.default_rng
@@ -56,6 +59,12 @@ field_rng = random.Random
 
 def exact_values(net, values_by_pair):
     return [values_by_pair[(e.src, e.dst)] for e in net.edges]
+
+
+def library_sensitivity(net, values):
+    """K as the rank route builds it, from one factor of I - G at ``values`` and packed unit solves."""
+    steps = numeric._loop_factor(net, values)
+    return numeric._sensitivity(net, steps, steps)
 
 
 class TestNetworkMatrix:
@@ -76,16 +85,17 @@ class TestFieldValues:
         nets.append(random_network(nodes=30, unknowns=20, excited=4, measured=4, known_density=0.15, seed=3))
         for net in nets:
             for seed in (0, 1, 9, 2**40):
-                values = random_field_values(net, field_rng(seed))
-                assert values == random_field_values(net, field_rng(seed))
+                values = random_field_values(field_rng(seed), len(net.edges))
+                assert values == random_field_values(field_rng(seed), len(net.edges))
                 assert len(values) == len(net.edges)
                 assert all(type(v) is int for v in values)
-        assert random_field_values(nets[-1], field_rng(0)) != random_field_values(nets[-1], field_rng(1))
+        count = len(nets[-1].edges)
+        assert random_field_values(field_rng(0), count) != random_field_values(field_rng(1), count)
 
     def test_values_are_nonzero_field_elements(self):
         net = random_network(nodes=30, unknowns=20, excited=4, measured=4, known_density=0.15, seed=3)
         for seed in range(20):
-            assert all(1 <= v <= PRIME - 1 for v in random_field_values(net, field_rng(seed)))
+            assert all(1 <= v <= PRIME - 1 for v in random_field_values(field_rng(seed), len(net.edges)))
 
     def test_zero_and_prime_are_drawn_again(self, monkeypatch):
         """61 bits read 0..PRIME; the two values outside the nonzero elements are redrawn, in place."""
@@ -100,34 +110,36 @@ class TestFieldValues:
             return scripted.pop(0) if scripted else real(k)
 
         monkeypatch.setattr(gen, "getrandbits", getrandbits)
-        values = random_field_values(net, gen)
-        assert values == random_field_values(net, field_rng(5))
+        values = random_field_values(gen, len(net.edges))
+        assert values == random_field_values(field_rng(5), len(net.edges))
         assert all(1 <= v <= PRIME - 1 for v in values)
         assert calls == [61] * (len(net.edges) + 2)
 
 
 class TestClosedLoop:
     def test_zero_matrix_gives_identity(self):
-        assert closed_loop([[0, 0], [0, 0]]) == identity_field(2)
+        assert closed_loop(NetworkModel(2, [], [0], [1]), []) == identity_field(2)
 
     def test_exact_inverse_property(self):
         """closed_loop(G) * (I - G) is exactly the identity over the field."""
         for seed in range(10):
             net = fan_net()
-            G = network_matrix(net, random_field_values(net, field_rng(seed)))
-            T = closed_loop(G)
+            values = random_field_values(field_rng(seed), len(net.edges))
+            G = network_matrix(net, values)
+            T = closed_loop(net, values)
             M = [[(1 if i == j else 0) - G[i][j] for j in range(net.n)] for i in range(net.n)]
             assert mat_mul_field(T, M) == identity_field(net.n)
 
     def test_nilpotent_matches_finite_series(self):
         net = chain_net()
-        G = network_matrix(net, exact_values(net, {(0, 1): 3, (1, 2): 5}))
+        values = exact_values(net, {(0, 1): 3, (1, 2): 5})
+        G = network_matrix(net, values)
         G2 = mat_mul_field(G, G)
         expected = [
             [(identity_field(3)[i][j] + G[i][j] + G2[i][j]) % PRIME for j in range(3)]
             for i in range(3)
         ]
-        assert closed_loop(G) == expected
+        assert closed_loop(net, values) == expected
 
     def test_float_singular_raises(self):
         G = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -138,7 +150,7 @@ class TestClosedLoop:
         net = NetworkModel(2, [Edge(0, 1, known=True), Edge(1, 0, known=True)], [0], [1])
         values = exact_values(net, {(0, 1): 1, (1, 0): 1})
         with pytest.raises(SingularMatrixError):
-            closed_loop(network_matrix(net, values))
+            closed_loop(net, values)
 
 
 class TestNeumannSeries:
@@ -184,21 +196,23 @@ class TestFloatEvaluation:
 class TestSensitivityMatrix:
     def test_minimal_net_is_one(self):
         net = minimal_net()
-        T = closed_loop(network_matrix(net, exact_values(net, {(0, 1): 9})))
-        assert sensitivity_matrix(net, T, T) == [[1]]
+        values = exact_values(net, {(0, 1): 9})
+        T = closed_loop(net, values)
+        assert sensitivity_matrix(net, T, T) == library_sensitivity(net, values) == [[1]]
 
     def test_fan_entries_are_known_edge_values(self):
         """Acyclic relays make each entry a single path product."""
         net = fan_net()
         vals = {(0, 2): 2, (0, 3): 3, (1, 2): 5, (1, 3): 7, (2, 4): 11, (3, 4): 13}
-        T = closed_loop(network_matrix(net, exact_values(net, vals)))
-        K = sensitivity_matrix(net, T, T)
-        assert K == [[2, 3], [5, 7]]
+        values = exact_values(net, vals)
+        T = closed_loop(net, values)
+        assert sensitivity_matrix(net, T, T) == library_sensitivity(net, values) == [[2, 3], [5, 7]]
 
     def test_unreachable_column_is_zero(self):
         net = unreachable_net()
-        T = closed_loop(network_matrix(net, random_field_values(net, field_rng(4))))
-        assert sensitivity_matrix(net, T, T) == [[0]]
+        values = random_field_values(field_rng(4), len(net.edges))
+        T = closed_loop(net, values)
+        assert sensitivity_matrix(net, T, T) == library_sensitivity(net, values) == [[0]]
 
     def test_null_space_reconstructs_valid_perturbations(self):
         """Kernel vectors, reshaped on the unknown-edge pattern, annihilate the measured response."""
@@ -213,8 +227,7 @@ class TestSensitivityMatrix:
             [0],
             [3],
         )
-        G = network_matrix(net, random_field_values(net, field_rng(5)))
-        T = closed_loop(G)
+        T = closed_loop(net, random_field_values(field_rng(5), len(net.edges)))
         K = sensitivity_matrix(net, T, T)
         basis = kernel_field(K)
         assert len(basis) == len(net.unknown_edges) - rank_field(K)
@@ -370,26 +383,8 @@ class TestPackedRankFieldWidth:
             assert _factor(A)[0] == ncols - 1
 
 
-def loop_factor(G):
-    """The sparse factor of I - G for a dense G."""
-    entries = ((i, j, v) for i, row in enumerate(G) for j, v in enumerate(row) if v)
-    return numeric._sparse_factor(numeric._loop_rows(len(G), entries))
-
-
 def pivots(steps):
     return [(r, c) for r, c, *_ in steps]
-
-
-def unit_solve(steps, transposed=False):
-    """The packed solve on unit right-hand sides, one field per node, unpacked: T, or T's transpose when ``transposed``.
-
-    Field k of the direct solve's entry j is T[j][k]; field k of the
-    transposed solve's entry j is T[k][j].
-    """
-    n = len(steps)
-    width, _, reduce = numeric._fields(n, n + 1)
-    units = {k: 1 << 8 * width * k for k in range(n)}
-    return [numeric._unpack(x, width, n) for x in numeric._solve(steps, units, reduce, transposed)]
 
 
 def solved_inverse(steps):
@@ -454,15 +449,14 @@ class TestSparseFactor:
         steps = loop_factor(G)
         assert pivots(steps) == [(0, 0), (2, 1), (1, 2)]
         assert mat_mul_field(solved_inverse(steps), A) == identity_field(3)
-        assert mat_mul_field(A, closed_loop(G)) == identity_field(3)
 
     def test_pivot_order_depends_on_the_matrix_alone(self):
-        """Entries listed in any order give the same pivots and the same inverse."""
+        """Edges listed in any order give the same pivots and the same inverse."""
         net = cyclic9_net()
-        values = random_field_values(net, field_rng(9))
-        entries = [(e.dst, e.src, v) for e, v in zip(net.edges, values)]
-        steps = numeric._sparse_factor(numeric._loop_rows(net.n, entries))
-        shuffled = numeric._sparse_factor(numeric._loop_rows(net.n, entries[::-1]))
+        values = random_field_values(field_rng(9), len(net.edges))
+        steps = numeric._loop_factor(net, values)
+        reversed_net = NetworkModel(net.n, net.edges[::-1], net.excited, net.measured)
+        shuffled = numeric._loop_factor(reversed_net, values[::-1])
         assert pivots(shuffled) == pivots(steps)
         assert solved_inverse(shuffled) == solved_inverse(steps)
 
@@ -473,8 +467,8 @@ class TestPackedSolveWidth:
     On a dense closed loop a solve sums up to n - 1 products below p^2 in
     a field.  G = J - I (every off-diagonal entry 1) makes I - G = 2I - J,
     with every off-diagonal entry p - 1; the other G is dense and random.
-    Both directions of the solve, ``closed_loop`` and the K of the rank
-    route (every node excited and measured) are checked at each width.
+    Both directions of the solve and the K of the rank route (every node
+    excited and measured) are checked at each width.
     """
 
     @pytest.mark.parametrize("n, width", [(62, 16), (63, 17)])
@@ -483,22 +477,21 @@ class TestPackedSolveWidth:
         assert numeric._fields(n, n + 1)[0] == width
         edges = [Edge(j, i, known=i + j > 3) for i in range(n) for j in range(n) if i != j]
         net = NetworkModel(n, edges, range(n), range(n))
-        values = [1] * len(edges) if kind == "ones" else numeric._nonzero_values(field_rng(n), len(edges))
+        values = [1] * len(edges) if kind == "ones" else random_field_values(field_rng(n), len(edges))
         G = network_matrix(net, values)
         M = [[(int(i == j) - G[i][j]) % PRIME for j in range(n)] for i in range(n)]
         steps = numeric._loop_factor(net, values)
         T = solved_inverse(steps)
         assert mat_mul_field(T, M) == identity_field(n)
         assert mat_mul_field(M, T) == identity_field(n)
-        assert closed_loop(G) == T
         assert numeric._sensitivity(net, steps, steps) == sensitivity_matrix(net, T, T)
 
 
 def same_draws(net, seed, decoupled):
     """The closed loops ``sample_sensitivity`` draws at ``seed`` (no singular draw expected), in full."""
     gen = field_rng(seed)
-    Gs = [network_matrix(net, random_field_values(net, gen)) for _ in range(2 if decoupled else 1)]
-    return Gs, [closed_loop(G) for G in Gs]
+    draws = [random_field_values(gen, len(net.edges)) for _ in range(2 if decoupled else 1)]
+    return [network_matrix(net, values) for values in draws], [closed_loop(net, values) for values in draws]
 
 
 def solve_path_nets():
@@ -534,11 +527,10 @@ class TestSolvePath:
             G = [[0, pow(a, -1, PRIME), 0, 0], [a, 0, c, 0], [0, d, 0, 5], [7, 0, 0, 0]]
             steps = loop_factor(G)
             assert pivots(steps) == [(1, 2), (0, 1), (2, 0), (3, 3)]
-            T = closed_loop(G)
+            T = solved_inverse(steps)
             M = [[(int(i == j) - G[i][j]) % PRIME for j in range(4)] for i in range(4)]
             assert mat_mul_field(T, M) == identity_field(4)
             assert mat_mul_field(M, T) == identity_field(4)
-            assert solved_inverse(steps) == T
 
     def test_rank_route_builds_no_dense_matrix(self, monkeypatch):
         """The rank route factors I - G from the edge list: no n x n ``network_matrix`` on the way."""
@@ -548,7 +540,8 @@ class TestSolvePath:
         def refuse(*args):
             raise AssertionError("network_matrix called on the rank route")
 
-        monkeypatch.setattr(numeric, "network_matrix", refuse)
+        assert not hasattr(numeric, "network_matrix")
+        monkeypatch.setattr(series, "network_matrix", refuse)
         assert [[route(net).to_dict() for route in routes] for net in solve_path_nets()] == expected
 
     @pytest.mark.parametrize(
@@ -575,24 +568,25 @@ class TestSolvePath:
             excited,
             [2],
         )
-        draw = numeric.random_field_values
         draws = []
 
-        def patched(net_, gen):
-            values = draw(net_, gen)
+        def patched(gen, count):
+            values = random_field_values(gen, count)
+            if count != len(net.edges):  # a sketch row's weights
+                return values
             draws.append(values)
             if len(draws) - 1 == singular_call:
                 # g(0->1) * g(1->0) = 1 makes det(I - G) = 0
-                return [1 if e.known else v for e, v in zip(net_.edges, values)]
+                return [1 if e.known else v for e, v in zip(net.edges, values)]
             return values
 
         monkeypatch.setattr(numeric, "random_field_values", patched)
         seen = calls(numeric.rank_field, lambda: generic_rank(net, decoupled=decoupled, seed=3))
         # the real draws from the same stream, with the singular round dropped
         gen = field_rng(3)
-        real = [draw(net, gen) for _ in range(len(draws))]
+        real = [random_field_values(gen, len(net.edges)) for _ in range(len(draws))]
         kept = real[2:] if (decoupled and singular_call == 1) else real[1:]
-        Ts = [closed_loop(network_matrix(net, values)) for values in kept]
+        Ts = [closed_loop(net, values) for values in kept]
         assert len(draws) == (4 if singular_call == 1 else 3 if decoupled else 2)
         assert [call["A"] for call in seen] == [replayed_sketch(net, sensitivity_matrix(net, Ts[0], Ts[-1]), gen)]
 
@@ -603,8 +597,8 @@ def replayed_sketch(net, K, gen):
         return K
     sketch = []
     for _ in range(net.m_unknown):
-        beta = numeric._nonzero_values(gen, net.n_measured)
-        alpha = numeric._nonzero_values(gen, net.n_excited)
+        beta = random_field_values(gen, net.n_measured)
+        alpha = random_field_values(gen, net.n_excited)
         weights = [a * b for a in alpha for b in beta]  # row (b, c) of K sits at b * |C| + c
         sketch.append([sum(w * k for w, k in zip(weights, col)) % PRIME for col in zip(*K)])
     return sketch
@@ -652,8 +646,8 @@ class TestSketch:
                 continue
             sketch = []
             for _ in range(net.m_unknown):
-                beta = numeric._nonzero_values(gen, net.n_measured)
-                alpha = numeric._nonzero_values(gen, net.n_excited)
+                beta = random_field_values(gen, net.n_measured)
+                alpha = random_field_values(gen, net.n_excited)
                 weights = [a * b for a in alpha for b in beta]  # row (b, c) of K sits at b * |C| + c
                 sketch.append([sum(w * k for w, k in zip(weights, col)) % PRIME for col in zip(*K)])
             assert seen[0]["A"] == sketch

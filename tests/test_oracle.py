@@ -7,22 +7,15 @@ import pytest
 from netident import (
     Edge,
     NetworkModel,
-    PRIME,
-    Poly,
     TooLargeError,
-    closed_loop,
     coefficient,
-    exhaustive_degree_bound,
-    monomial_degree,
-    network_matrix,
-    random_field_values,
     repetition_table,
-    sensitivity_matrix,
     separate,
-    symbolic_closed_loop,
     symbolic_det,
-    terms_sorted,
 )
+from netident.combinatorial import exhaustive_degree_bound, monomial_degree
+from netident.numeric import PRIME, random_field_values
+from netident.oracle import Poly, symbolic_closed_loop, terms_sorted
 
 from corpus import (
     chain_net,
@@ -32,7 +25,7 @@ from corpus import (
     separable_square_corpus,
     unreachable_net,
 )
-from helpers import det_field, eval_poly
+from helpers import closed_loop, det_field, eval_poly, sensitivity_matrix
 from test_combinatorial import cancel_net
 
 
@@ -161,8 +154,8 @@ class TestAgreementWithWalkCounts:
         for net in separable_square_corpus(10, acyclic=True, start_seed=1300):
             bound = exhaustive_degree_bound(net)
             det = symbolic_det(net, bound)
-            edge_values = random_field_values(net, rng)
-            T = closed_loop(network_matrix(net, edge_values))
+            edge_values = random_field_values(rng, len(net.edges))
+            T = closed_loop(net, edge_values)
             K = sensitivity_matrix(net, T, T)
             values = {i: v for i, (e, v) in enumerate(zip(net.edges, edge_values)) if e.known}
             assert det_field(K) == eval_poly(det, values, PRIME)

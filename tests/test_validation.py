@@ -15,14 +15,12 @@ from netident import (
     ValidationError,
     combinatorial_verdict,
     decoupled_identifiability,
-    exhaustive_degree_bound,
-    generic_det_nonzero,
-    generic_rank,
     local_identifiability,
-    network_from_dict,
-    network_to_dict,
     repetition_table,
 )
+from netident.combinatorial import exhaustive_degree_bound
+from netident.netmodel import network_from_dict, network_to_dict
+from netident.numeric import generic_det_nonzero, generic_rank
 
 from corpus import fan_net
 from helpers import validate_calls
