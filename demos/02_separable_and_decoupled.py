@@ -40,7 +40,7 @@ blocks = separate(net)
 print("separable split (1-based nodes)")
 print("  excited part: ", sorted(v + 1 for v in blocks.b_part))
 print("  measured part:", sorted(v + 1 for v in blocks.c_part))
-print("  cross edges:  ", [str(e) for e in blocks.cross_edges])
+print("  cross edges:  ", [str(e) for e in net.unknown_edges])
 v = combinatorial_verdict(net)
 print(f"  global verdict (walk count): {v.decision}")
 

@@ -18,7 +18,6 @@ import time
 
 from .combinatorial import (
     TooLargeError,
-    _degree_bound,
     _walk_route,
     format_monomial,
     monomial_degree,
@@ -83,7 +82,7 @@ def _default_seed() -> int:
     try:
         seed = int(raw)
     except ValueError as exc:
-        raise NetworkFormatError(f"NETIDENT_SEED must be an integer, got {raw!r}") from exc
+        raise OptionError(f"NETIDENT_SEED must be an integer, got {raw!r}") from exc
     if seed < 0:
         raise OptionError(f"NETIDENT_SEED must be >= 0, got {seed}")
     return seed
@@ -190,14 +189,14 @@ def cmd_separable(args: argparse.Namespace) -> int:
                 "separable": True,
                 "excited_part": sorted(v + 1 for v in blocks.b_part),
                 "measured_part": sorted(v + 1 for v in blocks.c_part),
-                "cross_edges": [str(e) for e in blocks.cross_edges],
+                "cross_edges": [str(e) for e in net.unknown_edges],
             }
         )
     else:
         print("separable: yes")
         print("excited part: " + " ".join(str(v + 1) for v in sorted(blocks.b_part)))
         print("measured part: " + " ".join(str(v + 1) for v in sorted(blocks.c_part)))
-        print("cross unknown edges: " + " ".join(str(e) for e in blocks.cross_edges))
+        print("cross unknown edges: " + " ".join(str(e) for e in net.unknown_edges))
     return EXIT_IDENTIFIABLE
 
 
@@ -205,7 +204,6 @@ def cmd_decouple(args: argparse.Namespace) -> int:
     net = load_network(args.path)
     seed = args.seed if args.seed is not None else _default_seed()
     dec = decouple(net, seed)
-    separate(dec)
     save_network(dec, args.out)
     print(f"decoupled network: {dec.n} nodes, {dec.m_unknown} unknown edges -> {args.out}")
     return EXIT_IDENTIFIABLE
@@ -243,7 +241,8 @@ def cmd_combinatorial(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     net = load_network(args.path)
-    max_degree = _degree_bound(net, args.max_degree)
+    # 2n by default: every simple path of each block, twice over.
+    max_degree = 2 * net.n if args.max_degree is None else args.max_degree
     if net.m_unknown == 0:
         raise NoUnknownEdgesError()
     # The determinant first: its size guard must refuse before the walk table is enumerated.

@@ -10,6 +10,10 @@ traverses (the unknown edges index the collection and are not factors).
 The network is identifiable exactly when some monomial keeps a nonzero
 count after all cancellations.
 
+A walk is only the tuple of its edge indices (``Walk``), its one unknown
+edge included: its ends are the tail of its first edge and the head of its
+last, and the k-th walk of a collection runs through the k-th unknown edge.
+
 Walks may repeat edges, so cyclic known blocks admit walks of every
 length.  Enumeration is therefore bounded by total monomial degree; the
 table is exact for every degree it covers, and the verdict is final only
@@ -52,15 +56,8 @@ from .identifiability import (
     NoUnknownEdgesError,
     Verdict,
     _Structure,
-    _known_adjacency,
 )
-from .netmodel import (
-    Edge,
-    NetworkModel,
-    NotSquareError,
-    SeparableBlocks,
-    decouple,
-)
+from .netmodel import NetworkModel, NotSquareError, decouple
 
 __all__ = [
     "MAX_WALK_UNKNOWNS",
@@ -107,35 +104,15 @@ def format_monomial(net: NetworkModel, mu: Monomial) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class Walk:
-    """One excitation-to-measurement walk through exactly one unknown edge.
-
-    ``edges`` holds indices into net.edges, pivot included at position
-    ``pivot_pos``; everything before it lies in the excited known block,
-    everything after in the measured known block.  ``degree`` counts the
-    known edges only.
-    """
-
-    edges: tuple[int, ...]
-    start: int
-    end: int
-    pivot: int
-    pivot_pos: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.edges) - 1
-
-    def known_edge_indices(self) -> tuple[int, ...]:
-        return self.edges[: self.pivot_pos] + self.edges[self.pivot_pos + 1 :]
+# A walk: indices into net.edges from an excitation to a measurement, exactly
+# one of them unknown (its pivot).  The edges before the pivot lie in the
+# excited known block, those after it in the measured one; the walk starts
+# at net.edges[w[0]].src and ends at net.edges[w[-1]].dst.
+Walk = tuple[int, ...]
 
 
 def walk_nodes(net: NetworkModel, walk: Walk) -> list[int]:
-    nodes = [walk.start]
-    for idx in walk.edges:
-        nodes.append(net.edges[idx].dst)
-    return nodes
+    return [net.edges[walk[0]].src] + [net.edges[idx].dst for idx in walk]
 
 
 def _walks_between(
@@ -163,52 +140,29 @@ def _walks_between(
     return out
 
 
-def enumerate_walks(
-    net: NetworkModel,
-    blocks: SeparableBlocks,
-    pivot: Edge,
-    max_degree: int,
-    *,
-    adjacency: tuple[dict, dict] | None = None,
-    pivot_idx: int | None = None,
-) -> list[Walk]:
-    """All walks through ``pivot`` with at most ``max_degree`` known edges.
+def enumerate_walks(net: NetworkModel, adjacency: tuple[dict, dict], pivot: int, max_degree: int) -> list[Walk]:
+    """All walks through the unknown edge ``net.edges[pivot]`` with at most ``max_degree`` known edges.
 
     A walk is an excited-block prefix, the pivot, then a measured-block
     suffix.  The one bound caps prefix and suffix together, so no walk
-    above it is ever built.
-
-    ``adjacency`` is the blocks' known-edge adjacency
-    (``_Structure.block_adjacency``) and ``pivot_idx`` the pivot's index
-    in ``net.edges``; ``repetition_table`` passes both, so that its
-    search builds them once.  By default they are found here.
+    above it is ever built.  ``adjacency`` is the blocks' known-edge
+    adjacency (``_Structure.block_adjacency``).
     """
-    if pivot_idx is None:
-        pivot_idx = net.edges.index(pivot)
-    if adjacency is None:
-        adjacency = _known_adjacency(net, blocks.b_part), _known_adjacency(net, blocks.c_part)
     adj_b, adj_c = adjacency
-    prefixes = {b: sorted(_walks_between(adj_b, b, pivot.src, max_degree), key=len) for b in net.excited}
-    shortest = min((len(ps[0]) for ps in prefixes.values() if ps), default=None)
+    e = net.edges[pivot]
+    prefixes = [sorted(_walks_between(adj_b, b, e.src, max_degree), key=len) for b in net.excited]
+    shortest = min((len(ps[0]) for ps in prefixes if ps), default=None)
     if shortest is None:
         return []
     walks: list[Walk] = []
     for c in net.measured:
-        for suffix in _walks_between(adj_c, pivot.dst, c, max_degree - shortest):
+        for suffix in _walks_between(adj_c, e.dst, c, max_degree - shortest):
             room = max_degree - len(suffix)
-            for b, ps in prefixes.items():
+            for ps in prefixes:
                 for prefix in ps:
                     if len(prefix) > room:
                         break
-                    walks.append(
-                        Walk(
-                            edges=prefix + (pivot_idx,) + suffix,
-                            start=b,
-                            end=c,
-                            pivot=pivot_idx,
-                            pivot_pos=len(prefix),
-                        )
-                    )
+                    walks.append(prefix + (pivot,) + suffix)
     return walks
 
 
@@ -219,25 +173,26 @@ class RepetitionTable:
     Entries that cancelled to zero are retained: a cancellation is exactly
     the phenomenon the count is after.  ``exhaustive`` is true when
     ``max_degree`` reaches ``exhaustive_degree_bound``, where an all-zero
-    table proves the determinant zero.  Unknown edges admitting no walk at
-    any length are listed in ``infeasible_pivots``.
+    table proves the determinant zero.
 
     The count is held packed, as ``repetition_table`` leaves it: ``counts``
     maps each packed monomial to its signed count, and ``collections`` maps
     each (packed monomial, sign) that some collection has, sign +1 or -1
     being the parity of the pairing, to the lexicographically first such
-    collection by edge sequence: one walk per unknown edge, in net.edges
-    order.  A packed monomial holds the multiplicity of ``fields[j]`` in
-    bits j * width up to (j + 1) * width.  ``entries`` and ``first`` are the
-    same two dicts keyed by ``Monomial`` tuples, decoded on first read.  A
-    cancelled entry has both signs recorded.  Every dict lists its keys in
-    the order of those first collections.  ``degrees`` maps each packed
-    monomial to its total degree.
+    collection by edge sequence: one walk per unknown edge, the k-th
+    through the k-th unknown edge in net.edges order.  A packed monomial
+    holds the multiplicity of ``fields[j]`` in bits j * width up to
+    (j + 1) * width.  ``entries`` and ``first`` are the same two dicts
+    keyed by ``Monomial`` tuples, decoded on first read.  A cancelled entry
+    has both signs recorded.  Every dict lists its keys in the order of
+    those first collections.  ``degrees`` maps each packed monomial to its
+    total degree.
 
-    An empty table can carry the structural reason no monomial survives:
-    unknown edges no walk serves (``infeasible_pivots``), (excitation,
-    measurement) node pairs no walk serves (``infeasible_rows``), or a rank
-    bound of the sensitivity matrix below the number of unknown edges
+    An empty table can carry the structural reason no monomial survives,
+    as the verdict prints it in ``witness``: the unknown edges no walk
+    serves (``no_walk_pivots``), else the (excitation, measurement) node
+    pairs no walk serves (``no_walk_rows``, 1-based), or a rank bound of
+    the sensitivity matrix below the number of unknown edges
     (``rank_bound``, as ``_Structure.rank_bound`` gives it).
     """
 
@@ -248,9 +203,7 @@ class RepetitionTable:
     degrees: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     fields: tuple[int, ...] = ()
     width: int = 1
-    infeasible_pivots: tuple[int, ...] = ()
-    infeasible_rows: tuple[tuple[int, int], ...] = ()
-    rank_bound: dict | None = None
+    witness: dict | None = None
 
     def _decode(self, packed: int) -> Monomial:
         mask = (1 << self.width) - 1
@@ -322,14 +275,13 @@ def exhaustive_degree_bound(net: NetworkModel) -> int:
     return structure.completeness_bound
 
 
-def _walk_blocks(net: NetworkModel, structure: _Structure) -> SeparableBlocks:
-    """The walk route's input guards, the bipartition they return included: separable, square, not too large."""
-    blocks = structure.blocks
+def _walk_guards(net: NetworkModel, structure: _Structure) -> None:
+    """The walk route's input guards: separable, square, not too large."""
+    structure.blocks  # NotSeparableError on a network that is not separable
     if not net.is_square:
         raise NotSquareError(net)
     if net.m_unknown > MAX_WALK_UNKNOWNS:
         raise TooLargeError(f"{net.m_unknown} unknown edges exceed the walk-route guard of {MAX_WALK_UNKNOWNS}")
-    return blocks
 
 
 def _least_degrees(net: NetworkModel, structure: _Structure) -> list[int]:
@@ -377,13 +329,17 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     the table builds its own.
     """
     structure = _Structure(net) if structure is None else structure
-    blocks = _walk_blocks(net, structure)
+    _walk_guards(net, structure)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if structure.no_collection:
-        pivots = tuple(net.edges.index(e) for e in structure.zero_columns)
-        rows = () if pivots else tuple(structure.dead_rows)
-        return RepetitionTable(max_degree=max_degree, exhaustive=True, infeasible_pivots=pivots, infeasible_rows=rows)
+        zero = structure.zero_columns
+        witness = (
+            {"no_walk_pivots": [str(e) for e in zero]}
+            if zero
+            else {"no_walk_rows": [[b + 1, c + 1] for b, c in structure.dead_rows]}
+        )
+        return RepetitionTable(max_degree=max_degree, exhaustive=True, witness=witness)
     exhaustive = max_degree >= structure.completeness_bound
     width = max(max_degree, 1).bit_length()
     least = _least_degrees(net, structure)
@@ -396,15 +352,16 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     n_c = net.n_measured
 
     # Per unknown edge: its walks in edge-sequence order, each with its
-    # (excitation, measurement) row and known edges.
+    # (excitation, measurement) row, read off its first and last edges, and
+    # its known edges, the walk without its pivot.
+    edges = net.edges
     steps: list[list[tuple[Walk, int, tuple[int, ...]]]] = []
-    pivots = [(i, e) for i, e in enumerate(net.edges) if not e.known]
-    for (i, e), shortest in zip(pivots, least):
-        ws = sorted(
-            enumerate_walks(net, blocks, e, shortest + spare, adjacency=structure.block_adjacency, pivot_idx=i),
-            key=lambda w: w.edges,
+    pivots = [i for i, e in enumerate(edges) if not e.known]
+    for i, shortest in zip(pivots, least):
+        ws = sorted(enumerate_walks(net, structure.block_adjacency, i, shortest + spare))
+        steps.append(
+            [(w, b_slot[edges[w[0]].src] * n_c + c_slot[edges[w[-1]].dst], tuple(j for j in w if j != i)) for w in ws]
         )
-        steps.append([(w, b_slot[w.start] * n_c + c_slot[w.end], w.known_edge_indices()) for w in ws])
     m = len(steps)
 
     # Least degree of the remaining unknown edges, for pruning.
@@ -475,13 +432,12 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
 
     A surviving monomial proves identifiability outright; the witness is
     the least survivor by (degree, monomial), with the first collection of
-    its count's sign, and only that survivor is decoded.  A structural
-    reason on an empty table refutes it and is the witness.  An all-zero
-    table refutes it only when the table is exhaustive; otherwise the
-    outcome is inconclusive at this bound.
+    its count's sign, and only that survivor is decoded.  Otherwise an
+    exhaustive table refutes it, with the table's structural witness if it
+    has one, and a partial one leaves the outcome inconclusive at this
+    bound.  A table with a structural witness is always exhaustive.
     """
     least = table.least_survivor()
-    decision = NOT_IDENTIFIABLE
     if least is not None:
         mu, r, coll = least
         decision = IDENTIFIABLE
@@ -489,19 +445,13 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
             "monomial": format_monomial(net, mu),
             "repetition": r,
             "walks": [
-                {"nodes": [v + 1 for v in walk_nodes(net, w)], "pivot": str(net.edges[w.pivot])}
-                for w in coll
+                {"nodes": [v + 1 for v in walk_nodes(net, w)], "pivot": str(e)}
+                for w, e in zip(coll, net.unknown_edges)
             ],
         }
-    elif table.infeasible_pivots:
-        witness = {"no_walk_pivots": [str(net.edges[i]) for i in table.infeasible_pivots]}
-    elif table.infeasible_rows:
-        witness = {"no_walk_rows": [[b + 1, c + 1] for b, c in table.infeasible_rows]}
-    elif table.rank_bound:
-        witness = {"rank_bound": table.rank_bound}
     else:
         decision = NOT_IDENTIFIABLE if table.exhaustive else INCONCLUSIVE
-        witness = None
+        witness = table.witness
     return Verdict(
         decision,
         GLOBAL_SEPARABLE,
@@ -510,17 +460,6 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
         exhaustive=table.exhaustive,
         witness=witness,
     )
-
-
-def _degree_bound(net: NetworkModel, max_degree: int | None) -> int:
-    """The oracle's degree bound: ``max_degree``, or 2n when it is None.
-
-    2n traverses every simple path twice over in each block.  The walk
-    route's default is not a fixed bound: ``_least_decided_table`` refutes
-    from the structure, or searches the bounds from the least collection
-    degree up to min(``exhaustive_degree_bound``, 2n).
-    """
-    return 2 * net.n if max_degree is None else max_degree
 
 
 def _least_decided_table(net: NetworkModel) -> RepetitionTable:
@@ -542,12 +481,12 @@ def _least_decided_table(net: NetworkModel) -> RepetitionTable:
     The network is separated, swept and bounded once for the whole search.
     """
     structure = _Structure(net)
-    _walk_blocks(net, structure)
+    _walk_guards(net, structure)
     cap = min(structure.completeness_bound, 2 * net.n)
     if structure.no_collection:
         return repetition_table(net, cap, structure=structure)
     if structure.rank_bound["bound"] < net.m_unknown:
-        return RepetitionTable(max_degree=0, exhaustive=True, rank_bound=structure.rank_bound)
+        return RepetitionTable(max_degree=0, exhaustive=True, witness={"rank_bound": structure.rank_bound})
     degree = min(sum(_least_degrees(net, structure)), cap)
     while True:
         table = repetition_table(net, degree, structure=structure)

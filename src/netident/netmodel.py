@@ -79,14 +79,12 @@ class DuplicateMeasurementError(ValidationError):
 class NotSeparableError(ValueError):
     """The network admits no excited/measured bipartition.
 
-    Carries a witness: either a node that would need to sit in both parts,
-    or an edge violating the block structure.
+    Carries a witness: a node that would need to sit in both parts.
     """
 
-    def __init__(self, reason: str, node: int | None = None, edge: "Edge | None" = None):
+    def __init__(self, reason: str, node: int):
         self.reason = reason
         self.node = node
-        self.edge = edge
         super().__init__(reason)
 
 
@@ -187,14 +185,14 @@ class SeparableBlocks:
 
     All excited nodes live in ``b_part``, all measured nodes in ``c_part``,
     known edges stay within their part, and every unknown edge crosses from
-    ``b_part`` to ``c_part``.  No edge of any kind runs c-to-b.
+    ``b_part`` to ``c_part``.  No edge of any kind runs c-to-b.  The two
+    node sets are the whole record: the known edges of a block are those
+    whose tail lies in its part, and the crossing edges are exactly
+    ``net.unknown_edges``.
     """
 
     b_part: frozenset[int]
     c_part: frozenset[int]
-    gb_edges: tuple[Edge, ...]
-    gc_edges: tuple[Edge, ...]
-    cross_edges: tuple[Edge, ...]
 
 
 def _is_index(v: object) -> bool:
@@ -309,18 +307,7 @@ def separate(net: NetworkModel) -> SeparableBlocks:
 
     b_part = frozenset(v for v in range(net.n) if uf.find(v) not in c_cause)
     c_part = frozenset(v for v in range(net.n) if uf.find(v) in c_cause)
-
-    # Structurally guaranteed by the forcing above; kept as a cheap safety net.
-    for e in net.edges:
-        if e.src in c_part and e.dst in b_part:
-            raise NotSeparableError(f"edge {e} runs from the measured part to the excited part", edge=e)
-        if not e.known and not (e.src in b_part and e.dst in c_part):
-            raise NotSeparableError(f"unknown edge {e} does not cross the bipartition", edge=e)
-
-    gb = tuple(e for e in net.edges if e.known and e.src in b_part)
-    gc = tuple(e for e in net.edges if e.known and e.src in c_part)
-    cross = tuple(e for e in net.edges if not e.known)
-    return SeparableBlocks(b_part=b_part, c_part=c_part, gb_edges=gb, gc_edges=gc, cross_edges=cross)
+    return SeparableBlocks(b_part=b_part, c_part=c_part)
 
 
 def is_separable(net: NetworkModel) -> bool:

@@ -135,12 +135,11 @@ def symbolic_closed_loop(
     """
     if side not in ("B", "C"):
         raise ValueError("side must be 'B' or 'C'")
-    edges = blocks.gb_edges if side == "B" else blocks.gc_edges
-    idx_of = {e: i for i, e in enumerate(net.edges)}
+    part = blocks.b_part if side == "B" else blocks.c_part
     n = net.n
     total = [[Poly.constant(1) if i == j else Poly.zero() for j in range(n)] for i in range(n)]
     power = [[Poly.constant(1) if i == j else Poly.zero() for j in range(n)] for i in range(n)]
-    hops = [(e.dst, e.src, Poly.variable(idx_of[e])) for e in edges]
+    hops = [(e.dst, e.src, Poly.variable(i)) for i, e in enumerate(net.edges) if e.known and e.src in part]
     for _ in range(max_length):
         nxt = [[Poly.zero() for _ in range(n)] for _ in range(n)]
         moved = False

@@ -17,7 +17,7 @@ from netident import (
     save_network,
 )
 from netident import numeric
-from netident.cli import _build_parser, main
+from netident.cli import OptionError, _build_parser, _default_seed, main
 from netident.netmodel import network_to_dict
 
 from corpus import cyclic9_net, fan_net, minimal_net, unreachable_net
@@ -85,7 +85,9 @@ class TestCheck:
         monkeypatch.setenv("NETIDENT_SEED", "pi")
         code, _, err = run(capsys, ["check", path])
         assert code == 3
-        assert "NETIDENT_SEED" in err
+        assert err.startswith("error: NETIDENT_SEED must be an integer, got 'pi'")
+        with pytest.raises(OptionError, match="NETIDENT_SEED must be an integer"):
+            _default_seed()
 
 
 class TestSeparable:

@@ -102,64 +102,85 @@ class TestSign:
         assert _parity([0, 1, 3, 2]) == -1
 
 
+def walks_of(net: NetworkModel, pivot: int, max_degree: int) -> list:
+    """``enumerate_walks`` through ``net.edges[pivot]``, given the block adjacency as ``repetition_table`` gives it."""
+    return enumerate_walks(net, identifiability._Structure(net).block_adjacency, pivot, max_degree)
+
+
+def derived(net: NetworkModel, walk) -> tuple[int, int, list[int]]:
+    """(start, end, unknown edges) of a walk, read off its edge indices."""
+    return net.edges[walk[0]].src, net.edges[walk[-1]].dst, [i for i in walk if not net.edges[i].known]
+
+
+def known_of(net: NetworkModel, walk) -> list[int]:
+    return [i for i in walk if net.edges[i].known]
+
+
 class TestEnumerateWalks:
     def test_chain_single_walk(self):
         net = chain_net()
-        blocks = separate(net)
-        walks = enumerate_walks(net, blocks, net.edges[1], 3)
-        assert len(walks) == 1
-        w = walks[0]
-        assert w.edges == (0, 1)
-        assert (w.start, w.end, w.pivot, w.pivot_pos) == (0, 2, 1, 1)
-        assert w.degree == 1
-        assert w.known_edge_indices() == (0,)
-        assert walk_nodes(net, w) == [0, 1, 2]
-        assert walk_nodes(net, w)[w.pivot_pos :] == [1, 2]
+        walks = walks_of(net, 1, 3)
+        assert walks == [(0, 1)]
+        assert derived(net, walks[0]) == (0, 2, [1])
+        assert known_of(net, walks[0]) == [0]
+        assert walk_nodes(net, walks[0]) == [0, 1, 2]
 
     def test_minimal_degree_zero_walk(self):
         net = minimal_net()
-        walks = enumerate_walks(net, separate(net), net.edges[0], 2)
-        assert [(walk_nodes(net, w), w.pivot_pos) for w in walks] == [([0, 1], 0)]
-        assert walks[0].degree == 0
+        walks = walks_of(net, 0, 2)
+        assert walks == [(0,)]
+        assert derived(net, walks[0]) == (0, 1, [0])
+        assert walk_nodes(net, walks[0]) == [0, 1]
 
     def test_fan_two_prefixes_per_pivot(self):
         net = fan_net()
-        blocks = separate(net)
-        walks = enumerate_walks(net, blocks, net.edges[4], 2)
-        assert sorted((w.start, w.edges) for w in walks) == [(0, (0, 4)), (1, (2, 4))]
+        walks = walks_of(net, 4, 2)
+        assert sorted(walks) == [(0, 4), (2, 4)]
+        assert sorted(derived(net, w) for w in walks) == [(0, 4, [4]), (1, 4, [4])]
 
     def test_prefix_bound_respected(self):
         net = chain_net()
-        assert enumerate_walks(net, separate(net), net.edges[1], 0) == []
-        assert len(enumerate_walks(net, separate(net), net.edges[1], 1)) == 1
+        assert walks_of(net, 1, 0) == []
+        assert len(walks_of(net, 1, 1)) == 1
 
     def test_cyclic_block_walks_grow_with_bound(self):
         net = cyclic9_net()
-        blocks = separate(net)
-        pivot = net.edges[9]
-        short = enumerate_walks(net, blocks, pivot, 3)
-        long = enumerate_walks(net, blocks, pivot, 5)
+        short = walks_of(net, 9, 3)
+        long = walks_of(net, 9, 5)
         assert len(long) > len(short)
-        assert all(w.degree <= 5 for w in long)
-        assert sorted(w.edges for w in long if w.degree <= 3) == sorted(w.edges for w in short)
+        assert all(len(w) - 1 <= 5 and derived(net, w)[2] == [9] for w in long)
+        assert sorted(w for w in long if len(w) - 1 <= 3) == sorted(short)
 
     def test_no_walk_above_the_bound_is_built(self, monkeypatch):
-        """The bound caps prefix and suffix together, so nothing is built and then dropped."""
-        built = []
-        walk = combinatorial.Walk
+        """The bound caps prefix and suffix together, so nothing is built and then dropped.
 
-        def recording_walk(**fields):
-            built.append(len(fields["edges"]) - 1)
-            return walk(**fields)
+        Each suffix search is bounded by 4 less the shortest prefix, and no
+        listed walk has more than 4 known edges.
+        """
+        searches = []
+        walks_between = combinatorial._walks_between
 
-        monkeypatch.setattr(combinatorial, "Walk", recording_walk)
+        def recording(adj, start, goal, bound):
+            found = walks_between(adj, start, goal, bound)
+            searches.append((start, goal, bound, found))
+            return found
+
+        monkeypatch.setattr(combinatorial, "_walks_between", recording)
+        suffixes = 0
         for net in separable_square_corpus(6, acyclic=False, start_seed=700):
-            blocks = separate(net)
-            for pivot in net.unknown_edges:
-                built.clear()
-                walks = enumerate_walks(net, blocks, pivot, 4)
-                assert len(built) == len(walks)
-                assert all(d <= 4 for d in built)
+            for i, pivot in enumerate(net.edges):
+                if pivot.known:
+                    continue
+                searches.clear()
+                walks = walks_of(net, i, 4)
+                prefixes = [found for _, goal, bound, found in searches if goal == pivot.src and bound == 4]
+                assert len(prefixes) == net.n_excited
+                shortest = min((len(p) for found in prefixes for p in found), default=None)
+                for start, _, bound, _ in searches[len(prefixes):]:
+                    assert start == pivot.dst and bound <= 4 - shortest
+                    suffixes += 1
+                assert all(len(known_of(net, w)) <= 4 for w in walks)
+        assert suffixes > 0
 
 
 class TestCollections:
@@ -179,7 +200,7 @@ class TestRepetitionTable:
         t = repetition_table(minimal_net(), 2)
         assert t.entries == {(): 1}
         assert t.exhaustive is True
-        assert t.infeasible_pivots == ()
+        assert t.witness is None
 
     def test_chain(self):
         t = repetition_table(chain_net(), 3)
@@ -200,7 +221,7 @@ class TestRepetitionTable:
         t = repetition_table(unreachable_net(), 4)
         assert t.entries == {}
         assert t.exhaustive is True
-        assert t.infeasible_pivots == (0,)
+        assert t.witness == {"no_walk_pivots": ["2->3"]}
 
     @pytest.mark.parametrize("cyclic", [True, False])
     def test_dead_row_lists_no_walk(self, monkeypatch, cyclic):
@@ -225,16 +246,16 @@ class TestRepetitionTable:
 
         monkeypatch.setattr(combinatorial, "enumerate_walks", refuse)
         cases = (
-            (dead_row, (), ((1, 3),), {"no_walk_rows": [[2, 4]]}),
-            (zero_column, (len(zero_column.edges) - 1,), (), {"no_walk_pivots": ["4->5"]}),
+            (dead_row, {"no_walk_rows": [[2, 4]]}),
+            (zero_column, {"no_walk_pivots": ["4->5"]}),
         )
-        for net, pivots, rows, witness in cases:
+        for net, witness in cases:
             assert exhaustive_degree_bound(net) == 0
             for d in (0, 3, 8, None):
                 t = repetition_table(net, d or 0)
                 # the table the full enumeration builds
                 assert (t.entries, t.first, t.max_degree, t.exhaustive) == ({}, {}, d or 0, True)
-                assert (t.infeasible_pivots, t.infeasible_rows) == (pivots, rows)
+                assert t.witness == witness
                 v = combinatorial_verdict(net, d)
                 assert (v.decision, v.max_degree, v.witness) == (NOT_IDENTIFIABLE, d or 0, witness)
 
@@ -297,7 +318,8 @@ def _square_separable(draw_seed: int, combo: int, extra_nodes: int, density: flo
 
 
 def _rows(net: NetworkModel, walks) -> list[int]:
-    return [net.excited.index(w.start) * net.n_measured + net.measured.index(w.end) for w in walks]
+    ends = [derived(net, w)[:2] for w in walks]
+    return [net.excited.index(start) * net.n_measured + net.measured.index(end) for start, end in ends]
 
 
 def _brute_force_entries(net: NetworkModel, walk_lists, max_degree: int) -> dict:
@@ -305,8 +327,8 @@ def _brute_force_entries(net: NetworkModel, walk_lists, max_degree: int) -> dict
     signed: dict = {}
     for c in itertools.product(*walk_lists):
         rows = _rows(net, c)
-        if sorted(rows) == list(range(len(walk_lists))) and sum(w.degree for w in c) <= max_degree:
-            mu = monomial_of(i for w in c for i in w.known_edge_indices())
+        if sorted(rows) == list(range(len(walk_lists))) and sum(len(w) - 1 for w in c) <= max_degree:
+            mu = monomial_of(i for w in c for i in known_of(net, w))
             signed[mu] = signed.get(mu, 0) + _parity(rows)
     return signed
 
@@ -328,15 +350,14 @@ class TestTableProperties:
         assert lo.entries == {mu: r for mu, r in hi.entries.items() if monomial_degree(mu) <= d}
 
         pivots = [i for i, e in enumerate(net.edges) if not e.known]
-        blocks = separate(net)
-        walk_lists = [enumerate_walks(net, blocks, net.edges[i], d + 2) for i in pivots]
+        walk_lists = [walks_of(net, i, d + 2) for i in pivots]
 
         def is_collection(walks, mu, sign):
             rows = _rows(net, walks)
             return (
                 sorted(rows) == list(range(len(pivots)))
                 and _parity(rows) == sign
-                and monomial_of(i for w in walks for i in w.known_edge_indices()) == mu
+                and monomial_of(i for w in walks for i in known_of(net, w)) == mu
             )
 
         for mu, r in hi.entries.items():
@@ -347,11 +368,11 @@ class TestTableProperties:
             assert hi.entries == _brute_force_entries(net, walk_lists, d + 2)
         for (mu, sign), walks in hi.first.items():
             assert mu in hi.entries
-            assert [w.pivot for w in walks] == pivots
+            assert [derived(net, w)[2] for w in walks] == [[i] for i in pivots]
             assert is_collection(walks, mu, sign)
             if brute:
                 matching = [c for c in itertools.product(*walk_lists) if is_collection(c, mu, sign)]
-                assert min(matching, key=lambda c: [w.edges for w in c]) == walks
+                assert min(matching) == walks
 
 
 def repeat_net(m: int) -> NetworkModel:
@@ -389,8 +410,7 @@ class TestPackedFieldWidth:
         }
         assert table.entries == expected
         assert table.entries == dict(terms_sorted(symbolic_det(net, max_degree)))
-        blocks = separate(net)
-        walk_lists = [enumerate_walks(net, blocks, e, max_degree) for e in net.unknown_edges]
+        walk_lists = [walks_of(net, i, max_degree) for i, e in enumerate(net.edges) if not e.known]
         assert table.entries == _brute_force_entries(net, walk_lists, max_degree)
 
 
@@ -457,7 +477,8 @@ class TestLazyTable:
                 "monomial": format_monomial(net, mu),
                 "repetition": r,
                 "walks": [
-                    {"nodes": [v + 1 for v in walk_nodes(net, w)], "pivot": str(net.edges[w.pivot])} for w in coll
+                    {"nodes": [v + 1 for v in walk_nodes(net, w)], "pivot": str(net.edges[derived(net, w)[2][0]])}
+                    for w in coll
                 ],
             }
         # both branches are reached: survivors, and tables whose every entry cancels
@@ -485,7 +506,7 @@ class TestLazyTable:
             assert list(table.first) == [(table._decode(p), sign) for p, sign in table.collections]
             assert list(table.entries) == [table._decode(p) for p in table.counts]
             # the first collections ascend by edge sequence, and entries follow the first key of each monomial
-            order = [[w.edges for w in coll] for coll in table.first.values()]
+            order = list(table.first.values())
             assert order == sorted(order) and len(set(map(repr, order))) == len(order)
             assert list(table.entries) == list(dict.fromkeys(mu for mu, _ in table.first))
 
@@ -529,7 +550,7 @@ class TestExhaustiveBound:
             d = exhaustive_degree_bound(net)
             assert d is not None
             assert repetition_table(net, d).exhaustive is True
-            if d > 0 and not repetition_table(net, d - 1).infeasible_pivots:
+            if d > 0 and repetition_table(net, d - 1).witness is None:
                 assert repetition_table(net, d - 1).exhaustive is False
 
 
@@ -642,7 +663,7 @@ class TestDefaultSearch:
         assert tables == [4, 5]
 
     def test_block_adjacency_built_once_per_verdict(self):
-        """The searched bounds share one adjacency per block; the walks equal those listed without it."""
+        """The searched bounds share one adjacency per block, the known edges of each part of ``separate``."""
         inputs = _perfbench_inputs()
         nets = [cyclic9_net()] + [inputs.cyclic_net(1, i) for i in range(60)]
         searched = 0
@@ -652,11 +673,26 @@ class TestDefaultSearch:
             walks = calls(enumerate_walks, lambda: combinatorial_verdict(net))
             assert len(built) == (2 if walks else 0), net
             searched += len(tables) >= 2
-            for c in walks:
-                assert c["pivot_idx"] == net.edges.index(c["pivot"]), net
-                bare = enumerate_walks(net, c["blocks"], c["pivot"], c["max_degree"])
-                assert enumerate_walks(**c) == bare, net
+            if walks:
+                blocks = separate(net)
+                adjacency = identifiability._known_adjacency(net, blocks.b_part), identifiability._known_adjacency(
+                    net, blocks.c_part
+                )
+                assert len({id(c["adjacency"]) for c in walks}) == 1, net
+                assert walks[0]["adjacency"] == adjacency, net
         assert searched >= 5
+
+    def test_walk_k_runs_through_unknown_edge_k(self):
+        """The verdict names the k-th walk's pivot as the k-th unknown edge: each first collection bears that out."""
+        collections = 0
+        for net in separable_square_corpus(20, acyclic=False):
+            pivots = [i for i, e in enumerate(net.edges) if not e.known]
+            for coll in repetition_table(net, 6).first.values():
+                collections += 1
+                assert len(coll) == len(pivots)
+                for walk, pivot in zip(coll, pivots):
+                    assert walk.count(pivot) == 1 and derived(net, walk)[2] == [pivot], net
+        assert collections >= 20
 
 
 class TestVerdicts:

