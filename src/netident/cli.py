@@ -136,6 +136,11 @@ def _print_witness(v: Verdict) -> None:
         if "node" in bound:
             side = "into" if bound["by"] == "heads" else "out of"
             limit = f": the {bound['unknown_edges']} unknown edges {side} node {bound['node']} have rank at most {bound['rank']}"
+        elif bound["by"] == "product":
+            limit = (
+                f": {bound['heads_to_measured']} disjoint walks from the unknown edges' heads to the measurements"
+                f" times {bound['excited_to_tails']} from the excitations to their tails"
+            )
         print(f"  structural rank bound {bound['bound']} < {v.m_unknown} unknown edges (by {bound['by']}{limit})")
     if "monomial" in w:
         print(f"  witness monomial: {w['monomial']} (repetition {w['repetition']:+d})")

@@ -482,11 +482,11 @@ def _least_decided_table(net: NetworkModel) -> RepetitionTable:
     """
     structure = _Structure(net)
     _walk_guards(net, structure)
-    cap = min(structure.completeness_bound, 2 * net.n)
     if structure.no_collection:
-        return repetition_table(net, cap, structure=structure)
+        return repetition_table(net, 0, structure=structure)
     if structure.rank_bound["bound"] < net.m_unknown:
         return RepetitionTable(max_degree=0, exhaustive=True, witness={"rank_bound": structure.rank_bound})
+    cap = min(structure.completeness_bound, 2 * net.n)
     degree = min(sum(_least_degrees(net, structure)), cap)
     while True:
         table = repetition_table(net, degree, structure=structure)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .netmodel import Edge, NetworkModel, SeparableBlocks, separate
 from .numeric import generic_rank
@@ -196,8 +196,9 @@ class _Structure:
     """Reach facts of one network, built per verdict and never kept on the model; each sweep runs once.
 
     The rank witness reads ``zero_columns``: one sweep from all excitations
-    and one into all measurements.  ``dead_rows`` adds one per port, and
-    ``rank_bound`` one flow per head and per tail of the unknown edges.
+    and one into all measurements.  ``dead_rows`` adds one per port.
+    ``rank_bound`` reads those two sweeps, and runs a flow only where
+    two or more nodes are left on both of its sides.
     """
 
     def __init__(self, net: NetworkModel):
@@ -280,41 +281,71 @@ class _Structure:
     def rank_bound(self) -> dict:
         """An upper bound on the generic rank of the sensitivity matrix K for every edge value, from the graph alone.
 
-        Column j->h of K is T[C, h] T[j, B], T the closed loop.  The columns
-        of the unknown edges into one head h therefore span at most
-        rank T[tails, B] dimensions, and none when T[C, h] is zero (h
-        reaches no measurement); the generic rank of T[X, Y] is the largest
-        number of vertex-disjoint walks from Y to X (van der Woude 1991),
-        and it holds at every edge value since a rank only drops there.
-        Summing over heads bounds rank K; so does summing over tails,
-        mirrored, and so does the row count |B||C|.  Decoupled sampling
-        draws the two factors of each column independently, which the
-        argument never uses, so the bound holds there too.
+        Column j->h of K is T[C, h] T[j, B], T the closed loop, so the
+        columns of any group of unknown edges, with heads H and tails J, lie
+        in the span of T[C, H] (x) T[J, B] and span at most
+        rank T[C, H] * rank T[J, B] dimensions.  The generic rank of T[X, Y]
+        is the largest number of vertex-disjoint walks from Y to X (van der
+        Woude 1991), and it holds at every edge value since a rank only
+        drops there.  Three candidates bound rank K this way:
 
-        Returns ``{"bound": ..., "by": "heads" | "tails" | "rows"}``, the
-        least of the three (heads first on a tie).  A sum below the number
-        of unknown edges also names the first ``node`` (1-based) whose
-        ``unknown_edges`` span less than their count, and that ``rank``.
+        * ``heads``: the sum over each head h of the flow from the
+          excitations to its tails, 0 when h reaches no measurement;
+        * ``tails``: the same sum mirrored, over each tail;
+        * ``product``: all unknown edges as one group, the flow from the
+          heads to the measurements times the flow from the excitations to
+          the tails.  It is at most the row count |B||C|.
+
+        Each flow keeps only the heads that reach a measurement and the
+        tails an excitation reaches, as the two reach sweeps give them; the
+        others lie on no such walk.  With at most one node left on a side
+        the flow is that count and no max-flow runs, so a head or tail that
+        holds one unknown edge never runs one.
+        Decoupled sampling draws the two factors of each column
+        independently, which the argument never uses, so the bound holds
+        there too.
+
+        Returns the least candidate, the first in the order above on a tie,
+        as ``{"bound": ..., "by": "heads" | "tails" | "product"}``.
+        A heads or tails sum below the number of unknown edges also names
+        the first ``node`` (1-based) whose ``unknown_edges`` span less than
+        their count, and that ``rank``; the product names its two flows,
+        ``heads_to_measured`` and ``excited_to_tails``.
         """
         net = self.net
+        from_excited, to_measured = self.sweep(net.excited), self.sweep(net.measured, True)
+
+        def flow(sources: Sequence[int], targets: Sequence[int]) -> int:
+            most = min(len(sources), len(targets))
+            return _disjoint_paths(self.succ, sources, targets) if most > 1 else most
+
+        def into(heads: Iterable[int]) -> int:
+            """rank T[C, heads]."""
+            return flow([h for h in heads if h in to_measured], net.measured)
+
+        def out_of(tails: Iterable[int]) -> int:
+            """rank T[tails, B]."""
+            return flow(net.excited, [t for t in tails if t in from_excited])
+
         by_head: dict[int, list[int]] = {}
         by_tail: dict[int, list[int]] = {}
         for e in net.unknown_edges:
             by_head.setdefault(e.dst, []).append(e.src)
             by_tail.setdefault(e.src, []).append(e.dst)
         sides = []
-        for by, groups, live, flow in (
-            ("heads", by_head, self.sweep(net.measured, True), lambda tails: _disjoint_paths(self.succ, net.excited, tails)),
-            ("tails", by_tail, self.sweep(net.excited), lambda heads: _disjoint_paths(self.succ, heads, net.measured)),
+        for by, groups, span in (
+            ("heads", by_head, lambda head, tails: into((head,)) * out_of(tails)),
+            ("tails", by_tail, lambda tail, heads: into(heads) * out_of((tail,))),
         ):
             total, limit = 0, {}
             for v, ends in groups.items():
-                rank = flow(ends) if v in live else 0
+                rank = span(v, ends)
                 total += rank
                 if rank < len(ends) and not limit:
                     limit = {"node": v + 1, "unknown_edges": len(ends), "rank": rank}
             sides.append({"bound": total, "by": by, **limit})
-        sides.append({"bound": net.n_excited * net.n_measured, "by": "rows"})
+        heads, tails = into(by_head), out_of(by_tail)
+        sides.append({"bound": heads * tails, "by": "product", "heads_to_measured": heads, "excited_to_tails": tails})
         return min(sides, key=lambda side: side["bound"])
 
 

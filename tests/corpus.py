@@ -44,6 +44,24 @@ def fan_net() -> NetworkModel:
     )
 
 
+def cut_net() -> NetworkModel:
+    """Three excitations reach three unknown-edge tails only through a 2-node cut; one measurement.
+
+    The unknown edges have distinct heads and tails and every head reaches
+    the measurement, so each head or tail alone spans one column, and there
+    are three rows.  All three columns lie in the span of T[C, heads]
+    times a rank-2 T[tails, B], so the sensitivity matrix has rank 2 < 3.
+    """
+    b, cut, tails, heads, c = (0, 1, 2), (3, 4), (5, 6, 7), (8, 9, 10), 11
+    known = [(u, v) for u in b for v in cut] + [(u, v) for u in cut for v in tails] + [(h, c) for h in heads]
+    return NetworkModel(
+        12,
+        [Edge(u, v, known=True) for u, v in known] + [Edge(t, h, known=False) for t, h in zip(tails, heads)],
+        list(b),
+        [c],
+    )
+
+
 def bipartite_net() -> NetworkModel:
     """All four unknown edges cross directly; the sensitivity matrix is the identity."""
     return NetworkModel(

@@ -10,19 +10,23 @@ its definition from whole closed loops, and ``closed_loop`` gives those
 from the library's factor and one packed solve on unit right-hand sides.
 The product, identity, polynomial evaluation, the permutation-expansion
 determinant and the largest-minor rank are written out independently so
-tests can check the library against them.
+tests can check the library against them, and so is the structural rank
+bound, from one flow per group with no reach shortcut.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 from dataclasses import replace
 from itertools import combinations, permutations
+from pathlib import Path
 from typing import Iterable
 
 from netident import NetworkModel, netmodel, numeric
 from netident.combinatorial import Monomial
+from netident.identifiability import _disjoint_paths
 from netident.numeric import PRIME, _sample_factors, _sensitivity
 from netident.oracle import Poly
 
@@ -219,6 +223,56 @@ def permute(net: NetworkModel, perm: list[int]) -> NetworkModel:
         excited=tuple(perm[v] for v in net.excited),
         measured=tuple(perm[v] for v in net.measured),
     )
+
+
+def rank_bound_candidates(net: NetworkModel) -> list[dict]:
+    """The candidates of ``_Structure.rank_bound`` in its tie order, each group ranked by ``_disjoint_paths`` alone.
+
+    A group of unknown edges with heads H and tails J spans at most
+    rho(H -> C) * rho(B -> J) columns, rho the flow.  ``heads`` and
+    ``tails`` sum that over the groups of one head or one tail, and
+    ``product`` takes all unknown edges as one group; none reads a reach
+    sweep or skips a head or tail, and every group runs both flows.
+    """
+    succ: list[list[int]] = [[] for _ in range(net.n)]
+    for e in net.edges:
+        succ[e.src].append(e.dst)
+
+    def group_rank(edges: list) -> int:
+        return _disjoint_paths(succ, [e.dst for e in edges], net.measured) * _disjoint_paths(
+            succ, net.excited, [e.src for e in edges]
+        )
+
+    candidates = []
+    for by, key in (("heads", lambda e: e.dst), ("tails", lambda e: e.src)):
+        groups: dict[int, list] = {}
+        for e in net.unknown_edges:
+            groups.setdefault(key(e), []).append(e)
+        side = {"bound": 0, "by": by}
+        for v, edges in groups.items():
+            rank = group_rank(edges)
+            side["bound"] += rank
+            if rank < len(edges) and "node" not in side:
+                side.update(node=v + 1, unknown_edges=len(edges), rank=rank)
+        candidates.append(side)
+    into = _disjoint_paths(succ, [e.dst for e in net.unknown_edges], net.measured)
+    out_of = _disjoint_paths(succ, net.excited, [e.src for e in net.unknown_edges])
+    candidates.append({"bound": into * out_of, "by": "product", "heads_to_measured": into, "excited_to_tails": out_of})
+    return candidates
+
+
+def rank_bound_reference(net: NetworkModel) -> dict:
+    """``_Structure.rank_bound`` recomputed: the least of ``rank_bound_candidates``, the first on a tie."""
+    return min(rank_bound_candidates(net), key=lambda side: side["bound"])
+
+
+def perfbench_inputs():
+    """The benchmark's own seeded network generator, ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def calls(fn, action) -> list[dict]:

@@ -7,6 +7,7 @@ criterion.  Every check is seeded, so reruns are bit-for-bit repeatable.
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from netident.identifiability import _Structure
 from netident.numeric import generic_det_nonzero
 from netident.oracle import terms_sorted
 from netident.series import float_closed_loop, inf_norm, network_matrix, neumann_series, random_float_values
+
+from helpers import rank_bound_candidates
 
 from corpus import (
     general_square_corpus,
@@ -125,11 +128,13 @@ class TestAcceptance:
 
         Neither sampled rank exceeds the structural rank bound, which holds
         for every edge value in both notions; the share of rank-deficient
-        nets whose bound is below m is printed.
+        nets whose bound is below m is printed, and how many of them each
+        candidate of the bound explains.
         """
         started = time.perf_counter()
         failures = []
         deficient = explained = 0
+        by = Counter()
         for net in general_square_corpus(500, start_seed=4000):
             local = local_identifiability(net)
             dec = decoupled_identifiability(net)
@@ -141,14 +146,19 @@ class TestAcceptance:
             if local.rank < net.m_unknown:
                 deficient += 1
                 explained += bound < net.m_unknown
-        print(f"structural rank bound below m on {explained} of {deficient} locally rank-deficient nets")
+                by.update(side["by"] for side in rank_bound_candidates(net) if side["bound"] < net.m_unknown)
+        candidates = ", ".join(f"{name} {by[name]}" for name in ("heads", "tails", "product"))
+        print(f"structural rank bound below m on {explained} of {deficient} locally rank-deficient nets ({candidates})")
         _report(4, "necessity chain", started, failures)
 
     def test_criterion_5_decoupled_equivalence(self):
-        """Decoupled-mode rank decision equals the local rank decision of the separable square 2n-node lift.
+        """Decoupled-mode rank decision equals the local rank decision and the walk verdict of the 2n-node lift.
 
-        At one seed the decoupled-mode sample of a net is the local sample of
-        its lift, entry by entry, so the lift reads a disjoint seed.
+        The lift is separable and square.  At one seed the decoupled-mode
+        sample of a net is the local sample of its lift, entry by entry, so
+        the lift's rank reads a disjoint seed.  The lift's default walk
+        verdict decides the same question with no sample; an inconclusive
+        one fails the criterion.
         """
         started = time.perf_counter()
         failures = []
@@ -161,6 +171,9 @@ class TestAcceptance:
             via = local_identifiability(lifted, seed=0x5EED).decision
             if direct != via:
                 failures.append(f"{direct} direct but {via} on the lift of {net}")
+            walk = combinatorial_verdict(lifted)
+            if walk.decision != direct:
+                failures.append(f"{direct} direct but walk verdict {walk.decision} at bound {walk.max_degree} on the lift of {net}")
         _report(5, "decoupled equivalence", started, failures)
 
     def test_criterion_6_separable_local_is_global(self):

@@ -159,6 +159,24 @@ class TestCombinatorial:
         assert code == 1
         assert "  (excitation, measurement) pairs with no walk: (2, 4)" in out
 
+    def test_product_bound_names_both_flows(self, tmp_path, capsys):
+        """Lift 14 of acceptance criterion 5: three heads reach the measurements, one excitation feeds every tail."""
+        path = str(tmp_path / "net.json")
+        gen = ["gen", "--nodes", "6", "--unknowns", "4", "--excited", "1", "--measured", "4"]
+        assert run(capsys, [*gen, "--known-density", "0.4", "--seed", "5014", "--out", path])[0] == 0
+        code, out, _ = run(capsys, ["combinatorial", path, "--decouple-first"])
+        assert code == 1
+        assert "decoupled-generic: not-identifiable (max degree 0, exhaustive)" in out
+        assert (
+            "  structural rank bound 3 < 4 unknown edges (by product: 3 disjoint walks from the unknown edges'"
+            " heads to the measurements times 1 from the excitations to their tails)" in out
+        )
+        code, out, _ = run(capsys, ["combinatorial", path, "--decouple-first", "--json"])
+        assert code == 1
+        assert json.loads(out)["verdict"]["witness"] == {
+            "rank_bound": {"bound": 3, "by": "product", "heads_to_measured": 3, "excited_to_tails": 1}
+        }
+
     def test_degree_bound_changes_the_verdict(self, tmp_path, capsys):
         path = write_net(tmp_path, cyclic9_net())
         code, out, _ = run(capsys, ["combinatorial", path, "--max-degree", "4"])

@@ -1,10 +1,8 @@
 """Walk enumeration, signed counting and the verdicts they support."""
 
-import importlib.util
 import itertools
 import math
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -44,13 +42,14 @@ from corpus import (
     SQUARE_COMBOS,
     bipartite_net,
     chain_net,
+    cut_net,
     cyclic9_net,
     fan_net,
     minimal_net,
     separable_square_corpus,
     unreachable_net,
 )
-from helpers import calls, monomial_of
+from helpers import calls, monomial_of, perfbench_inputs
 
 
 def cancel_net() -> NetworkModel:
@@ -589,23 +588,16 @@ class TestOneStructuralPass:
         assert searched >= 1
 
 
-def _perfbench_inputs():
-    """The benchmark's own seeded network generator, ``perfbench/inputs.py``."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestDefaultSearch:
     """With no bound the walk route refutes from the structure, or searches the bounds upward to min(D, 2n)."""
 
     def test_rank_bound_refutes_without_listing_a_walk(self, monkeypatch):
         """cancel_net's two unknown edges leave one tail, whose heads reach the measurement along one walk.
 
-        The lift of a separable 8-node draw is refuted the same way; without
-        the bound, its count at 2n = 32 runs for more than 20 s.
+        cut_net's heads and tails each allow its three columns, but its
+        2-node cut allows two.  The lift of a separable 8-node draw is
+        refuted the same way; without the bound, its count at 2n = 32 runs
+        for more than 20 s.
         """
         source = random_network(
             nodes=8, unknowns=4, excited=2, measured=2, known_density=0.3, separable=True, acyclic=False, seed=7
@@ -618,6 +610,9 @@ class TestDefaultSearch:
         v = combinatorial_verdict(cancel_net())
         assert (v.decision, v.max_degree, v.exhaustive) == (NOT_IDENTIFIABLE, 0, True)
         assert v.witness == {"rank_bound": {"bound": 1, "by": "tails", "node": 3, "unknown_edges": 2, "rank": 1}}
+        v = combinatorial_verdict(cut_net())
+        assert (v.decision, v.max_degree, v.exhaustive) == (NOT_IDENTIFIABLE, 0, True)
+        assert v.witness == {"rank_bound": {"bound": 2, "by": "product", "heads_to_measured": 1, "excited_to_tails": 2}}
         lift = necessary_condition_any_topology(source)
         assert (lift.decision, lift.notion, lift.exhaustive) == (NOT_IDENTIFIABLE, DECOUPLED_GENERIC, True)
         assert lift.witness["rank_bound"]["bound"] < source.m_unknown
@@ -626,7 +621,7 @@ class TestDefaultSearch:
     def _pool():
         yield from separable_square_corpus(40, acyclic=True)
         yield from separable_square_corpus(40, acyclic=False, start_seed=1000)
-        inputs = _perfbench_inputs()
+        inputs = perfbench_inputs()
         for i in range(300):
             yield inputs.cyclic_net(1, i)
 
@@ -648,7 +643,7 @@ class TestDefaultSearch:
 
     def test_each_bound_counted_once_up_to_the_stop(self):
         """The searched bounds run upward by one from the least collection degree; none passes the verdict's bound."""
-        inputs = _perfbench_inputs()
+        inputs = perfbench_inputs()
         nets = [cyclic9_net(), fan_net()] + list(separable_square_corpus(40, acyclic=False, start_seed=1000))
         nets += [inputs.cyclic_net(1, i) for i in range(60)]
         for net in nets:
@@ -663,9 +658,13 @@ class TestDefaultSearch:
         assert tables == [4, 5]
 
     def test_block_adjacency_built_once_per_verdict(self):
-        """The searched bounds share one adjacency per block, the known edges of each part of ``separate``."""
-        inputs = _perfbench_inputs()
-        nets = [cyclic9_net()] + [inputs.cyclic_net(1, i) for i in range(60)]
+        """The searched bounds share one adjacency per block, the known edges of each part of ``separate``.
+
+        The product rank bound refutes most draws that search two or more
+        bounds, so the pool is wide enough to keep five that still do.
+        """
+        inputs = perfbench_inputs()
+        nets = [cyclic9_net()] + [inputs.cyclic_net(1, i) for i in range(1500)]
         searched = 0
         for net in nets:
             tables = calls(repetition_table, lambda: combinatorial_verdict(net))

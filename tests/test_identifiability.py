@@ -1,6 +1,7 @@
 """Verdict semantics for the three identifiability notions: two rank routes, and the walk route for global-separable."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,10 +26,11 @@ from netident import (
 from netident.identifiability import _disjoint_paths, _Structure
 from netident.numeric import random_field_values, rank_field
 
-from helpers import closed_loop, sample_sensitivity
+from helpers import closed_loop, perfbench_inputs, rank_bound_candidates, rank_bound_reference, sample_sensitivity
 
 from corpus import (
     chain_net,
+    cut_net,
     fan_net,
     general_square_corpus,
     minimal_net,
@@ -189,7 +191,7 @@ class TestDecouplingEquivalence:
             assert_decoupled_matches_lift_walks(net)
 
     def test_decoupled_form_is_always_separable_and_square(self):
-        """The lift is decided by its rank at a disjoint seed: its walk search on the third net runs past 15 s."""
+        """The lift's local rank at a disjoint seed decides as the decoupled rank of its source does."""
         for net in general_square_corpus(15, start_seed=500):
             d = decouple(net)
             assert d.is_square and is_separable(d)
@@ -224,3 +226,26 @@ class TestStructuralRankBound:
         # a third unknown edge into the one measured node: three columns, two rows
         net = NetworkModel(4, [Edge(0, 3, known=False), Edge(1, 3, known=False), Edge(2, 3, known=False)], [0, 1], [3])
         assert _Structure(net).rank_bound == {"bound": 2, "by": "heads", "node": 4, "unknown_edges": 3, "rank": 2}
+        # heads, tails and the three rows all allow the three columns; the flow through the 2-node cut allows two
+        assert [side["bound"] for side in rank_bound_candidates(cut_net())] == [3, 3, 2]
+        assert _Structure(cut_net()).rank_bound == {
+            "bound": 2, "by": "product", "heads_to_measured": 1, "excited_to_tails": 2,
+        }
+
+    def test_equals_the_flow_per_group_reference(self):
+        """The reach shortcut for one-edge groups and the live heads and tails of the product change no bound.
+
+        Over criterion 4's and criterion 6's corpora and 1500 draws of the
+        benchmark's cyclic pool, against two flows for every group.
+        """
+        inputs = perfbench_inputs()
+        nets = list(general_square_corpus(500, start_seed=4000))
+        nets += separable_square_corpus(100, acyclic=False, start_seed=6000)
+        nets += [inputs.cyclic_net(1, i) for i in range(1500)]
+        refuted = Counter()
+        for net in nets:
+            bound = _Structure(net).rank_bound
+            assert bound == rank_bound_reference(net), net
+            if bound["bound"] < net.m_unknown:
+                refuted[bound["by"]] += 1
+        assert all(refuted[by] >= 40 for by in ("heads", "tails", "product")), refuted
