@@ -216,7 +216,7 @@ def cmd_decouple(args: argparse.Namespace) -> int:
 
 def cmd_combinatorial(args: argparse.Namespace) -> int:
     net = load_network(args.path)
-    target, table, verdict = _walk_route(net, args.max_degree, args.decouple_first)
+    target, table, verdict = _walk_route(net, args.max_degree, args.decouple_first, full_table=True)
     if args.json:
         _json_report(
             {

@@ -21,11 +21,13 @@ when the table is exhaustive.  ``exhaustive_degree_bound`` is the single
 rule for that: 0 when no collection exists, the longest collection on
 acyclic blocks, else a degree D where an all-zero table proves det K = 0.
 
-With no bound given, the walk route stops as soon as the answer is
-decided.  First from the graph alone: no collection, or a rank bound of
-the sensitivity matrix, from vertex-disjoint walks, below the number of
-unknown edges.  Otherwise it counts one table per bound, upward from the
-least collection degree to min(D, 2n), and stops at the first table with a
+The walk route asks the graph first, at every bound: no collection, or a
+rank bound of the sensitivity matrix, from vertex-disjoint walks, below
+the number of unknown edges, proves det K identically zero.  Such a
+verdict is "not identifiable" at whatever bound was asked, and no walk is
+listed.  Otherwise an explicit bound counts its one table, and with no
+bound given the route counts one table per bound, upward from the least
+collection degree to min(D, 2n), and stops at the first table with a
 surviving monomial; that survivor, its count and its collection are the
 ones the table at min(D, 2n) would give.
 
@@ -173,7 +175,8 @@ class RepetitionTable:
     Entries that cancelled to zero are retained: a cancellation is exactly
     the phenomenon the count is after.  ``exhaustive`` is true when
     ``max_degree`` reaches ``exhaustive_degree_bound``, where an all-zero
-    table proves the determinant zero.
+    table proves the determinant zero, and at every bound when the
+    structure already proves it (``witness``).
 
     The count is held packed, as ``repetition_table`` leaves it: ``counts``
     maps each packed monomial to its signed count, and ``collections`` maps
@@ -188,12 +191,14 @@ class RepetitionTable:
     those first collections.  ``degrees`` maps each packed monomial to its
     total degree.
 
-    An empty table can carry the structural reason no monomial survives,
-    as the verdict prints it in ``witness``: the unknown edges no walk
+    ``witness`` is the structural reason no monomial survives, when the
+    graph gives one, as the verdict prints it: the unknown edges no walk
     serves (``no_walk_pivots``), else the (excitation, measurement) node
-    pairs no walk serves (``no_walk_rows``, 1-based), or a rank bound of
+    pairs no walk serves (``no_walk_rows``, 1-based), else a rank bound of
     the sensitivity matrix below the number of unknown edges
-    (``rank_bound``, as ``_Structure.rank_bound`` gives it).
+    (``rank_bound``, as ``_Structure.rank_bound`` gives it).  The first two
+    leave the table empty at every bound; under a rank bound the counted
+    entries are all cancelled ones.
     """
 
     max_degree: int
@@ -275,13 +280,26 @@ def exhaustive_degree_bound(net: NetworkModel) -> int:
     return structure.completeness_bound
 
 
-def _walk_guards(net: NetworkModel, structure: _Structure) -> None:
-    """The walk route's input guards: separable, square, not too large."""
+def _walk_guards(net: NetworkModel, structure: _Structure, max_degree: int | None) -> None:
+    """The walk route's input guards: separable, square, not too large, and no negative bound."""
     structure.blocks  # NotSeparableError on a network that is not separable
     if not net.is_square:
         raise NotSquareError(net)
     if net.m_unknown > MAX_WALK_UNKNOWNS:
         raise TooLargeError(f"{net.m_unknown} unknown edges exceed the walk-route guard of {MAX_WALK_UNKNOWNS}")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+
+
+def _refutation(net: NetworkModel, structure: _Structure) -> dict | None:
+    """The structure's proof that det K is identically zero, as a table's ``witness``; None when it has none."""
+    if structure.zero_columns:
+        return {"no_walk_pivots": [str(e) for e in structure.zero_columns]}
+    if structure.dead_rows:
+        return {"no_walk_rows": [[b + 1, c + 1] for b, c in structure.dead_rows]}
+    if structure.rank_bound["bound"] < net.m_unknown:
+        return {"rank_bound": structure.rank_bound}
+    return None
 
 
 def _least_degrees(net: NetworkModel, structure: _Structure) -> list[int]:
@@ -310,7 +328,9 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     unknown edge and every row, so an unknown edge or a row that no walk
     serves leaves the table empty at every bound, and no walk is listed.
     Each unknown edge's walks are listed only up to the degree the bound
-    leaves it once every other unknown edge takes its shortest walk.
+    leaves it once every other unknown edge takes its shortest walk.  A
+    network the structure refutes (``_refutation``) is still counted in
+    full, and its table is exhaustive and carries that witness.
 
     A state is (rows used, packed monomial, sign).  Each known edge that
     some listed walk uses owns a field of max(max_degree, 1).bit_length()
@@ -329,23 +349,16 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     the table builds its own.
     """
     structure = _Structure(net) if structure is None else structure
-    _walk_guards(net, structure)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    _walk_guards(net, structure, max_degree)
+    witness = _refutation(net, structure)
     if structure.no_collection:
-        zero = structure.zero_columns
-        witness = (
-            {"no_walk_pivots": [str(e) for e in zero]}
-            if zero
-            else {"no_walk_rows": [[b + 1, c + 1] for b, c in structure.dead_rows]}
-        )
         return RepetitionTable(max_degree=max_degree, exhaustive=True, witness=witness)
-    exhaustive = max_degree >= structure.completeness_bound
+    exhaustive = witness is not None or max_degree >= structure.completeness_bound
     width = max(max_degree, 1).bit_length()
     least = _least_degrees(net, structure)
     spare = max_degree - sum(least)  # degree a collection may spend beyond its shortest walks
     if spare < 0:
-        return RepetitionTable(max_degree=max_degree, exhaustive=exhaustive, width=width)
+        return RepetitionTable(max_degree=max_degree, exhaustive=exhaustive, width=width, witness=witness)
 
     b_slot = {b: i for i, b in enumerate(net.excited)}
     c_slot = {c: i for i, c in enumerate(net.measured)}
@@ -424,6 +437,7 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
         degrees=degrees,
         fields=tuple(fields),
         width=width,
+        witness=witness,
     )
 
 
@@ -462,30 +476,18 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
     )
 
 
-def _least_decided_table(net: NetworkModel) -> RepetitionTable:
-    """The walk route's default table: decided by the structure, else the first bound with a survivor.
+def _least_decided_table(net: NetworkModel, structure: _Structure) -> RepetitionTable:
+    """The walk route's default table on a network its structure does not refute: the first bound with a survivor.
 
-    * No collection (a zero column or a dead row): the empty table at
-      bound 0, exhaustive, with its unknown edges or rows.
-    * ``_Structure.rank_bound`` below the number of unknown edges: rank K
-      is below m at every edge value, so det K is identically zero.  The
-      empty table at bound 0, exhaustive, with the bound; no walk is listed.
-    * Otherwise one table per bound d = d0, d0 + 1, ..., up to min(D, 2n),
-      D being ``exhaustive_degree_bound`` and d0 the least collection
-      degree, stopping at the first table with a survivor.  Entries of
-      degree <= d are exact at bound d and the least survivor has the least
-      degree, so the survivor, its count and its first collection are the
-      ones the table at min(D, 2n) gives; with no survivor the last table
-      is that table.
-
-    The network is separated, swept and bounded once for the whole search.
+    One table per bound d = d0, d0 + 1, ..., up to min(D, 2n), D being
+    ``exhaustive_degree_bound`` and d0 the least collection degree,
+    stopping at the first table with a survivor.  Entries of degree <= d
+    are exact at bound d and the least survivor has the least degree, so
+    the survivor, its count and its first collection are the ones the
+    table at min(D, 2n) gives; with no survivor the last table is that
+    table.  ``structure`` is the walk route's, so the whole search
+    separates, sweeps and bounds the network once.
     """
-    structure = _Structure(net)
-    _walk_guards(net, structure)
-    if structure.no_collection:
-        return repetition_table(net, 0, structure=structure)
-    if structure.rank_bound["bound"] < net.m_unknown:
-        return RepetitionTable(max_degree=0, exhaustive=True, witness={"rank_bound": structure.rank_bound})
     cap = min(structure.completeness_bound, 2 * net.n)
     degree = min(sum(_least_degrees(net, structure)), cap)
     while True:
@@ -496,19 +498,34 @@ def _least_decided_table(net: NetworkModel) -> RepetitionTable:
 
 
 def _walk_route(
-    net: NetworkModel, max_degree: int | None, decouple_first: bool = False
+    net: NetworkModel, max_degree: int | None, decouple_first: bool = False, *, full_table: bool = False
 ) -> tuple[NetworkModel, RepetitionTable, Verdict]:
     """(network analyzed, repetition table, verdict) of the walk-counting route.
 
     With ``decouple_first`` the table is built on ``decouple(net)`` (the
     count reads the structure only, never edge values) and the verdict
-    carries the decoupled notion.  Without ``max_degree`` the table is
-    ``_least_decided_table`` of the network analyzed.
+    carries the decoupled notion.  One ``_Structure`` of the network
+    analyzed serves the whole route, and its ``_refutation`` comes first:
+    a refuted network gets the empty table at ``max_degree`` (0 by
+    default), exhaustive and with that witness, and no walk is listed.  At
+    an explicit bound ``full_table`` counts it instead, as
+    ``repetition_table`` does, for a caller that prints every entry.  An
+    unrefuted network gets its ``repetition_table`` at ``max_degree``, or
+    by default ``_least_decided_table``.  Either way the verdict is
+    ``verdict_from_table`` of the table.
     """
     target = decouple(net) if decouple_first else net
     if target.m_unknown == 0:
         raise NoUnknownEdgesError()
-    table = _least_decided_table(target) if max_degree is None else repetition_table(target, max_degree)
+    structure = _Structure(target)
+    _walk_guards(target, structure, max_degree)
+    refuted = _refutation(target, structure)
+    if refuted is not None and (max_degree is None or not full_table):
+        table = RepetitionTable(max_degree=max_degree or 0, exhaustive=True, witness=refuted)
+    elif max_degree is None:
+        table = _least_decided_table(target, structure)
+    else:
+        table = repetition_table(target, max_degree, structure=structure)
     verdict = verdict_from_table(target, table)
     if decouple_first:
         verdict = replace(verdict, notion=DECOUPLED_GENERIC)
@@ -518,10 +535,14 @@ def _walk_route(
 def combinatorial_verdict(net: NetworkModel, max_degree: int | None = None) -> Verdict:
     """Identifiability of a separable square network by signed walk counting.
 
-    At ``max_degree`` when given.  By default the structure refutes it when
-    it can, and otherwise the bounds are searched upward from the least
-    collection degree to min(``exhaustive_degree_bound``, 2n), stopping at
-    the first survivor (``_least_decided_table``).
+    The structure refutes it first when it can (``_refutation``): "not
+    identifiable", exhaustive, at ``max_degree`` or at 0 by default, with
+    the structural witness and no walk listed.  Otherwise the table at
+    ``max_degree`` decides when it is given, and by default the bounds are
+    searched upward from the least collection degree to
+    min(``exhaustive_degree_bound``, 2n), stopping at the first survivor
+    (``_least_decided_table``).  At every bound the verdict equals
+    ``verdict_from_table`` of ``repetition_table`` there.
     """
     return _walk_route(net, max_degree)[2]
 
@@ -530,9 +551,11 @@ def necessary_condition_any_topology(net: NetworkModel, max_degree: int | None =
     """Walk-counting test applied to the decoupled form of an arbitrary network.
 
     The decoupled form is always separable and square whenever the source
-    is square, so the walk count applies to any topology through it.  A
-    not-identifiable outcome refutes local identifiability of the source
-    (the decoupled notion is necessary for the local one); an identifiable
-    outcome certifies the decoupled notion only.
+    is square, so the walk count applies to any topology through it, and
+    the structure of the lift refutes it first, at every bound, as in
+    ``combinatorial_verdict``.  A not-identifiable outcome refutes local
+    identifiability of the source (the decoupled notion is necessary for
+    the local one); an identifiable outcome certifies the decoupled notion
+    only.
     """
     return _walk_route(net, max_degree, decouple_first=True)[2]

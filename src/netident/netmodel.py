@@ -263,6 +263,14 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _cause_text(kind: str, what: int | Edge) -> str:
+    """Why ``separate`` forced a component into a part, as its conflict witness words it."""
+    if kind in ("excited", "measured"):
+        return f"node {what + 1} is {kind}"
+    node = what.src if kind == "tail" else what.dst
+    return f"node {node + 1} is the {kind} of unknown edge {what}"
+
+
 def separate(net: NetworkModel) -> SeparableBlocks:
     """Find a separable bipartition, or raise NotSeparableError with a witness.
 
@@ -279,34 +287,30 @@ def separate(net: NetworkModel) -> SeparableBlocks:
         if e.known:
             uf.union(e.src, e.dst)
 
-    # Why each component was forced: node -> human-readable cause, kept for witnesses.
-    b_cause: dict[int, str] = {}
-    c_cause: dict[int, str] = {}
-
-    def force(cause_map: dict[int, str], node: int, cause: str) -> None:
-        root = uf.find(node)
-        cause_map.setdefault(root, cause)
-
+    # Why each component was forced: root -> (kind, node or edge), worded only for a witness.
+    b_cause: dict[int, tuple[str, int | Edge]] = {}
+    c_cause: dict[int, tuple[str, int | Edge]] = {}
     for node in net.excited:
-        force(b_cause, node, f"node {node + 1} is excited")
+        b_cause.setdefault(uf.find(node), ("excited", node))
     for node in net.measured:
-        force(c_cause, node, f"node {node + 1} is measured")
+        c_cause.setdefault(uf.find(node), ("measured", node))
     for e in net.edges:
         if not e.known:
-            force(b_cause, e.src, f"node {e.src + 1} is the tail of unknown edge {e}")
-            force(c_cause, e.dst, f"node {e.dst + 1} is the head of unknown edge {e}")
+            b_cause.setdefault(uf.find(e.src), ("tail", e))
+            c_cause.setdefault(uf.find(e.dst), ("head", e))
 
-    for node in range(net.n):
-        root = uf.find(node)
-        if root in b_cause and root in c_cause:
-            raise NotSeparableError(
-                f"conflict at node {node + 1}: {b_cause[root]} but also {c_cause[root]}"
-                " (connected by known edges)",
-                node=node,
-            )
+    roots = [uf.find(v) for v in range(net.n)]
+    conflict = b_cause.keys() & c_cause.keys()
+    if conflict:
+        node, root = next((v, root) for v, root in enumerate(roots) if root in conflict)
+        raise NotSeparableError(
+            f"conflict at node {node + 1}: {_cause_text(*b_cause[root])} but also {_cause_text(*c_cause[root])}"
+            " (connected by known edges)",
+            node=node,
+        )
 
-    b_part = frozenset(v for v in range(net.n) if uf.find(v) not in c_cause)
-    c_part = frozenset(v for v in range(net.n) if uf.find(v) in c_cause)
+    b_part = frozenset(v for v, root in enumerate(roots) if root not in c_cause)
+    c_part = frozenset(v for v, root in enumerate(roots) if root in c_cause)
     return SeparableBlocks(b_part=b_part, c_part=c_part)
 
 

@@ -177,6 +177,28 @@ class TestCombinatorial:
             "rank_bound": {"bound": 3, "by": "product", "heads_to_measured": 3, "excited_to_tails": 1}
         }
 
+    def test_structure_refutes_at_an_explicit_bound(self, tmp_path, capsys):
+        """A separable 8-node draw whose heads bound rank K by 3 < 4: not identifiable below D = 24 too.
+
+        The printed table is still counted at the bound asked: one
+        cancelled entry at 4, a nonempty all-zero table at 24.
+        """
+        path = str(tmp_path / "net.json")
+        gen = ["gen", "--separable", "--nodes", "8", "--unknowns", "4", "--excited", "2", "--measured", "2"]
+        assert run(capsys, [*gen, "--seed", "3", "--out", path])[0] == 0
+        witness = {"rank_bound": {"bound": 3, "by": "heads", "node": 4, "unknown_edges": 3, "rank": 2}}
+        for bound, entries in (("4", 1), ("24", 94)):
+            code, out, _ = run(capsys, ["combinatorial", path, "--max-degree", bound, "--json"])
+            report = json.loads(out)
+            assert code == 1
+            assert (report["verdict"]["decision"], report["verdict"]["exhaustive"]) == ("not-identifiable", True)
+            assert report["verdict"]["witness"] == witness
+            assert len(report["table"]) == entries and all(row["repetition"] == 0 for row in report["table"])
+        code, out, _ = run(capsys, ["combinatorial", path, "--max-degree", "4"])
+        assert code == 1
+        assert "global-separable: not-identifiable (max degree 4, exhaustive)" in out
+        assert "repetition table (degree bound 4, exhaustive):" in out
+
     def test_degree_bound_changes_the_verdict(self, tmp_path, capsys):
         path = write_net(tmp_path, cyclic9_net())
         code, out, _ = run(capsys, ["combinatorial", path, "--max-degree", "4"])

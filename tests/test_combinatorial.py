@@ -694,6 +694,72 @@ class TestDefaultSearch:
         assert collections >= 20
 
 
+class TestStructureFirstAtEveryBound:
+    """An explicit bound asks the structure first too: a refuted net is "not identifiable" at every bound."""
+
+    # exhaustive_degree_bound on criterion 6's corpus; the completeness bound reads no structural refutation
+    CRITERION_6_BOUNDS = [
+        0, 6, 0, 20, 9, 0, 0, 24, 0, 0, 0, 0, 0, 12, 20, 0, 1, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 20, 0, 1, 0,
+        8, 0, 2, 12, 20, 24, 0, 8, 0, 0, 9, 0, 0, 0, 0, 8, 10, 0, 0, 0, 0, 5, 0, 8, 10, 0, 0, 9, 0, 24, 1, 8, 0, 24,
+        9, 0, 20, 20, 0, 4, 8, 0, 9, 0, 0, 24, 0, 0, 10, 0, 9, 0, 20, 24, 2, 0, 0, 0, 0, 6, 20, 0, 0, 6, 0, 16,
+    ]
+
+    @staticmethod
+    def _criterion_6_corpus():
+        return list(separable_square_corpus(100, acyclic=False, start_seed=6000))
+
+    def test_verdict_is_the_counted_tables_verdict_at_every_bound(self):
+        """combinatorial_verdict(net, d) == verdict_from_table(net, repetition_table(net, d)) for d up to min(D, 2n, 8).
+
+        A table the rank bound refutes is still counted in full, and every
+        entry it counts cancels.  Past bound 8 a few 8-node nets of the
+        corpus count for seconds per bound (net 87 takes 3 s at 12), so the
+        sweep stops there; it covers min(D, 2n) on 73 of the 101 nets.
+        """
+        refuted_below_d = counted_refutations = 0
+        for net in self._criterion_6_corpus() + [cyclic9_net()]:
+            top = min(exhaustive_degree_bound(net), 2 * net.n, 8)
+            for d in range(top + 1):
+                table = repetition_table(net, d)
+                verdict = combinatorial_verdict(net, d)
+                assert verdict == verdict_from_table(net, table), (net, d)
+                if table.witness and "rank_bound" in table.witness:
+                    assert table.exhaustive and not any(table.counts.values()), (net, d)
+                    counted_refutations += bool(table.counts)
+                    refuted_below_d += d < exhaustive_degree_bound(net)
+        assert refuted_below_d >= 100 and counted_refutations >= 40, (refuted_below_d, counted_refutations)
+
+    def test_refuted_nets_list_no_walk_and_count_no_table(self, monkeypatch):
+        """cancel_net and the lift of a separable 8-node draw are refuted at every bound without a walk or a table."""
+        source = random_network(
+            nodes=8, unknowns=4, excited=2, measured=2, known_density=0.3, separable=True, acyclic=False, seed=7
+        )
+        lift = netmodel.decouple(source)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walks listed or a table counted on a structurally refuted net")
+
+        monkeypatch.setattr(combinatorial, "enumerate_walks", refuse)
+        monkeypatch.setattr(combinatorial, "repetition_table", refuse)
+        for d in (0, 3, 4, 12, 32):
+            for check, net, notion in (
+                (combinatorial_verdict, cancel_net(), GLOBAL_SEPARABLE),
+                (necessary_condition_any_topology, cancel_net(), DECOUPLED_GENERIC),
+                (combinatorial_verdict, lift, GLOBAL_SEPARABLE),
+                (necessary_condition_any_topology, source, DECOUPLED_GENERIC),
+            ):
+                v = check(net, d)
+                assert (v.decision, v.notion, v.max_degree, v.exhaustive) == (NOT_IDENTIFIABLE, notion, d, True)
+                assert v.witness["rank_bound"]["bound"] < v.m_unknown
+
+    def test_exhaustive_degree_bound_is_unchanged(self):
+        """The bound at which the count is complete does not read the structural refutation."""
+        assert [exhaustive_degree_bound(net) for net in self._criterion_6_corpus()] == self.CRITERION_6_BOUNDS
+        inputs = perfbench_inputs()
+        assert {exhaustive_degree_bound(inputs.acyclic_net(1, i)) for i in range(32)} == {16}
+        assert exhaustive_degree_bound(cyclic9_net()) == 14
+
+
 class TestVerdicts:
     def test_minimal_witness(self):
         v = combinatorial_verdict(minimal_net())
@@ -722,12 +788,12 @@ class TestVerdicts:
         assert v.exhaustive is True
         assert v.witness == {"no_walk_pivots": ["2->3"]}
 
-    def test_cancellation_refuted_without_witness(self):
-        """At an explicit bound the all-zero table is the whole refutation; by default the structure gives it."""
-        v = combinatorial_verdict(cancel_net(), 4)
-        assert v.decision == NOT_IDENTIFIABLE
-        assert v.exhaustive is True
-        assert v.witness is None
+    def test_cancellation_refuted_by_the_rank_bound_at_every_bound(self):
+        """The structure refutes cancel_net at every bound, below D = 4 too, and the verdict names the rank bound."""
+        witness = {"rank_bound": {"bound": 1, "by": "tails", "node": 3, "unknown_edges": 2, "rank": 1}}
+        for d in (0, 2, 4, 12):
+            v = combinatorial_verdict(cancel_net(), d)
+            assert (v.decision, v.max_degree, v.exhaustive, v.witness) == (NOT_IDENTIFIABLE, d, True, witness)
 
     def test_cyclic_bound_sensitivity(self):
         """Degree 4 sees only cancellations; degree 5 finds a survivor."""
