@@ -32,21 +32,25 @@ surviving monomial; that survivor, its count and its collection are the
 ones the table at min(D, 2n) would give.
 
 One layered count adds the unknown edges one at a time, merging partial
-collections that reach the same (rows used, monomial so far, sign) state,
-and keeps the first collection that reaches each state.  Within the count
-a monomial is one packed integer, a bit field per known edge holding its
-multiplicity, so extending a state is one addition.  The table keeps its
-counts and first collections under those packed keys: the verdict decodes
-only the least surviving monomial, and the ``Monomial`` tuples of every entry
+collections that reach the same (rows used, monomial so far) state into
+one signed count: the sign of a pairing only multiplies a count, so
+collections of opposite signs share a state, and no collection is kept.
+Within the count a monomial is one packed integer, a bit field per known
+edge holding its multiplicity, so extending a state is one addition.  The
+table keeps its counts under those packed keys: the verdict decodes only
+the least surviving monomial, and the ``Monomial`` tuples of every entry
 are decoded once, when the table is first read.  States and walks are
-visited in order, so the collection kept is the lexicographically smallest,
-and the verdict reads its witness from the table.
+visited in order, so the table lists its monomials in the order of their
+lexicographically first collections.  The one collection the verdict
+prints, the first of the least survivor's sign, is rebuilt after the count
+by one ordered search over the same walk lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 from .identifiability import (
@@ -179,17 +183,17 @@ class RepetitionTable:
     structure already proves it (``witness``).
 
     The count is held packed, as ``repetition_table`` leaves it: ``counts``
-    maps each packed monomial to its signed count, and ``collections`` maps
-    each (packed monomial, sign) that some collection has, sign +1 or -1
-    being the parity of the pairing, to the lexicographically first such
-    collection by edge sequence: one walk per unknown edge, the k-th
-    through the k-th unknown edge in net.edges order.  A packed monomial
-    holds the multiplicity of ``fields[j]`` in bits j * width up to
-    (j + 1) * width.  ``entries`` and ``first`` are the same two dicts
-    keyed by ``Monomial`` tuples, decoded on first read.  A cancelled entry
-    has both signs recorded.  Every dict lists its keys in the order of
-    those first collections.  ``degrees`` maps each packed monomial to its
-    total degree.
+    maps each packed monomial to its signed count, the sum over its
+    collections of the parity of their pairings.  A collection is one walk
+    per unknown edge, the k-th through the k-th unknown edge in net.edges
+    order.  A packed monomial holds the multiplicity of ``fields[j]`` in
+    bits j * width up to (j + 1) * width.  ``entries`` is the same dict
+    keyed by ``Monomial`` tuples, decoded on first read.  Both list their
+    keys in the order of each monomial's lexicographically first
+    collection by edge sequence, of either sign.  ``survivor`` is the least
+    surviving packed monomial by (degree, monomial) with the first
+    collection of its count's sign, the one collection the table keeps;
+    None when every entry cancelled.
 
     ``witness`` is the structural reason no monomial survives, when the
     graph gives one, as the verdict prints it: the unknown edges no walk
@@ -204,11 +208,10 @@ class RepetitionTable:
     max_degree: int
     exhaustive: bool
     counts: dict[int, int] = field(default_factory=dict, repr=False)
-    collections: dict[tuple[int, int], tuple[Walk, ...]] = field(default_factory=dict, repr=False, compare=False)
-    degrees: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
     fields: tuple[int, ...] = ()
     width: int = 1
     witness: dict | None = None
+    survivor: tuple[int, tuple[Walk, ...]] | None = field(default=None, repr=False, compare=False)
 
     def _decode(self, packed: int) -> Monomial:
         mask = (1 << self.width) - 1
@@ -218,34 +221,15 @@ class RepetitionTable:
     def entries(self) -> dict[Monomial, int]:
         return {self._decode(packed): r for packed, r in self.counts.items()}
 
-    @cached_property
-    def first(self) -> dict[tuple[Monomial, int], tuple[Walk, ...]]:
-        monomials = dict(zip(self.counts, self.entries))
-        return {(monomials[packed], sign): coll for (packed, sign), coll in self.collections.items()}
-
     def least_survivor(self) -> tuple[Monomial, int, tuple[Walk, ...]] | None:
         """The nonzero entry least by (degree, monomial), its count and its sign's first collection.
 
         None when every entry cancelled.  Only the least survivor is decoded.
-        Among monomials of one degree none is a prefix of another, so the
-        least one is found field by field from the lowest edge up: a
-        multiplicity there beats none, which leaves the field to a higher
-        edge, and a smaller multiplicity beats a larger one.
         """
-        survivors = [packed for packed, r in self.counts.items() if r != 0]
-        if not survivors:
+        if self.survivor is None:
             return None
-        low = min(map(self.degrees.__getitem__, survivors))
-        least = [packed for packed in survivors if self.degrees[packed] == low]
-        mask, shift = (1 << self.width) - 1, 0
-        while len(least) > 1:
-            lowest = min((c for packed in least if (c := packed >> shift & mask)), default=0)
-            if lowest:
-                least = [packed for packed in least if packed >> shift & mask == lowest]
-            shift += self.width
-        packed = least[0]
-        mu, r = self._decode(packed), self.counts[packed]
-        return mu, r, self.collections[packed, 1 if r > 0 else -1]
+        packed, coll = self.survivor
+        return self._decode(packed), self.counts[packed], coll
 
     def sorted_items(self) -> list[tuple[Monomial, int]]:
         return sorted(self.entries.items(), key=lambda kv: (monomial_degree(kv[0]), kv[0]))
@@ -314,34 +298,131 @@ def _least_degrees(net: NetworkModel, structure: _Structure) -> list[int]:
     return [into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges]
 
 
+def _walk_layers(
+    net: NetworkModel, structure: _Structure, least: list[int], spare: int, width: int
+) -> tuple[list[list[tuple[Walk, int, int, int]]], tuple[int, ...]]:
+    """Per unknown edge in net.edges order, its walks as (walk, row, degree, packed monomial), and the field edges.
+
+    Each layer is in edge-sequence order; the row is the walk's
+    (excitation, measurement) pair and the monomial its known edges.  An
+    edge's walks are listed up to its least degree (``_least_degrees``)
+    plus ``spare``, the degree the bound leaves it once every other unknown
+    edge takes its shortest walk.  Each known edge some listed walk uses
+    owns a field of ``width`` bits, in ascending edge order, holding its
+    multiplicity.
+    """
+    b_slot = {b: i for i, b in enumerate(net.excited)}
+    c_slot = {c: i for i, c in enumerate(net.measured)}
+    n_c = net.n_measured
+    edges = net.edges
+    pivots = [i for i, e in enumerate(edges) if not e.known]
+    steps = [
+        sorted(enumerate_walks(net, structure.block_adjacency, i, shortest + spare))
+        for i, shortest in zip(pivots, least)
+    ]
+    fields = sorted(set().union(*chain.from_iterable(steps)).difference(pivots))
+    # A walk packs to the sum of its edges' units, its one pivot's unit being 0.
+    unit = dict.fromkeys(pivots, 0)
+    unit.update((i, 1 << j * width) for j, i in enumerate(fields))
+    layers = [
+        [
+            (w, b_slot[edges[w[0]].src] * n_c + c_slot[edges[w[-1]].dst], len(w) - 1, sum(map(unit.__getitem__, w)))
+            for w in walks
+        ]
+        for walks in steps
+    ]
+    return layers, tuple(fields)
+
+
+def _least_packed(survivors: list[tuple[int, int]], width: int) -> int:
+    """The packed monomial least by (degree, monomial) among nonempty (degree, packed monomial) pairs.
+
+    Among monomials of one degree none is a prefix of another, so the least
+    one is found field by field from the lowest edge up: a multiplicity
+    there beats none, which leaves the field to a higher edge, and a smaller
+    multiplicity beats a larger one.  Nothing is decoded.
+    """
+    low = min(survivors)[0]
+    least = [packed for degree, packed in survivors if degree == low]
+    mask, shift = (1 << width) - 1, 0
+    while len(least) > 1:
+        lowest = min((c for packed in least if (c := packed >> shift & mask)), default=0)
+        if lowest:
+            least = [packed for packed in least if packed >> shift & mask == lowest]
+        shift += width
+    return least[0]
+
+
+def _first_collection(
+    layers: list[list[tuple[Walk, int, int, int]]], guards: int, target: int, sign: int
+) -> tuple[Walk, ...] | None:
+    """The lexicographically first collection with packed monomial ``target`` and pairing sign ``sign``; None if none.
+
+    A depth-first search over ``_walk_layers``, each layer in edge order,
+    so the first complete collection it meets is the least.  ``guards``
+    holds every field's top bit, which no monomial uses: with the guards
+    set in the remainder of the target, subtracting a walk's monomial
+    clears the guard of exactly the fields it overfills.  A dead (rows
+    used, remainder, sign) is never searched twice, and an explicit stack
+    nests no call per unknown edge.
+    """
+    if not layers:  # no unknown edge: only the empty collection, of monomial 1 and sign +1
+        return () if (target, sign) == (0, 1) else None
+    m = len(layers)
+    dead: set[tuple[int, int, int]] = set()
+    chosen: list[Walk] = []
+    frames = [(0, target | guards, 1, iter(layers[0]))]
+    while frames:
+        used, rest, parity, walks = frames[-1]
+        nxt = len(chosen) + 1  # the layer a walk of this one leads to
+        for w, row, _, w_mono in walks:
+            left = rest - w_mono
+            if used >> row & 1 or left & guards != guards:
+                continue
+            flipped = -parity if (used >> row).bit_count() & 1 else parity
+            if nxt == m:
+                if left == guards and flipped == sign:
+                    return (*chosen, w)
+                continue
+            key = (used | 1 << row, left, flipped)
+            if key not in dead:
+                chosen.append(w)
+                frames.append((*key, iter(layers[nxt])))
+                break
+        else:
+            dead.add((used, rest, parity))
+            frames.pop()
+            if chosen:
+                chosen.pop()
+    return None
+
+
 def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structure | None = None) -> RepetitionTable:
     """Signed count of bounded walk collections per monomial.
 
     One loop over the unknown edges, in net.edges order, extends every
-    partial collection state by each walk of that edge that fits the
-    remaining degree and uses a free (excitation, measurement) row;
-    collections reaching the same state are counted together.  Counts for
-    every monomial of degree <= max_degree are exact; raising the bound
-    never changes them, it only adds higher entries.  States and walks are
-    extended in order, so the first collection kept for a (monomial, sign)
-    is the lexicographically smallest one.  Every collection uses every
-    unknown edge and every row, so an unknown edge or a row that no walk
-    serves leaves the table empty at every bound, and no walk is listed.
-    Each unknown edge's walks are listed only up to the degree the bound
-    leaves it once every other unknown edge takes its shortest walk.  A
-    network the structure refutes (``_refutation``) is still counted in
-    full, and its table is exhaustive and carries that witness.
+    partial collection state by each walk of that edge (``_walk_layers``)
+    that fits the remaining degree and uses a free (excitation,
+    measurement) row.  Counts for every monomial of degree <= max_degree
+    are exact; raising the bound never changes them, it only adds higher
+    entries.  Every collection uses every unknown edge and every row, so an
+    unknown edge or a row that no walk serves leaves the table empty at
+    every bound, and no walk is listed.  A network the structure refutes
+    (``_refutation``) is still counted in full, and its table is exhaustive
+    and carries that witness.
 
-    A state is (rows used, packed monomial, sign).  Each known edge that
-    some listed walk uses owns a field of max(max_degree, 1).bit_length()
-    bits, in ascending edge order, and a monomial packs to the sum of its
-    multiplicities shifted into their fields.  No field overflows into the
-    next: pruning keeps every state's degree at or below max_degree, and a
-    multiplicity is at most the degree, so it fits its field.  Packing is
-    then one-to-one and a sum of packed monomials is the packed product, so
-    states merge exactly as the (edge, multiplicity) tuples would.  The
-    table keeps the final counts, collections and degrees under these
-    packed keys, with the field edges and width to decode them; nothing is
+    A state is (rows used, packed monomial) and holds the signed count of
+    the collections reaching it, cancelled states included; no collection
+    is kept.  A field is max(max_degree, 1).bit_length() + 1 bits wide, and
+    pruning keeps every degree, so every multiplicity, at or below
+    max_degree: no field overflows, packing is one-to-one, a sum of packed
+    monomials is the packed product, and each field's top bit is free as a
+    guard for the search.  States and walks are extended in order, so a
+    state is first inserted by the lexicographically first collection
+    reaching it, of either sign, and the table lists its monomials in the
+    order of their first collections.  The least survivor
+    (``_least_packed``) gets the first collection of its count's sign from
+    one search over the same walks (``_first_collection``); nothing is
     decoded here.
 
     ``structure`` is the caller's ``_Structure`` of ``net``, so that a
@@ -354,90 +435,63 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     if structure.no_collection:
         return RepetitionTable(max_degree=max_degree, exhaustive=True, witness=witness)
     exhaustive = witness is not None or max_degree >= structure.completeness_bound
-    width = max(max_degree, 1).bit_length()
+    width = max(max_degree, 1).bit_length() + 1
     least = _least_degrees(net, structure)
     spare = max_degree - sum(least)  # degree a collection may spend beyond its shortest walks
     if spare < 0:
         return RepetitionTable(max_degree=max_degree, exhaustive=exhaustive, width=width, witness=witness)
-
-    b_slot = {b: i for i, b in enumerate(net.excited)}
-    c_slot = {c: i for i, c in enumerate(net.measured)}
-    n_c = net.n_measured
-
-    # Per unknown edge: its walks in edge-sequence order, each with its
-    # (excitation, measurement) row, read off its first and last edges, and
-    # its known edges, the walk without its pivot.
-    edges = net.edges
-    steps: list[list[tuple[Walk, int, tuple[int, ...]]]] = []
-    pivots = [i for i, e in enumerate(edges) if not e.known]
-    for i, shortest in zip(pivots, least):
-        ws = sorted(enumerate_walks(net, structure.block_adjacency, i, shortest + spare))
-        steps.append(
-            [(w, b_slot[edges[w[0]].src] * n_c + c_slot[edges[w[-1]].dst], tuple(j for j in w if j != i)) for w in ws]
-        )
-    m = len(steps)
+    layers, fields = _walk_layers(net, structure, least, spare, width)
+    m = len(layers)
 
     # Least degree of the remaining unknown edges, for pruning.
     min_rest = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         min_rest[k] = min_rest[k + 1] + least[k]
 
-    # Packed monomials: each known edge some walk uses owns a field of
-    # ``width`` bits, in ascending edge order, holding its multiplicity; a
-    # walk's known edges pack to the sum of their units.
-    fields = sorted({i for walks in steps for _, _, known in walks for i in known})
-    unit = {i: 1 << j * width for j, i in enumerate(fields)}
-
     # One layer per unknown edge.  A state (rows used as a bit mask, packed
-    # monomial so far, sign) maps to [collections reaching it, the first of
-    # them, its degree]; a new row flips the sign once per used row above it.
-    # States are extended in insertion order, each by its fitting walks in
-    # edge order, so a state is first inserted with its lexicographically
-    # smallest collection.  The fitting walks, each with its new row mask,
-    # sign flip, packed monomial and degree, are listed once per layer, rows
-    # used and room: a filter of the edge-ordered list, never a reordering.
-    layer: dict[tuple[int, int, int], list] = {(0, 0, 1): [1, (), 0]}
-    for k, walks in enumerate(steps):
-        packed = [(w, row, len(known), sum(map(unit.__getitem__, known))) for w, row, known in walks]
-        extended: dict[tuple[int, int, int], list] = {}
-        fitting: dict[tuple[int, int], list[tuple[Walk, int, int, int, int]]] = {}
-        for (used, mono, sign), (count, coll, degree) in layer.items():
+    # monomial so far) maps to [signed count, degree]; a new row flips the
+    # sign once per used row above it.  The fitting walks, each with its new
+    # row mask, sign flip, packed monomial and degree, are listed once per
+    # layer, rows used and room: a filter of the edge-ordered list.
+    layer: dict[tuple[int, int], list[int]] = {(0, 0): [1, 0]}
+    for k, walks in enumerate(layers):
+        extended: dict[tuple[int, int], list[int]] = {}
+        fitting: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+        for (used, mono), (count, degree) in layer.items():
             room = max_degree - degree - min_rest[k + 1]
             options = fitting.get((used, room))
             if options is None:
                 options = fitting[used, room] = [
-                    (w, used | 1 << row, -1 if (used >> row).bit_count() & 1 else 1, w_mono, w_degree)
-                    for w, row, w_degree, w_mono in packed
+                    (used | 1 << row, -1 if (used >> row).bit_count() & 1 else 1, w_mono, w_degree)
+                    for _, row, w_degree, w_mono in walks
                     if w_degree <= room and not used >> row & 1
                 ]
-            for w, new_used, flip, w_mono, w_degree in options:
-                key = (new_used, mono + w_mono, sign * flip)
+            for new_used, flip, w_mono, w_degree in options:
+                key = (new_used, mono + w_mono)
                 state = extended.get(key)
                 if state is None:
-                    extended[key] = [count, coll + (w,), degree + w_degree]
+                    extended[key] = [flip * count, degree + w_degree]
                 else:
-                    state[0] += count
+                    state[0] += flip * count
         layer = extended
 
-    # Every collection uses all rows, so a final state is one (monomial,
-    # sign); the table keeps them packed.
-    counts: dict[int, int] = {}
-    collections: dict[tuple[int, int], tuple[Walk, ...]] = {}
-    degrees: dict[int, int] = {}
-    for (_, mono, sign), (count, coll, degree) in layer.items():
-        collections[mono, sign] = coll
-        counts[mono] = counts.get(mono, 0) + sign * count
-        degrees[mono] = degree
+    # Every collection uses all rows, so a final state is one monomial.
+    counts = {mono: count for (_, mono), (count, _) in layer.items()}
+    survivors = [(degree, mono) for (_, mono), (count, degree) in layer.items() if count]
+    survivor = None
+    if survivors:
+        least = _least_packed(survivors, width)
+        guards = ((1 << width * len(fields)) - 1) // ((1 << width) - 1) << width - 1  # every field's top bit
+        survivor = least, _first_collection(layers, guards, least, 1 if counts[least] > 0 else -1)
 
     return RepetitionTable(
         max_degree=max_degree,
         exhaustive=exhaustive,
         counts=counts,
-        collections=collections,
-        degrees=degrees,
-        fields=tuple(fields),
+        fields=fields,
         width=width,
         witness=witness,
+        survivor=survivor,
     )
 
 

@@ -11,7 +11,10 @@ from the library's factor and one packed solve on unit right-hand sides.
 The product, identity, polynomial evaluation, the permutation-expansion
 determinant and the largest-minor rank are written out independently so
 tests can check the library against them, and so is the structural rank
-bound, from one flow per group with no reach shortcut.
+bound, from one flow per group with no reach shortcut.  The walk table's
+signed count has a reference too, ``repetition_reference``: the layered
+count split by sign, keeping the first collection of every state, as the
+library ran it before its states merged the two signs.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from pathlib import Path
 from typing import Iterable
 
 from netident import NetworkModel, netmodel, numeric
-from netident.combinatorial import Monomial
-from netident.identifiability import _disjoint_paths
+from netident.combinatorial import Monomial, Walk, _least_degrees, enumerate_walks
+from netident.identifiability import _Structure, _disjoint_paths
 from netident.numeric import PRIME, _sample_factors, _sensitivity
 from netident.oracle import Poly
 
@@ -264,6 +267,72 @@ def rank_bound_candidates(net: NetworkModel) -> list[dict]:
 def rank_bound_reference(net: NetworkModel) -> dict:
     """``_Structure.rank_bound`` recomputed: the least of ``rank_bound_candidates``, the first on a tie."""
     return min(rank_bound_candidates(net), key=lambda side: side["bound"])
+
+
+def repetition_reference(
+    net: NetworkModel, max_degree: int
+) -> tuple[dict[Monomial, int], dict[tuple[Monomial, int], tuple[Walk, ...]]]:
+    """The walk table of a separable square net by a sign-split layered count: (entries, first collections).
+
+    ``entries`` maps each monomial of degree <= max_degree to its signed
+    collection count, cancelled ones included, and ``first`` maps each
+    (monomial, sign) that some collection has to the lexicographically
+    first such collection; both list their keys in the order of those
+    first collections.  A state is (rows used, packed monomial, sign) and
+    carries [collections reaching it, the first of them, its degree]; the
+    walks come from ``enumerate_walks`` within the degree each unknown edge
+    has left once the others take their shortest walks.
+    """
+    structure = _Structure(net)
+    if structure.no_collection:
+        return {}, {}
+    least = _least_degrees(net, structure)
+    spare = max_degree - sum(least)
+    if spare < 0:
+        return {}, {}
+    width = max(max_degree, 1).bit_length()
+    edges = net.edges
+    pivots = [i for i, e in enumerate(edges) if not e.known]
+    steps = []
+    for i, shortest in zip(pivots, least):
+        walks = sorted(enumerate_walks(net, structure.block_adjacency, i, shortest + spare))
+        b_idx = [net.excited.index(edges[w[0]].src) for w in walks]
+        c_idx = [net.measured.index(edges[w[-1]].dst) for w in walks]
+        rows = [b * net.n_measured + c for b, c in zip(b_idx, c_idx)]
+        steps.append([(w, row, [j for j in w if j != i]) for w, row in zip(walks, rows)])
+    fields = sorted({i for walks in steps for _, _, known in walks for i in known})
+    unit = {i: 1 << j * width for j, i in enumerate(fields)}
+    min_rest = [0] * (len(steps) + 1)
+    for k in range(len(steps) - 1, -1, -1):
+        min_rest[k] = min_rest[k + 1] + least[k]
+
+    layer: dict[tuple[int, int, int], list] = {(0, 0, 1): [1, (), 0]}
+    for k, walks in enumerate(steps):
+        extended: dict[tuple[int, int, int], list] = {}
+        for (used, mono, sign), (count, coll, degree) in layer.items():
+            for w, row, known in walks:
+                if used >> row & 1 or degree + len(known) + min_rest[k + 1] > max_degree:
+                    continue
+                flip = -1 if (used >> row).bit_count() & 1 else 1
+                key = (used | 1 << row, mono + sum(unit[i] for i in known), sign * flip)
+                if key in extended:
+                    extended[key][0] += count
+                else:
+                    extended[key] = [count, coll + (w,), degree + len(known)]
+        layer = extended
+
+    mask = (1 << width) - 1
+
+    def decode(packed: int) -> Monomial:
+        return tuple((i, c) for j, i in enumerate(fields) if (c := packed >> j * width & mask))
+
+    entries: dict[Monomial, int] = {}
+    first: dict[tuple[Monomial, int], tuple[Walk, ...]] = {}
+    for (_, mono, sign), (count, coll, _) in layer.items():
+        mu = decode(mono)
+        first[mu, sign] = coll
+        entries[mu] = entries.get(mu, 0) + sign * count
+    return entries, first
 
 
 def perfbench_inputs():

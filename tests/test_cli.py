@@ -128,6 +128,34 @@ class TestDecouple:
         assert dec.n == 4 and dec.m_unknown == 1
 
 
+@pytest.mark.parametrize("seed, decision", [(1, "not-identifiable"), (5, "identifiable")])
+def test_written_lift_matches_decouple_first(tmp_path, cli_env, seed, decision):
+    """The lift ``decouple`` writes is separable, and its walk verdict is the one ``--decouple-first`` reaches.
+
+    Same exit code, table, decision and witness, from ``python -m
+    netident`` processes on a ``gen --separable`` file.  Seed 1's table is
+    empty; seed 5's lift is identifiable, so its witness walks are compared.
+    """
+
+    def netident(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "netident", *argv], capture_output=True, text=True, env=cli_env, cwd=tmp_path
+        )
+        return proc.returncode, proc.stdout
+
+    assert netident("gen", "--separable", "--seed", str(seed), "--out", "g.json")[0] == 0
+    assert netident("decouple", "g.json", "lift.json")[0] == 0
+    assert netident("separable", "lift.json")[0] == 0
+    code, lift_out = netident("combinatorial", "lift.json", "--json")
+    first, first_out = netident("combinatorial", "g.json", "--decouple-first", "--json")
+    assert code <= 1 and code == first
+    lift, direct = json.loads(lift_out), json.loads(first_out)
+    assert lift["table"] == direct["table"]
+    assert all(lift["verdict"][k] == direct["verdict"][k] for k in ("decision", "witness")), (lift, direct)
+    assert lift["verdict"]["decision"] == decision
+    assert bool(lift["table"]) == (decision == "identifiable") == ("walks" in lift["verdict"]["witness"])
+
+
 class TestCombinatorial:
     def test_fan_table_and_witness(self, tmp_path, capsys):
         path = write_net(tmp_path, fan_net())

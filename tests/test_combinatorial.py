@@ -45,11 +45,12 @@ from corpus import (
     cut_net,
     cyclic9_net,
     fan_net,
+    general_square_corpus,
     minimal_net,
     separable_square_corpus,
     unreachable_net,
 )
-from helpers import calls, monomial_of, perfbench_inputs
+from helpers import calls, monomial_of, perfbench_inputs, repetition_reference
 
 
 def cancel_net() -> NetworkModel:
@@ -113,6 +114,24 @@ def derived(net: NetworkModel, walk) -> tuple[int, int, list[int]]:
 
 def known_of(net: NetworkModel, walk) -> list[int]:
     return [i for i in walk if net.edges[i].known]
+
+
+def first_collection(net: NetworkModel, table, mu, sign):
+    """``combinatorial._first_collection`` for any (monomial, sign), over the walk lists ``table`` was counted from.
+
+    The monomial is packed into the table's fields, a top guard bit per
+    field, and the guards are summed field by field; a monomial with an
+    edge no listed walk uses has no collection.
+    """
+    width, fields, structure = table.width, table.fields, identifiability._Structure(net)
+    least = combinatorial._least_degrees(net, structure)
+    layers, listed = combinatorial._walk_layers(net, structure, least, table.max_degree - sum(least), width)
+    assert listed == fields
+    if any(i not in fields for i, _ in mu):
+        return None
+    target = sum(c << fields.index(i) * width for i, c in mu)
+    guards = sum(1 << j * width + width - 1 for j in range(len(fields)))
+    return combinatorial._first_collection(layers, guards, target, sign)
 
 
 class TestEnumerateWalks:
@@ -253,7 +272,7 @@ class TestRepetitionTable:
             for d in (0, 3, 8, None):
                 t = repetition_table(net, d or 0)
                 # the table the full enumeration builds
-                assert (t.entries, t.first, t.max_degree, t.exhaustive) == ({}, {}, d or 0, True)
+                assert (t.entries, t.least_survivor(), t.max_degree, t.exhaustive) == ({}, None, d or 0, True)
                 assert t.witness == witness
                 v = combinatorial_verdict(net, d)
                 assert (v.decision, v.max_degree, v.witness) == (NOT_IDENTIFIABLE, d or 0, witness)
@@ -359,19 +378,37 @@ class TestTableProperties:
                 and monomial_of(i for w in walks for i in known_of(net, w)) == mu
             )
 
+        _, first = repetition_reference(net, d + 2)
         for mu, r in hi.entries.items():
             if r != 0:
-                assert (mu, 1 if r > 0 else -1) in hi.first
+                assert (mu, 1 if r > 0 else -1) in first
         brute = math.prod(map(len, walk_lists)) <= 5000
         if brute:
             assert hi.entries == _brute_force_entries(net, walk_lists, d + 2)
-        for (mu, sign), walks in hi.first.items():
+        # every (monomial, sign) some collection has: the search rebuilds its first collection
+        for (mu, sign), walks in first.items():
             assert mu in hi.entries
+            assert first_collection(net, hi, mu, sign) == walks
             assert [derived(net, w)[2] for w in walks] == [[i] for i in pivots]
             assert is_collection(walks, mu, sign)
             if brute:
                 matching = [c for c in itertools.product(*walk_lists) if is_collection(c, mu, sign)]
                 assert min(matching) == walks
+        # and a (monomial, sign) no collection has finds nothing
+        for mu in hi.entries:
+            for sign in (1, -1):
+                if (mu, sign) not in first:
+                    assert first_collection(net, hi, mu, sign) is None
+                    if brute:
+                        assert not any(is_collection(c, mu, sign) for c in itertools.product(*walk_lists))
+            if monomial_degree(mu) < d + 2 and mu:
+                bumped = tuple((i, c + (k == 0)) for k, (i, c) in enumerate(mu))
+                if bumped not in hi.entries:
+                    assert first_collection(net, hi, bumped, 1) is None
+                    assert first_collection(net, hi, bumped, -1) is None
+        if hi.survivor is not None:
+            mu, r, coll = hi.least_survivor()
+            assert coll == first[mu, 1 if r > 0 else -1]
 
 
 def repeat_net(m: int) -> NetworkModel:
@@ -390,11 +427,13 @@ def repeat_net(m: int) -> NetworkModel:
 
 
 class TestPackedFieldWidth:
-    """The layered count packs each known edge's multiplicity into max(max_degree, 1).bit_length() bits.
+    """The count packs each known edge's multiplicity into max(max_degree, 1).bit_length() bits, under a guard bit.
 
-    At bound m the one monomial is g(1->2)^m, which fills its field exactly
-    for m = 1 (one bit) and m = 3 (two bits); the other bounds sit on either
-    side of a change of width.
+    At bound m the one monomial is g(1->2)^m, which fills its field below
+    the guard exactly for m = 1 (one bit) and m = 3 (two bits); the other
+    bounds sit on either side of a change of width.  The witness search
+    fits walks against that full field: the least survivor g(1->2)^m has
+    the collection of walks 1->2->(j+3), one per unknown edge.
     """
 
     @pytest.mark.parametrize("m", [1, 3])
@@ -411,6 +450,8 @@ class TestPackedFieldWidth:
         assert table.entries == dict(terms_sorted(symbolic_det(net, max_degree)))
         walk_lists = [walks_of(net, i, max_degree) for i, e in enumerate(net.edges) if not e.known]
         assert table.entries == _brute_force_entries(net, walk_lists, max_degree)
+        least = ((0, m),), 1, tuple((0, 2 + j) for j in range(m))
+        assert table.least_survivor() == (least if max_degree >= m else None)
 
 
 def layered_net() -> NetworkModel:
@@ -425,13 +466,16 @@ def layered_net() -> NetworkModel:
     return NetworkModel(12, known + unknown, layers[0], layers[-1])
 
 
-def _least_by_decoded_entries(table):
-    """The verdict's selection rule over the decoded table: least nonzero entry by (degree, monomial)."""
+def _least_by_decoded_entries(net, table):
+    """The verdict's selection rule over the decoded table: least nonzero entry by (degree, monomial).
+
+    The collection is the reference count's first one of the entry's sign.
+    """
     mu = min((mu for mu, r in table.entries.items() if r != 0), key=lambda mu: (monomial_degree(mu), mu), default=None)
     if mu is None:
         return None
     r = table.entries[mu]
-    return mu, r, table.first[mu, 1 if r > 0 else -1]
+    return mu, r, repetition_reference(net, table.max_degree)[1][mu, 1 if r > 0 else -1]
 
 
 class TestLazyTable:
@@ -463,9 +507,8 @@ class TestLazyTable:
             monkeypatch.undo()
             assert len(decoded) == (least is not None)
             verdict = verdict_from_table(net, table)
-            assert "entries" not in vars(table) and "first" not in vars(table)
-            assert least == _least_by_decoded_entries(table), f"{net} at {bound}"
-            assert table.degrees == {p: monomial_degree(mu) for p, mu in zip(table.counts, table.entries)}
+            assert "entries" not in vars(table)
+            assert least == _least_by_decoded_entries(net, table), f"{net} at {bound}"
             if least is None:
                 cancelled += bool(table.entries)
                 assert verdict.decision != IDENTIFIABLE
@@ -488,26 +531,106 @@ class TestLazyTable:
         bound = exhaustive_degree_bound(net)
         _, table, verdict = combinatorial._walk_route(net, bound)
         assert verdict.decision == IDENTIFIABLE
-        assert "entries" not in vars(table) and "first" not in vars(table)
+        assert "entries" not in vars(table)
         fresh = repetition_table(net, bound)
         assert list(table.entries.items()) == list(fresh.entries.items())
-        assert list(table.first.items()) == list(fresh.first.items())
+        assert table.least_survivor() == fresh.least_survivor() == _least_by_decoded_entries(net, fresh)
         assert len(table.entries) == 361
-        assert table.entries is table.entries and table.first is table.first
+        assert table.entries is table.entries
 
     def test_keys_listed_in_first_collection_order(self):
+        """Entries follow the lexicographically first collection of each monomial, of either sign.
+
+        Where brute force is small enough, that order comes from every
+        collection; everywhere it equals the reference count's, whose first
+        collections ascend by edge sequence.
+        """
         nets = [layered_net(), cyclic9_net(), cancel_net(), fan_net()]
         nets += list(separable_square_corpus(10, acyclic=True, start_seed=1200))
         nets += list(separable_square_corpus(10, acyclic=False, start_seed=1300))
+        brute_checked = 0
         for net in nets:
             table = repetition_table(net, 6)
-            # decoding keeps the order of the packed dicts
-            assert list(table.first) == [(table._decode(p), sign) for p, sign in table.collections]
+            # decoding keeps the order of the packed dict
             assert list(table.entries) == [table._decode(p) for p in table.counts]
-            # the first collections ascend by edge sequence, and entries follow the first key of each monomial
-            order = list(table.first.values())
+            _, first = repetition_reference(net, 6)
+            order = list(first.values())
             assert order == sorted(order) and len(set(map(repr, order))) == len(order)
-            assert list(table.entries) == list(dict.fromkeys(mu for mu, _ in table.first))
+            assert list(table.entries) == list(dict.fromkeys(mu for mu, _ in first))
+            walk_lists = [walks_of(net, i, 6) for i, e in enumerate(net.edges) if not e.known]
+            if table.entries and math.prod(map(len, walk_lists)) <= 5000:
+                brute_checked += 1
+                least: dict = {}
+                for c in itertools.product(*walk_lists):
+                    rows = _rows(net, c)
+                    if sorted(rows) == list(range(len(walk_lists))) and sum(len(w) - 1 for w in c) <= 6:
+                        mu = monomial_of(i for w in c for i in known_of(net, w))
+                        least[mu] = min(least.get(mu, c), c)
+                assert list(table.entries) == sorted(least, key=least.__getitem__), net
+        assert brute_checked >= 5
+
+
+class TestWitnessSearch:
+    def test_fit_is_tested_field_by_field(self):
+        """Four walks of one edge are not one walk of the next, though their packed sum is.
+
+        Two 2-bit fields (multiplicity bit, guard bit): four layers, one row
+        each, offer walk (0,) with monomial g_0 and, on layer 0, walk (1,)
+        with g_1, else (2,) with monomial 1.  4 * g_0 packs to the integer
+        of g_1, so only the per-field fit keeps the least walks (0,) out of
+        the collection for g_1.
+        """
+        layers = [[((0,), 0, 1, 0b01), ((1,), 0, 1, 0b0100)]]
+        layers += [[((0,), k, 1, 0b01), ((2,), k, 0, 0)] for k in (1, 2, 3)]
+        guards = 0b1010
+        assert combinatorial._first_collection(layers, guards, 0b0100, 1) == ((1,), (2,), (2,), (2,))
+        assert combinatorial._first_collection(layers, guards, 0b0100, -1) is None
+        assert combinatorial._first_collection(layers, guards, 0b01, 1) == ((0,), (2,), (2,), (2,))
+        assert combinatorial._first_collection(layers, guards, 0b0101, 1) == ((1,), (0,), (2,), (2,))
+        assert combinatorial._first_collection(layers, guards, 0, 1) is None
+
+
+class TestSignedCountMatchesTheReference:
+    """The count merged across signs lists what the sign-split reference count lists, in its order, with its witness."""
+
+    @staticmethod
+    def _cases():
+        """Corpus nets at bounds 4, 6 and D, hand-made nets, and lifts of general nets.
+
+        A cyclic corpus net's D is capped at 10: net 14 of this corpus has
+        D = 16, where the reference counts for seconds.
+        """
+        for net in separable_square_corpus(40, acyclic=True):
+            for d in sorted({4, 6, exhaustive_degree_bound(net)}):
+                yield net, d
+        for net in separable_square_corpus(40, acyclic=False, start_seed=1000):
+            for d in sorted({4, 6, min(exhaustive_degree_bound(net), 10)}):
+                yield net, d
+        yield layered_net(), 16
+        yield cancel_net(), 12
+        for d in (4, 5, 14):
+            yield cyclic9_net(), d
+        for net in general_square_corpus(20, start_seed=5000):
+            for d in (4, 6, 8):
+                yield netmodel.decouple(net), d
+
+    def test_counts_order_and_witness_equal_the_reference(self):
+        kinds = Counter()
+        for net, d in self._cases():
+            table = repetition_table(net, d)
+            entries, first = repetition_reference(net, d)
+            assert list(table.entries.items()) == list(entries.items()), (net, d)
+            assert list(table.counts.values()) == list(entries.values()), (net, d)
+            survivors = [mu for mu, r in entries.items() if r]
+            if not survivors:
+                assert table.least_survivor() is None, (net, d)
+                kinds["cancelled" if entries else "empty"] += 1
+                continue
+            mu = min(survivors, key=lambda mu: (monomial_degree(mu), mu))
+            r = entries[mu]
+            assert table.least_survivor() == (mu, r, first[mu, 1 if r > 0 else -1]), (net, d)
+            kinds["survivor"] += 1
+        assert kinds["survivor"] >= 50 and kinds["cancelled"] >= 10, kinds
 
 
 class TestExhaustiveBound:
@@ -682,11 +805,18 @@ class TestDefaultSearch:
         assert searched >= 5
 
     def test_walk_k_runs_through_unknown_edge_k(self):
-        """The verdict names the k-th walk's pivot as the k-th unknown edge: each first collection bears that out."""
+        """The verdict names the k-th walk's pivot as the k-th unknown edge: each first collection bears that out.
+
+        The collections are the search's, for every (monomial, sign) the
+        reference count finds, the least survivor's among them.
+        """
         collections = 0
         for net in separable_square_corpus(20, acyclic=False):
             pivots = [i for i, e in enumerate(net.edges) if not e.known]
-            for coll in repetition_table(net, 6).first.values():
+            table = repetition_table(net, 6)
+            _, first = repetition_reference(net, 6)
+            for mu, sign in first:
+                coll = first_collection(net, table, mu, sign)
                 collections += 1
                 assert len(coll) == len(pivots)
                 for walk, pivot in zip(coll, pivots):
