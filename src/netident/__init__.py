@@ -14,11 +14,6 @@ from .netmodel import (
     Edge,
     NetworkModel,
     ValidationError,
-    SelfLoopError,
-    DuplicateEdgeError,
-    IndexOutOfRangeError,
-    DuplicateExcitationError,
-    DuplicateMeasurementError,
     NotSeparableError,
     NotSquareError,
     NetworkFormatError,

@@ -146,23 +146,23 @@ def _walks_between(
     return out
 
 
-def enumerate_walks(net: NetworkModel, adjacency: tuple[dict, dict], pivot: int, max_degree: int) -> list[Walk]:
+def enumerate_walks(net: NetworkModel, adjacency: dict, pivot: int, max_degree: int) -> list[Walk]:
     """All walks through the unknown edge ``net.edges[pivot]`` with at most ``max_degree`` known edges.
 
-    A walk is an excited-block prefix, the pivot, then a measured-block
-    suffix.  The one bound caps prefix and suffix together, so no walk
-    above it is ever built.  ``adjacency`` is the blocks' known-edge
-    adjacency (``_Structure.block_adjacency``).
+    A walk is a known-edge prefix, the pivot, then a known-edge suffix.
+    The one bound caps prefix and suffix together, so no walk above it is
+    ever built.  ``adjacency`` is the known-edge graph
+    (``_Structure.known_adjacency``), along which a prefix stays in the
+    excited block and a suffix in the measured one.
     """
-    adj_b, adj_c = adjacency
     e = net.edges[pivot]
-    prefixes = [sorted(_walks_between(adj_b, b, e.src, max_degree), key=len) for b in net.excited]
+    prefixes = [sorted(_walks_between(adjacency, b, e.src, max_degree), key=len) for b in net.excited]
     shortest = min((len(ps[0]) for ps in prefixes if ps), default=None)
     if shortest is None:
         return []
     walks: list[Walk] = []
     for c in net.measured:
-        for suffix in _walks_between(adj_c, e.dst, c, max_degree - shortest):
+        for suffix in _walks_between(adjacency, e.dst, c, max_degree - shortest):
             room = max_degree - len(suffix)
             for ps in prefixes:
                 for prefix in ps:
@@ -275,41 +275,18 @@ def _walk_guards(net: NetworkModel, structure: _Structure, max_degree: int | Non
         raise ValueError("max_degree must be >= 0")
 
 
-def _refutation(net: NetworkModel, structure: _Structure) -> dict | None:
-    """The structure's proof that det K is identically zero, as a table's ``witness``; None when it has none."""
-    if structure.zero_columns:
-        return {"no_walk_pivots": [str(e) for e in structure.zero_columns]}
-    if structure.dead_rows:
-        return {"no_walk_rows": [[b + 1, c + 1] for b, c in structure.dead_rows]}
-    if structure.rank_bound["bound"] < net.m_unknown:
-        return {"rank_bound": structure.rank_bound}
-    return None
-
-
-def _least_degrees(net: NetworkModel, structure: _Structure) -> list[int]:
-    """Per unknown edge, the fewest known edges of a walk through it; the network must have no zero column.
-
-    That is the nearest excitation's distance to the tail plus the head's
-    distance to the nearest measurement.  A shortest walk into a tail never
-    leaves the excited part, nor one out of a head the measured part, so
-    sweeps over every edge measure them.
-    """
-    into_tail, out_of_head = structure.sweep(net.excited), structure.sweep(net.measured, True)
-    return [into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges]
-
-
 def _walk_layers(
-    net: NetworkModel, structure: _Structure, least: list[int], spare: int, width: int
+    net: NetworkModel, structure: _Structure, spare: int, width: int
 ) -> tuple[list[list[tuple[Walk, int, int, int]]], tuple[int, ...]]:
     """Per unknown edge in net.edges order, its walks as (walk, row, degree, packed monomial), and the field edges.
 
     Each layer is in edge-sequence order; the row is the walk's
     (excitation, measurement) pair and the monomial its known edges.  An
-    edge's walks are listed up to its least degree (``_least_degrees``)
-    plus ``spare``, the degree the bound leaves it once every other unknown
-    edge takes its shortest walk.  Each known edge some listed walk uses
-    owns a field of ``width`` bits, in ascending edge order, holding its
-    multiplicity.
+    edge's walks are listed up to its least degree
+    (``_Structure.least_degrees``) plus ``spare``, the degree the bound
+    leaves it once every other unknown edge takes its shortest walk.  Each
+    known edge some listed walk uses owns a field of ``width`` bits, in
+    ascending edge order, holding its multiplicity.
     """
     b_slot = {b: i for i, b in enumerate(net.excited)}
     c_slot = {c: i for i, c in enumerate(net.measured)}
@@ -317,8 +294,8 @@ def _walk_layers(
     edges = net.edges
     pivots = [i for i, e in enumerate(edges) if not e.known]
     steps = [
-        sorted(enumerate_walks(net, structure.block_adjacency, i, shortest + spare))
-        for i, shortest in zip(pivots, least)
+        sorted(enumerate_walks(net, structure.known_adjacency, i, shortest + spare))
+        for i, shortest in zip(pivots, structure.least_degrees)
     ]
     fields = sorted(set().union(*chain.from_iterable(steps)).difference(pivots))
     # A walk packs to the sum of its edges' units, its one pivot's unit being 0.
@@ -408,8 +385,8 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     entries.  Every collection uses every unknown edge and every row, so an
     unknown edge or a row that no walk serves leaves the table empty at
     every bound, and no walk is listed.  A network the structure refutes
-    (``_refutation``) is still counted in full, and its table is exhaustive
-    and carries that witness.
+    (``_Structure.refutation``) is still counted in full, and its table is
+    exhaustive and carries that witness.
 
     A state is (rows used, packed monomial) and holds the signed count of
     the collections reaching it, cancelled states included; no collection
@@ -426,21 +403,21 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     decoded here.
 
     ``structure`` is the caller's ``_Structure`` of ``net``, so that a
-    search over bounds separates and sweeps the network once; by default
-    the table builds its own.
+    search over bounds separates, sweeps and refutes the network, and
+    lists its known edges, once; by default the table builds its own.
     """
     structure = _Structure(net) if structure is None else structure
     _walk_guards(net, structure, max_degree)
-    witness = _refutation(net, structure)
+    witness = structure.refutation
     if structure.no_collection:
         return RepetitionTable(max_degree=max_degree, exhaustive=True, witness=witness)
     exhaustive = witness is not None or max_degree >= structure.completeness_bound
     width = max(max_degree, 1).bit_length() + 1
-    least = _least_degrees(net, structure)
+    least = structure.least_degrees
     spare = max_degree - sum(least)  # degree a collection may spend beyond its shortest walks
     if spare < 0:
         return RepetitionTable(max_degree=max_degree, exhaustive=exhaustive, width=width, witness=witness)
-    layers, fields = _walk_layers(net, structure, least, spare, width)
+    layers, fields = _walk_layers(net, structure, spare, width)
     m = len(layers)
 
     # Least degree of the remaining unknown edges, for pruning.
@@ -543,7 +520,7 @@ def _least_decided_table(net: NetworkModel, structure: _Structure) -> Repetition
     separates, sweeps and bounds the network once.
     """
     cap = min(structure.completeness_bound, 2 * net.n)
-    degree = min(sum(_least_degrees(net, structure)), cap)
+    degree = min(sum(structure.least_degrees), cap)
     while True:
         table = repetition_table(net, degree, structure=structure)
         if degree == cap or any(table.counts.values()):
@@ -559,7 +536,7 @@ def _walk_route(
     With ``decouple_first`` the table is built on ``decouple(net)`` (the
     count reads the structure only, never edge values) and the verdict
     carries the decoupled notion.  One ``_Structure`` of the network
-    analyzed serves the whole route, and its ``_refutation`` comes first:
+    analyzed serves the whole route, and its ``refutation`` comes first:
     a refuted network gets the empty table at ``max_degree`` (0 by
     default), exhaustive and with that witness, and no walk is listed.  At
     an explicit bound ``full_table`` counts it instead, as
@@ -573,7 +550,7 @@ def _walk_route(
         raise NoUnknownEdgesError()
     structure = _Structure(target)
     _walk_guards(target, structure, max_degree)
-    refuted = _refutation(target, structure)
+    refuted = structure.refutation
     if refuted is not None and (max_degree is None or not full_table):
         table = RepetitionTable(max_degree=max_degree or 0, exhaustive=True, witness=refuted)
     elif max_degree is None:
@@ -589,9 +566,9 @@ def _walk_route(
 def combinatorial_verdict(net: NetworkModel, max_degree: int | None = None) -> Verdict:
     """Identifiability of a separable square network by signed walk counting.
 
-    The structure refutes it first when it can (``_refutation``): "not
-    identifiable", exhaustive, at ``max_degree`` or at 0 by default, with
-    the structural witness and no walk listed.  Otherwise the table at
+    The structure refutes it first when it can (``_Structure.refutation``):
+    "not identifiable", exhaustive, at ``max_degree`` or at 0 by default,
+    with the structural witness and no walk listed.  Otherwise the table at
     ``max_degree`` decides when it is given, and by default the bounds are
     searched upward from the least collection degree to
     min(``exhaustive_degree_bound``, 2n), stopping at the first survivor

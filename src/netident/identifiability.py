@@ -183,11 +183,15 @@ def _longest_walks(adj: list[list[int]], starts: Iterable[int]) -> dict[int, int
     return longest if len(ordered) == len(adj) else None
 
 
-def _known_adjacency(net: NetworkModel, part: frozenset[int]) -> dict[int, list[tuple[int, int]]]:
-    """Known edges inside one block as tail -> [(edge index, head)], in net.edges order."""
+def _known_adjacency(net: NetworkModel) -> dict[int, list[tuple[int, int]]]:
+    """Known edges as tail -> [(edge index, head)], in net.edges order.
+
+    ``separate`` puts each known-edge component whole into one part, so a
+    walk along them from an excitation or from a head stays in its block.
+    """
     adj: dict[int, list[tuple[int, int]]] = {}
     for i, e in enumerate(net.edges):
-        if e.known and e.src in part:
+        if e.known:
             adj.setdefault(e.src, []).append((i, e.dst))
     return adj
 
@@ -198,7 +202,8 @@ class _Structure:
     The rank witness reads ``zero_columns``: one sweep from all excitations
     and one into all measurements.  ``dead_rows`` adds one per port.
     ``rank_bound`` reads those two sweeps, and runs a flow only where
-    two or more nodes are left on both of its sides.
+    two or more nodes are left on both of its sides.  The walk route reads
+    ``refutation``, ``least_degrees`` and ``known_adjacency``, once per verdict.
     """
 
     def __init__(self, net: NetworkModel):
@@ -223,9 +228,9 @@ class _Structure:
         return separate(self.net)
 
     @cached_property
-    def block_adjacency(self) -> tuple[dict, dict]:
-        """The known edges inside the excited block and inside the measured block, as ``_known_adjacency`` lists them."""
-        return _known_adjacency(self.net, self.blocks.b_part), _known_adjacency(self.net, self.blocks.c_part)
+    def known_adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        """The known-edge graph, as ``_known_adjacency`` lists it, built once for every walk listing."""
+        return _known_adjacency(self.net)
 
     @cached_property
     def zero_columns(self) -> list[Edge]:
@@ -258,6 +263,29 @@ class _Structure:
     def no_collection(self) -> bool:
         """Whether a separable network has no walk collection: a zero column, or a row no walk serves."""
         return bool(self.zero_columns or self.dead_rows)
+
+    @cached_property
+    def least_degrees(self) -> list[int]:
+        """Per unknown edge, the fewest known edges of a walk through it; the network must have no zero column.
+
+        That is the nearest excitation's distance to the tail plus the head's
+        distance to the nearest measurement.  A shortest walk into a tail never
+        leaves the excited part, nor one out of a head the measured part, so
+        sweeps over every edge measure them.
+        """
+        into_tail, out_of_head = self.sweep(self.net.excited), self.sweep(self.net.measured, True)
+        return [into_tail[e.src] + out_of_head[e.dst] for e in self.net.unknown_edges]
+
+    @cached_property
+    def refutation(self) -> dict | None:
+        """The structure's proof that det K is identically zero, as a table's ``witness``; None when it has none."""
+        if self.zero_columns:
+            return {"no_walk_pivots": [str(e) for e in self.zero_columns]}
+        if self.dead_rows:
+            return {"no_walk_rows": [[b + 1, c + 1] for b, c in self.dead_rows]}
+        if self.rank_bound["bound"] < self.net.m_unknown:
+            return {"rank_bound": self.rank_bound}
+        return None
 
     @cached_property
     def completeness_bound(self) -> int:

@@ -23,11 +23,6 @@ __all__ = [
     "NetworkModel",
     "SeparableBlocks",
     "ValidationError",
-    "SelfLoopError",
-    "DuplicateEdgeError",
-    "IndexOutOfRangeError",
-    "DuplicateExcitationError",
-    "DuplicateMeasurementError",
     "NotSeparableError",
     "NotSquareError",
     "NetworkFormatError",
@@ -43,49 +38,19 @@ __all__ = [
 
 
 class ValidationError(ValueError):
-    """A network violates a structural invariant."""
-
-
-class SelfLoopError(ValidationError):
-    def __init__(self, node: int):
-        self.node = node
-        super().__init__(f"self-loop at node {node + 1}")
-
-
-class DuplicateEdgeError(ValidationError):
-    def __init__(self, src: int, dst: int):
-        self.src, self.dst = src, dst
-        super().__init__(f"duplicate edge {src + 1}->{dst + 1}")
-
-
-class IndexOutOfRangeError(ValidationError):
-    def __init__(self, index: int, n: int, where: str):
-        self.index, self.n, self.where = index, n, where
-        super().__init__(f"node index {index + 1} out of range 1..{n} in {where}")
-
-
-class DuplicateExcitationError(ValidationError):
-    def __init__(self, node: int):
-        self.node = node
-        super().__init__(f"node {node + 1} excited twice")
-
-
-class DuplicateMeasurementError(ValidationError):
-    def __init__(self, node: int):
-        self.node = node
-        super().__init__(f"node {node + 1} measured twice")
+    """A network violates a structural invariant; the message names the invariant and the offending node or edge."""
 
 
 class NotSeparableError(ValueError):
     """The network admits no excited/measured bipartition.
 
-    Carries a witness: a node that would need to sit in both parts.
+    The message says why; ``node`` is the witness, a node that would need
+    to sit in both parts.
     """
 
-    def __init__(self, reason: str, node: int):
-        self.reason = reason
+    def __init__(self, message: str, node: int):
         self.node = node
-        super().__init__(reason)
+        super().__init__(message)
 
 
 class NotSquareError(ValueError):
@@ -128,7 +93,8 @@ class NetworkModel:
     and by all permutation-sign bookkeeping.
 
     A malformed network cannot be built: the constructor (and so
-    ``dataclasses.replace``) raises a ValidationError unless the node count
+    ``dataclasses.replace``) raises ``ValidationError``, its message naming
+    the first invariant broken, unless the node count
     and every node index are integers (not bools), the count is
     non-negative, every index lies in 0..n-1, no edge is a self-loop, no
     ordered pair carries two edges, and neither the excited nor the
@@ -212,7 +178,7 @@ def _plain(v: object) -> object:
 
 
 def validate(net: NetworkModel) -> None:
-    """Check the invariants ``NetworkModel`` lists, raising a specific ValidationError on the first violation.
+    """Check the invariants ``NetworkModel`` lists, raising ValidationError on the first violation.
 
     The constructor calls this; nothing else needs to.
     """
@@ -224,26 +190,25 @@ def validate(net: NetworkModel) -> None:
     for e in net.edges:
         if not (type(e.src) is type(e.dst) is int or _is_index(e.src) and _is_index(e.dst)):
             raise ValidationError(f"non-integer node index in edge (src={e.src!r}, dst={e.dst!r})")
-        if not (0 <= e.src < n):
-            raise IndexOutOfRangeError(e.src, n, f"edge {e}")
-        if not (0 <= e.dst < n):
-            raise IndexOutOfRangeError(e.dst, n, f"edge {e}")
+        for v in (e.src, e.dst):
+            if not (0 <= v < n):
+                raise ValidationError(f"node index {v + 1} out of range 1..{n} in edge {e}")
         if e.src == e.dst:
-            raise SelfLoopError(e.src)
+            raise ValidationError(f"self-loop at node {e.src + 1}")
         if (e.src, e.dst) in seen:
-            raise DuplicateEdgeError(e.src, e.dst)
+            raise ValidationError(f"duplicate edge {e}")
         seen.add((e.src, e.dst))
     for where, nodes in (("excited", net.excited), ("measured", net.measured)):
         for node in nodes:
             if type(node) is not int and not _is_index(node):
                 raise ValidationError(f"non-integer node index {node!r} in {where}")
             if not (0 <= node < n):
-                raise IndexOutOfRangeError(node, n, where)
-    for repeat_error, nodes in ((DuplicateExcitationError, net.excited), (DuplicateMeasurementError, net.measured)):
+                raise ValidationError(f"node index {node + 1} out of range 1..{n} in {where}")
+    for role, nodes in (("excited", net.excited), ("measured", net.measured)):
         listed: set[int] = set()
         for node in nodes:
             if node in listed:
-                raise repeat_error(node)
+                raise ValidationError(f"node {node + 1} {role} twice")
             listed.add(node)
 
 

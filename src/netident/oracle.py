@@ -19,7 +19,7 @@ import itertools
 from typing import Sequence
 
 from .combinatorial import Monomial, TooLargeError, monomial_degree
-from .netmodel import NetworkModel, NotSquareError, SeparableBlocks, separate
+from .netmodel import NetworkModel, NotSquareError, separate
 
 __all__ = [
     "MAX_UNKNOWNS",
@@ -89,32 +89,8 @@ class Poly:
         res.terms = out
         return res
 
-    def scaled(self, c: int) -> "Poly":
-        if c == 0:
-            return Poly.zero()
-        res = Poly.__new__(Poly)
-        res.terms = {k: c * v for k, v in self.terms.items()}
-        return res
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("Poly is mutable by construction; not hashable")
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Poly(0)"
-        bits = []
-        for mu, c in terms_sorted(self):
-            if not mu:
-                bits.append(str(c))
-            else:
-                factors = "*".join(
-                    f"x{var}" if p == 1 else f"x{var}^{p}" for var, p in mu
-                )
-                bits.append(f"{c}*{factors}")
-        return "Poly(" + " + ".join(bits) + ")"
 
 
 def _parity(rows: Sequence[int]) -> int:
@@ -123,23 +99,19 @@ def _parity(rows: Sequence[int]) -> int:
     return 1 if inversions % 2 == 0 else -1
 
 
-def symbolic_closed_loop(
-    net: NetworkModel, blocks: SeparableBlocks, side: str, max_length: int
-) -> list[list[Poly]]:
-    """Truncated closed loop of one known block as a matrix of polynomials.
+def symbolic_closed_loop(net: NetworkModel, max_length: int) -> list[list[Poly]]:
+    """Truncated closed loop of the known edges as a matrix of polynomials.
 
-    Entry [j][i] sums, over the walks from node i to node j of length at
-    most ``max_length`` inside the chosen block ("B" excited, "C" measured),
-    the product of the walk's edge variables.  Variables are edge-list
-    indices.  Stops early once the running power vanishes (acyclic blocks).
+    Entry [j][i] sums, over the known-edge walks from node i to node j of
+    length at most ``max_length``, the product of the walk's edge
+    variables.  Variables are edge-list indices.  On a separable network
+    its entries within each part are that known block's closed loop.
+    Stops early once the running power vanishes (acyclic known edges).
     """
-    if side not in ("B", "C"):
-        raise ValueError("side must be 'B' or 'C'")
-    part = blocks.b_part if side == "B" else blocks.c_part
     n = net.n
     total = [[Poly.constant(1) if i == j else Poly.zero() for j in range(n)] for i in range(n)]
     power = [[Poly.constant(1) if i == j else Poly.zero() for j in range(n)] for i in range(n)]
-    hops = [(e.dst, e.src, Poly.variable(i)) for i, e in enumerate(net.edges) if e.known and e.src in part]
+    hops = [(e.dst, e.src, Poly.variable(i)) for i, e in enumerate(net.edges) if e.known]
     for _ in range(max_length):
         nxt = [[Poly.zero() for _ in range(n)] for _ in range(n)]
         moved = False
@@ -164,20 +136,21 @@ def symbolic_det(net: NetworkModel, max_degree: int) -> Poly:
 
     Coefficients of total degree <= max_degree are exact.  Guarded to at
     most MAX_UNKNOWNS unknown edges: the expansion visits every permutation.
+    One closed loop serves both factors of an entry: [c][head] from the
+    head to a measurement, [tail][b] from an excitation to the tail.
     """
-    blocks = separate(net)
+    separate(net)  # NotSeparableError on a network that is not separable
     if not net.is_square:
         raise NotSquareError(net)
     m = net.m_unknown
     if m > MAX_UNKNOWNS:
         raise TooLargeError(f"{m} unknown edges exceed the permutation-expansion guard of {MAX_UNKNOWNS}")
-    t_c = symbolic_closed_loop(net, blocks, "C", max_degree)
-    t_b = symbolic_closed_loop(net, blocks, "B", max_degree)
+    t = symbolic_closed_loop(net, max_degree)
     unknowns = net.unknown_edges
     K: list[list[Poly]] = []
     for b in net.excited:
         for c in net.measured:
-            K.append([t_c[c][e.dst].mul(t_b[e.src][b], max_degree) for e in unknowns])
+            K.append([t[c][e.dst].mul(t[e.src][b], max_degree) for e in unknowns])
     det = Poly.zero()
     for perm in itertools.permutations(range(m)):
         prod = Poly.constant(_parity(perm))

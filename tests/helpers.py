@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable
 
 from netident import NetworkModel, netmodel, numeric
-from netident.combinatorial import Monomial, Walk, _least_degrees, enumerate_walks
+from netident.combinatorial import Monomial, Walk, enumerate_walks
 from netident.identifiability import _Structure, _disjoint_paths
 from netident.numeric import PRIME, _sample_factors, _sensitivity
 from netident.oracle import Poly
@@ -286,7 +286,7 @@ def repetition_reference(
     structure = _Structure(net)
     if structure.no_collection:
         return {}, {}
-    least = _least_degrees(net, structure)
+    least = structure.least_degrees
     spare = max_degree - sum(least)
     if spare < 0:
         return {}, {}
@@ -295,7 +295,7 @@ def repetition_reference(
     pivots = [i for i, e in enumerate(edges) if not e.known]
     steps = []
     for i, shortest in zip(pivots, least):
-        walks = sorted(enumerate_walks(net, structure.block_adjacency, i, shortest + spare))
+        walks = sorted(enumerate_walks(net, structure.known_adjacency, i, shortest + spare))
         b_idx = [net.excited.index(edges[w[0]].src) for w in walks]
         c_idx = [net.measured.index(edges[w[-1]].dst) for w in walks]
         rows = [b * net.n_measured + c for b, c in zip(b_idx, c_idx)]

@@ -41,6 +41,14 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_module(cli_env, cwd, *argv, timeout=None):
+    """(exit code, stdout) of a ``python -m netident`` process in ``cwd``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "netident", *argv], capture_output=True, text=True, env=cli_env, cwd=cwd, timeout=timeout
+    )
+    return proc.returncode, proc.stdout
+
+
 class TestCheck:
     def test_identifiable_exit_zero(self, tmp_path, capsys):
         path = write_net(tmp_path, minimal_net())
@@ -138,10 +146,7 @@ def test_written_lift_matches_decouple_first(tmp_path, cli_env, seed, decision):
     """
 
     def netident(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "netident", *argv], capture_output=True, text=True, env=cli_env, cwd=tmp_path
-        )
-        return proc.returncode, proc.stdout
+        return run_module(cli_env, tmp_path, *argv)
 
     assert netident("gen", "--separable", "--seed", str(seed), "--out", "g.json")[0] == 0
     assert netident("decouple", "g.json", "lift.json")[0] == 0
@@ -603,3 +608,85 @@ def test_each_network_is_validated_once(tmp_path, capsys, argv, validations):
     path = write_net(tmp_path, fan_net())
     assert validate_calls(lambda: main([a.format(path=path) for a in argv])) == validations
     capsys.readouterr()
+
+
+class TestModuleRuns:
+    """``python -m netident`` processes on generated files, each in its own working directory."""
+
+    def test_separable_report_crosses_the_file_unknown_edges(self, tmp_path, cli_env):
+        """The crossing edges are read from the network itself: the file's unknown edges, in file order."""
+        assert run_module(cli_env, tmp_path, "gen", "--separable", "--seed", "1", "--out", "g.json")[0] == 0
+        code, out = run_module(cli_env, tmp_path, "separable", "g.json", "--json")
+        report = json.loads(out)
+        edges = json.loads((tmp_path / "g.json").read_text())["edges"]
+        unknown = ["%d->%d" % (e["from"], e["to"]) for e in edges if e["known"] is False]
+        assert code == 0 and report["separable"] is True and unknown and report["cross_edges"] == unknown, report
+
+    def test_check_exits_with_a_decision_or_a_usage_error(self, tmp_path, cli_env):
+        assert run_module(cli_env, tmp_path, "gen", "--separable", "--seed", "1", "--out", "g.json")[0] == 0
+        assert run_module(cli_env, tmp_path, "check", "g.json", "--json")[0] <= 1
+        assert run_module(cli_env, tmp_path, "check")[0] == 3
+
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            ["--separable", "--seed", "1"],
+            ["--separable", "--nodes", "8", "--unknowns", "4", "--excited", "2", "--measured", "2", "--seed", "3"],
+        ],
+        ids=["g", "s3"],
+    )
+    def test_walk_table_parses_and_the_oracle_agrees(self, tmp_path, cli_env, gen):
+        assert run_module(cli_env, tmp_path, "gen", *gen, "--out", "net.json")[0] == 0
+        code, out = run_module(cli_env, tmp_path, "combinatorial", "net.json", "--json")
+        assert code <= 1
+        json.loads(out)
+        code, out = run_module(cli_env, tmp_path, "oracle", "net.json")
+        assert code == 0 and out.endswith("agreement: yes\n"), out
+
+    def test_decoupled_seed_7_is_refuted_within_a_minute(self, tmp_path, cli_env):
+        """The structure of the 16-node lift refutes it (a rank bound of 2 against 4 unknown edges); no search up to 2n runs."""
+        gen = ["gen", "--separable", "--nodes", "8", "--unknowns", "4", "--excited", "2", "--measured", "2"]
+        assert run_module(cli_env, tmp_path, *gen, "--seed", "7", "--out", "s7.json")[0] == 0
+        assert run_module(cli_env, tmp_path, "combinatorial", "s7.json", "--decouple-first", timeout=60)[0] == 1
+
+    @pytest.mark.parametrize("seed, decision", [(1, "identifiable"), (2, "not-identifiable")])
+    def test_decoupled_rank_and_lift_walk_verdicts_agree(self, tmp_path, cli_env, seed, decision):
+        """``check``'s decoupled rank verdict and the walk verdict on the lift decide one question by independent routes."""
+        gen = ["gen", "--nodes", "6", "--unknowns", "2", "--excited", "2", "--measured", "1", "--seed", str(seed)]
+        assert run_module(cli_env, tmp_path, *gen, "--out", "d.json")[0] == 0
+        code, rank_out = run_module(cli_env, tmp_path, "check", "d.json", "--json")
+        assert code <= 1
+        code, walk_out = run_module(cli_env, tmp_path, "combinatorial", "d.json", "--decouple-first", "--json", timeout=60)
+        assert code <= 1
+        rank = [v["decision"] for v in json.loads(rank_out)["verdicts"] if v["notion"] == "decoupled-generic"]
+        walk = json.loads(walk_out)["verdict"]
+        assert rank == [walk["decision"]] == [decision], (rank, walk)
+
+    @pytest.mark.parametrize(
+        "gen, code, ranks",
+        [
+            # 16 (excitation, measurement) rows against 12 unknown edges: each sample ranks a 12 x 12 sketch.
+            (["--nodes", "16", "--unknowns", "12", "--excited", "4", "--measured", "4", "--known-density", "0.15",
+              "--seed", "5"], 1, [11, 11]),
+            # The north-star size: 80 unknown edges and 40 x 40 ports, an 80 x 80 sketch per sample.
+            (["--nodes", "160", "--unknowns", "80", "--excited", "40", "--measured", "40", "--seed", "1"], 0, [80, 80]),
+        ],
+        ids=["w5", "n160"],
+    )
+    def test_sketched_ranks_are_reproducible(self, tmp_path, cli_env, gen, code, ranks):
+        """Rank in both modes, well inside a minute, and the same bytes on a second run."""
+        assert run_module(cli_env, tmp_path, "gen", *gen, "--out", "net.json")[0] == 0
+        runs = [run_module(cli_env, tmp_path, "check", "net.json", "--json", timeout=60) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+        assert [v["rank"] for v in json.loads(runs[0][1])["verdicts"]] == ranks
+
+    def test_self_loop_file_is_a_usage_error(self, tmp_path, cli_env):
+        bad = {
+            "nodes": 2,
+            "edges": [{"from": 1, "to": 1, "known": True}, {"from": 1, "to": 2, "known": False}],
+            "excited": [1],
+            "measured": [2],
+        }
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        assert run_module(cli_env, tmp_path, "check", "bad.json")[0] == 3

@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from typing import Iterable
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -35,7 +36,7 @@ from netident.combinatorial import (
     walk_nodes,
 )
 from netident.numeric import generic_det_nonzero
-from netident.oracle import _parity, terms_sorted
+from netident.oracle import _parity, symbolic_closed_loop, terms_sorted
 from netident import combinatorial, identifiability, netmodel
 
 from corpus import (
@@ -103,8 +104,8 @@ class TestSign:
 
 
 def walks_of(net: NetworkModel, pivot: int, max_degree: int) -> list:
-    """``enumerate_walks`` through ``net.edges[pivot]``, given the block adjacency as ``repetition_table`` gives it."""
-    return enumerate_walks(net, identifiability._Structure(net).block_adjacency, pivot, max_degree)
+    """``enumerate_walks`` through ``net.edges[pivot]``, given the known-edge graph as ``repetition_table`` gives it."""
+    return enumerate_walks(net, identifiability._Structure(net).known_adjacency, pivot, max_degree)
 
 
 def derived(net: NetworkModel, walk) -> tuple[int, int, list[int]]:
@@ -124,8 +125,8 @@ def first_collection(net: NetworkModel, table, mu, sign):
     edge no listed walk uses has no collection.
     """
     width, fields, structure = table.width, table.fields, identifiability._Structure(net)
-    least = combinatorial._least_degrees(net, structure)
-    layers, listed = combinatorial._walk_layers(net, structure, least, table.max_degree - sum(least), width)
+    spare = table.max_degree - sum(structure.least_degrees)
+    layers, listed = combinatorial._walk_layers(net, structure, spare, width)
     assert listed == fields
     if any(i not in fields for i, _ in mu):
         return None
@@ -781,7 +782,7 @@ class TestDefaultSearch:
         assert tables == [4, 5]
 
     def test_block_adjacency_built_once_per_verdict(self):
-        """The searched bounds share one adjacency per block, the known edges of each part of ``separate``.
+        """The searched bounds share one known-edge graph, built once per verdict that lists a walk.
 
         The product rank bound refutes most draws that search two or more
         bounds, so the pool is wide enough to keep five that still do.
@@ -793,15 +794,11 @@ class TestDefaultSearch:
             tables = calls(repetition_table, lambda: combinatorial_verdict(net))
             built = calls(identifiability._known_adjacency, lambda: combinatorial_verdict(net))
             walks = calls(enumerate_walks, lambda: combinatorial_verdict(net))
-            assert len(built) == (2 if walks else 0), net
+            assert len(built) == (1 if walks else 0), net
             searched += len(tables) >= 2
             if walks:
-                blocks = separate(net)
-                adjacency = identifiability._known_adjacency(net, blocks.b_part), identifiability._known_adjacency(
-                    net, blocks.c_part
-                )
                 assert len({id(c["adjacency"]) for c in walks}) == 1, net
-                assert walks[0]["adjacency"] == adjacency, net
+                assert walks[0]["adjacency"] == part_adjacency(net, range(net.n)), net
         assert searched >= 5
 
     def test_walk_k_runs_through_unknown_edge_k(self):
@@ -822,6 +819,86 @@ class TestDefaultSearch:
                 for walk, pivot in zip(coll, pivots):
                     assert walk.count(pivot) == 1 and derived(net, walk)[2] == [pivot], net
         assert collections >= 20
+
+
+def part_adjacency(net: NetworkModel, part: Iterable[int]) -> dict:
+    """The known edges whose tail lies in ``part``, as tail -> [(edge index, head)] in net.edges order."""
+    part, adj = set(part), {}
+    for i, e in enumerate(net.edges):
+        if e.known and e.src in part:
+            adj.setdefault(e.src, []).append((i, e.dst))
+    return adj
+
+
+def known_paths(adj: dict, start: int, goal: int, bound: int) -> list[tuple[int, ...]]:
+    """Every edge-index path along ``adj`` from start to goal with at most ``bound`` edges, depth first, recursively."""
+    out = [()] if start == goal else []
+
+    def grow(node: int, path: tuple[int, ...]) -> None:
+        if len(path) < bound:
+            for i, head in adj.get(node, ()):
+                if head == goal:
+                    out.append(path + (i,))
+                grow(head, path + (i,))
+
+    grow(start, ())
+    return out
+
+
+class TestOneKnownEdgeGraph:
+    """A separable net's known edges never leave their part, so one known-edge graph serves both blocks."""
+
+    @staticmethod
+    def _pool():
+        yield from separable_square_corpus(40, acyclic=True)
+        yield from separable_square_corpus(40, acyclic=False, start_seed=1000)
+        for net in general_square_corpus(20, start_seed=5000):
+            yield netmodel.decouple(net)
+
+    def test_known_edges_stay_in_their_part(self):
+        for net in self._pool():
+            blocks = separate(net)
+            for e in net.known_edges:
+                assert {e.src, e.dst} <= blocks.b_part or {e.src, e.dst} <= blocks.c_part, (net, e)
+
+    def test_walks_equal_the_listing_over_two_block_adjacencies(self):
+        """Prefixes over the excited block's known edges, suffixes over the measured block's, in the listing's order."""
+        bound, listed = 6, 0
+        for net in self._pool():
+            blocks = separate(net)
+            adj_b, adj_c = part_adjacency(net, blocks.b_part), part_adjacency(net, blocks.c_part)
+            adjacency = identifiability._Structure(net).known_adjacency
+            for pivot, e in enumerate(net.edges):
+                if e.known:
+                    continue
+                prefixes = [sorted(known_paths(adj_b, b, e.src, bound), key=len) for b in net.excited]
+                expected = [
+                    prefix + (pivot,) + suffix
+                    for c in net.measured
+                    for suffix in known_paths(adj_c, e.dst, c, bound)
+                    for ps in prefixes
+                    for prefix in ps
+                    if len(prefix) + len(suffix) <= bound
+                ]
+                assert enumerate_walks(net, adjacency, pivot, bound) == expected, (net, pivot)
+                listed += len(expected)
+        assert listed >= 1000, listed
+
+    def test_closed_loop_within_each_part_is_that_block_expansion(self):
+        """Each entry within a part sums its block's known-edge walks, expanded here walk by walk."""
+        bound, repeated = 4, 0
+        for net in self._pool():
+            loop, blocks = symbolic_closed_loop(net, bound), separate(net)
+            for part in (blocks.b_part, blocks.c_part):
+                adj = part_adjacency(net, part)
+                for j in part:
+                    for i in part:
+                        expected = Counter(
+                            frozenset(Counter(path).items()) for path in known_paths(adj, i, j, bound)
+                        )
+                        assert loop[j][i].terms == dict(expected), (net, i, j)
+                        repeated += any(c > 1 for c in expected.values())
+        assert repeated >= 100, repeated
 
 
 class TestStructureFirstAtEveryBound:

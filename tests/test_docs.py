@@ -16,8 +16,7 @@ README = (ROOT / "README.md").read_text()
 # submodules it is imported from.  Internals (rank, walks, oracle polynomials, file dicts) stay in
 # their submodules; a re-export of one here is a change to this list.
 PUBLIC = {
-    "Edge", "NetworkModel", "ValidationError", "SelfLoopError", "DuplicateEdgeError",
-    "IndexOutOfRangeError", "DuplicateExcitationError", "DuplicateMeasurementError",
+    "Edge", "NetworkModel", "ValidationError",
     "NotSeparableError", "NotSquareError", "NetworkFormatError", "MAX_NODES",
     "separate", "is_separable", "decouple", "load_network", "save_network",
     "AllSamplesSingularError",
@@ -48,12 +47,12 @@ def imported_from_netident(source: str) -> set[str]:
 
 
 def test_public_names_are_the_kept_api_and_six_submodules(cli_env):
-    """A fresh ``import netident`` binds the 37 API names and the six submodules it imports, nothing else public."""
+    """A fresh ``import netident`` binds the 32 API names and the six submodules it imports, nothing else public."""
     code = "import json, netident; print(json.dumps([n for n in vars(netident) if not n.startswith('_')]))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0, proc.stderr
     names = json.loads(proc.stdout)
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 32
     assert sorted(names) == sorted(PUBLIC | SUBMODULES)
 
 
