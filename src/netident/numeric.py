@@ -8,14 +8,15 @@ closed loop I - G is sparse: ``_loop_factor`` builds its nonzeros from the
 edge list as dict rows, ``_sparse_factor`` factors them in a fill-reducing
 (Markowitz) pivot order, and ``_solve`` runs many right-hand sides through
 the steps at once, touching only the stored nonzeros; no n x n matrix is
-laid out.  ``rank_field`` ranks the sensitivity matrix K, or its sketch,
-on packed rows.  Both pack
-the same way (``_fields``): one big integer holds many field values side
-by side, a row of K in ``rank_field`` and one node's entry for every
-right-hand side in ``_solve``, each field wide enough that no sum
-carries into the next, so a multiply-add on all of them is one
-big-integer operation, and every field is reduced modulo p at once by
-Mersenne folds.  A sample of the rank
+laid out.  The last factorization is kept for a draw that repeats its
+matrix exactly: ``netident check`` draws its first closed loop twice, once
+per notion, from one seed.  ``rank_field`` ranks the sensitivity matrix
+K, or its sketch, on packed rows.  Both pack the same way (``_fields``):
+one big integer holds many field values side by side, a row of K in
+``rank_field`` and one node's entry for every right-hand side in
+``_solve``, each field wide enough that no sum carries into the next, so
+a multiply-add on all of them is one big-integer operation, and every
+field is reduced modulo p at once by Mersenne folds.  A sample of the rank
 route needs one factorization and one packed solve per side: K has one
 row per (excitation, measurement) pair but rank at most m, the number of
 unknown edges, so a taller K is ranked through an m x m sketch, and the
@@ -31,6 +32,7 @@ closed loop lives in ``netident.series``.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .netmodel import NetworkModel, NotSquareError, separate
@@ -233,12 +235,27 @@ def _loop_factor(net: NetworkModel, values) -> list[tuple]:
 
     Edge j -> i with value g puts -g mod p at row i, column j, unless that is
     0; a network has no self-loops, so no edge lands on the diagonal's 1.
+    A closed loop equal to the one factored last, entry for entry, is not
+    factored again (``_factor_entries``).
     """
-    rows = [{i: 1} for i in range(net.n)]
-    for e, v in zip(net.edges, values):
-        x = -v % PRIME
-        if x:
-            rows[e.dst][e.src] = x
+    entries = tuple((e.dst, e.src, x) for e, v in zip(net.edges, values) if (x := -v % PRIME))
+    return _factor_entries(net.n, entries)
+
+
+@functools.lru_cache(maxsize=1)
+def _factor_entries(n: int, entries: tuple[tuple[int, int, int], ...]) -> list[tuple]:
+    """``_sparse_factor`` of the n x n identity plus ``entries``, (row, column, value) each; the last one is kept.
+
+    ``netident check`` asks for one closed loop twice: both of its notions
+    draw from ``random.Random(seed)``, so the decoupled verdict's first
+    (left) draw is the local verdict's only one.  Keyed on n and every
+    entry, the one kept factorization answers only for the same matrix; a
+    singular one raises and is not kept.  Callers share the steps it
+    returns, and none mutates them.
+    """
+    rows = [{i: 1} for i in range(n)]
+    for i, j, x in entries:
+        rows[i][j] = x
     return _sparse_factor(rows)
 
 
@@ -247,12 +264,21 @@ def _products(x: list[int], y: list[int]) -> list[int]:
     return [a * b % PRIME for a, b in zip(x, y)]
 
 
-def _port_values(net: NetworkModel, left: list[tuple], right: list[tuple], beta, alpha) -> tuple[list, list]:
+def _unknown_ends(net: NetworkModel) -> tuple[list[int], list[int]]:
+    """The head and the tail of each unknown edge, in edge-list order: (heads, tails)."""
+    unknown = net.unknown_edges
+    return [e.dst for e in unknown], [e.src for e in unknown]
+
+
+def _port_values(
+    net: NetworkModel, unknown_ends: tuple[list[int], list[int]], left: list[tuple], right: list[tuple], beta, alpha
+) -> tuple[list, list]:
     """beta_i^T T_left at each unknown edge's head and T_right alpha_i at its tail, for every i.
 
     ``beta`` holds rows over the measured nodes and ``alpha`` rows over the
     excited nodes; ``left`` and ``right`` are the factors of the two closed
-    loops.  Returns (at_head, at_tail) with
+    loops and ``unknown_ends`` is ``_unknown_ends(net)``.  Returns
+    (at_head, at_tail) with
 
         at_head[i][a] = sum over c of beta_ic T_left[c, head a],
         at_tail[i][a] = sum over b of T_right[tail a, b] alpha_ib,
@@ -260,17 +286,17 @@ def _port_values(net: NetworkModel, left: list[tuple], right: list[tuple], beta,
     from one packed solve per side: node c's right-hand side holds beta_ic
     in field i, so field i of the transposed solve is beta_i^T T_left, and
     node b's holds alpha_ib, so field i of the direct solve is
-    T_right alpha_i.
+    T_right alpha_i.  Sides with as many weight rows share one packed layout.
     """
-    heads = [e.dst for e in net.unknown_edges]
-    tails = [e.src for e in net.unknown_edges]
+    heads, tails = unknown_ends
+    layouts = {count: _fields(count, net.n + 1) for count in {len(beta), len(alpha)}}
     out = []
     for steps, weights, ports, ends, transposed in (
         (left, beta, net.measured, heads, True),
         (right, alpha, net.excited, tails, False),
     ):
         count = len(weights)
-        width, _, reduce = _fields(count, net.n + 1)
+        width, _, reduce = layouts[count]
         rhs = {node: _pack(column, width) for node, column in zip(ports, zip(*weights))}
         solved = _solve(steps, rhs, reduce, transposed)
         fields = {v: _unpack(solved[v], width, count) for v in set(ends)}
@@ -278,7 +304,9 @@ def _port_values(net: NetworkModel, left: list[tuple], right: list[tuple], beta,
     return out[0], out[1]
 
 
-def _sensitivity(net: NetworkModel, left: list[tuple], right: list[tuple]) -> list[list[int]]:
+def _sensitivity(
+    net: NetworkModel, unknown_ends: tuple[list[int], list[int]], left: list[tuple], right: list[tuple]
+) -> list[list[int]]:
     """The sensitivity matrix K at the sample factored into ``left`` and ``right``, from unit right-hand sides.
 
     K is the derivative of the measured closed-loop map with respect to the
@@ -286,7 +314,7 @@ def _sensitivity(net: NetworkModel, left: list[tuple], right: list[tuple]) -> li
     measurement) pair, one column per unknown edge a in edge-list order,
     entry T_left[c, head a] * T_right[tail a, b].
     """
-    at_head, at_tail = _port_values(net, left, right, _identity(net.n_measured), _identity(net.n_excited))
+    at_head, at_tail = _port_values(net, unknown_ends, left, right, _identity(net.n_measured), _identity(net.n_excited))
     return [_products(h, t) for t in at_tail for h in at_head]
 
 
@@ -351,7 +379,9 @@ def _sample_factors(net: NetworkModel, rng: random.Random, decoupled: bool) -> t
     raise AllSamplesSingularError(f"{RESAMPLE_BUDGET} draws in a row gave a singular closed loop")
 
 
-def _sample_rank(net: NetworkModel, rng: random.Random, left: list[tuple], right: list[tuple]) -> int:
+def _sample_rank(
+    net: NetworkModel, unknown_ends: tuple[list[int], list[int]], rng: random.Random, left: list[tuple], right: list[tuple]
+) -> int:
     """Rank at one sample: of K when it has at most m rows, else of an m x m sketch of K.
 
     The sketch is R K, where row i of R is beta_i (x) alpha_i for nonzero
@@ -367,13 +397,14 @@ def _sample_rank(net: NetworkModel, rng: random.Random, left: list[tuple], right
     K itself comes from the same two solves on unit right-hand sides.
     rank(R K) <= rank K; ``generic_rank`` bounds the chance it falls short.
     """
-    if net.n_excited * net.n_measured <= net.m_unknown:
-        return rank_field(_sensitivity(net, left, right))
+    m = len(unknown_ends[0])
+    if net.n_excited * net.n_measured <= m:
+        return rank_field(_sensitivity(net, unknown_ends, left, right))
     beta, alpha = [], []
-    for _ in range(net.m_unknown):
+    for _ in range(m):
         beta.append(random_field_values(rng, net.n_measured))
         alpha.append(random_field_values(rng, net.n_excited))
-    at_head, at_tail = _port_values(net, left, right, beta, alpha)
+    at_head, at_tail = _port_values(net, unknown_ends, left, right, beta, alpha)
     return rank_field(list(map(_products, at_head, at_tail)))
 
 
@@ -449,12 +480,20 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     optional-stopping argument; it also bounds the reported rank, whatever
     r is.  s* is 1 until mn exceeds about 2^20.  Deterministic in
     (net, decoupled, seed).
+
+    Cost.  A closed loop equal to the last one factored, in this call or
+    an earlier one, is not factored again (``_loop_factor``).  At one seed
+    the decoupled mode's first draw is the plain mode's first, so
+    ``netident check``, which asks for both, factors two closed loops
+    where it draws three.  The unknown edges' ends are read once per call.
     """
+    unknown_ends = _unknown_ends(net)
+    m = len(unknown_ends[0])
     rng = random.Random(seed)
     best = 0
-    for _ in range(_samples_needed(net.n, net.m_unknown)):
-        best = max(best, _sample_rank(net, rng, *_sample_factors(net, rng, decoupled)))
-        if best == net.m_unknown:
+    for _ in range(_samples_needed(net.n, m)):
+        best = max(best, _sample_rank(net, unknown_ends, rng, *_sample_factors(net, rng, decoupled)))
+        if best == m:
             break
     return best
 

@@ -5,6 +5,17 @@ import os
 import pytest
 
 import netident
+from netident import numeric
+
+
+@pytest.fixture(autouse=True)
+def forget_the_last_closed_loop():
+    """Start every test with no closed loop remembered by ``numeric._loop_factor``.
+
+    A test that patches or counts factorizations then sees the same calls
+    whichever test ran before it.
+    """
+    numeric._factor_entries.cache_clear()
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from typing import Iterable
 from netident import NetworkModel, netmodel, numeric
 from netident.combinatorial import Monomial, Walk, enumerate_walks
 from netident.identifiability import _Structure, _disjoint_paths
-from netident.numeric import PRIME, _sample_factors, _sensitivity
+from netident.numeric import PRIME, _sample_factors, _sensitivity, _unknown_ends
 from netident.oracle import Poly
 
 
@@ -109,7 +109,7 @@ def det_field(A: list[list[int]]) -> int:
 
 def sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool) -> list[list[int]]:
     """The full sensitivity matrix K at the next sample ``generic_rank`` would draw from ``rng``, sketch or not."""
-    return _sensitivity(net, *_sample_factors(net, rng, decoupled))
+    return _sensitivity(net, _unknown_ends(net), *_sample_factors(net, rng, decoupled))
 
 
 def loop_factor(G: list[list[int]]) -> list[tuple]:

@@ -21,7 +21,7 @@ from netident.cli import OptionError, _build_parser, _default_seed, main
 from netident.netmodel import network_to_dict
 
 from corpus import cyclic9_net, fan_net, minimal_net, unreachable_net
-from helpers import validate_calls
+from helpers import perfbench_inputs, validate_calls
 
 
 @pytest.fixture(autouse=True)
@@ -545,6 +545,14 @@ class TestErrorsAndDeterminism:
             _, out, _ = run(capsys, ["combinatorial", path, "--max-degree", "5", "--json"])
             outs.add(out)
         assert len(outs) == 1
+
+    def test_check_repeated_in_one_process_matches_a_new_process(self, tmp_path, capsys, cli_env):
+        """``check`` of a, then b, then a again in one process prints a's report twice, as a new process does."""
+        a = write_net(tmp_path, perfbench_inputs().check_net(1, 1), "a.json")
+        b = write_net(tmp_path, fan_net(), "b.json")
+        runs = [run(capsys, ["check", path, "--json"])[:2] for path in (a, b, a)]
+        assert runs[0] == runs[2] == run_module(cli_env, tmp_path, "check", a, "--json")
+        assert runs[0][0] == 1 and runs[1][0] == 0
 
     def test_module_entry_point(self, tmp_path, cli_env):
         path = write_net(tmp_path, minimal_net())

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,8 @@ from helpers import (
     loop_factor,
     mat_mul_field,
     minor_rank,
+    perfbench_inputs,
+    permute,
     sample_sensitivity,
     sensitivity_matrix,
     unit_solve,
@@ -64,7 +67,7 @@ def exact_values(net, values_by_pair):
 def library_sensitivity(net, values):
     """K as the rank route builds it, from one factor of I - G at ``values`` and packed unit solves."""
     steps = numeric._loop_factor(net, values)
-    return numeric._sensitivity(net, steps, steps)
+    return numeric._sensitivity(net, numeric._unknown_ends(net), steps, steps)
 
 
 class TestNetworkMatrix:
@@ -461,6 +464,73 @@ class TestSparseFactor:
         assert solved_inverse(shuffled) == solved_inverse(steps)
 
 
+class TestLastClosedLoop:
+    """``_loop_factor`` keeps the last factorization and gives it back only for the same matrix."""
+
+    @staticmethod
+    def factorizations(action) -> int:
+        return len(calls(numeric._sparse_factor, action))
+
+    @pytest.mark.parametrize(
+        "make, full_rank",
+        [
+            (fan_net, True),
+            (unreachable_net, False),
+            # items 0 and 1 of the ``check`` pool at seed 1: rank 14 of 14, and 16 of 23 (sketched)
+            (lambda: perfbench_inputs().check_net(1, 0), True),
+            (lambda: perfbench_inputs().check_net(1, 1), False),
+        ],
+        ids=["fan", "unreachable", "check-full-rank", "check-deficient"],
+    )
+    def test_check_factors_two_closed_loops(self, make, full_rank):
+        """Local then decoupled at one seed factor the shared first draw once: 2 factorizations, 3 at two seeds."""
+        net = make()
+        assert numeric._samples_needed(net.n, net.m_unknown) == 1
+        assert (local_identifiability(net, seed=1).rank == net.m_unknown) is full_rank
+        numeric._factor_entries.cache_clear()
+        assert self.factorizations(lambda: (local_identifiability(net, seed=1), decoupled_identifiability(net, seed=1))) == 2
+        assert self.factorizations(lambda: (local_identifiability(net, seed=2), decoupled_identifiability(net, seed=3))) == 3
+
+    def test_only_the_same_matrix_is_answered(self):
+        """A changed value, a reversed edge and a relabeling each get a fresh factorization that solves as an uncached one."""
+        net = cyclic9_net()
+        values = random_field_values(field_rng(9), len(net.edges))
+        flipped = next(i for i, e in enumerate(net.edges) if (e.dst, e.src) not in {(f.src, f.dst) for f in net.edges})
+        reversed_edge = [replace(e, src=e.dst, dst=e.src) if i == flipped else e for i, e in enumerate(net.edges)]
+        perm = list(range(net.n))
+        field_rng(1).shuffle(perm)
+        others = [
+            (net, [values[0] + 1, *values[1:]]),
+            (NetworkModel(net.n, reversed_edge, net.excited, net.measured), values),
+            (permute(net, perm), values),
+        ]
+        first = numeric._loop_factor(net, values)
+        again = []
+        assert self.factorizations(lambda: again.append(numeric._loop_factor(net, values))) == 0
+        assert again[0] is first
+        for other, other_values in others:
+            uncached = loop_factor(network_matrix(other, other_values))
+            numeric._loop_factor(net, values)  # the kept loop is net's again
+            steps = []
+            assert self.factorizations(lambda: steps.append(numeric._loop_factor(other, other_values))) == 1
+            assert solved_inverse(steps[0]) == solved_inverse(uncached)
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_singular_draws_are_factored_again_on_replay(self, monkeypatch, decoupled):
+        """With every factorization singular, the budget still sees RESAMPLE_BUDGET draws, and a replay factors each again."""
+        factored = []
+
+        def singular(rows):
+            factored.append(1)
+            raise SingularMatrixError("forced")
+
+        monkeypatch.setattr(numeric, "_sparse_factor", singular)
+        for runs in (1, 2):
+            with pytest.raises(numeric.AllSamplesSingularError):
+                generic_rank(unreachable_net(), decoupled=decoupled)
+            assert len(factored) == runs * numeric.RESAMPLE_BUDGET
+
+
 class TestPackedSolveWidth:
     """The solves give each field 122 + (n + 1).bit_length() bits, in whole bytes: 16 at n = 62, 17 at n = 63.
 
@@ -484,7 +554,7 @@ class TestPackedSolveWidth:
         T = solved_inverse(steps)
         assert mat_mul_field(T, M) == identity_field(n)
         assert mat_mul_field(M, T) == identity_field(n)
-        assert numeric._sensitivity(net, steps, steps) == sensitivity_matrix(net, T, T)
+        assert numeric._sensitivity(net, numeric._unknown_ends(net), steps, steps) == sensitivity_matrix(net, T, T)
 
 
 def same_draws(net, seed, decoupled):
@@ -625,8 +695,9 @@ class TestSketch:
                 for decoupled in (False, True):
                     gen = field_rng(seed)
                     left, right = numeric._sample_factors(net, gen, decoupled)
-                    full = rank_field(numeric._sensitivity(net, left, right))
-                    assert numeric._sample_rank(net, gen, left, right) == full, (net, seed, decoupled)
+                    ends = numeric._unknown_ends(net)
+                    full = rank_field(numeric._sensitivity(net, ends, left, right))
+                    assert numeric._sample_rank(net, ends, gen, left, right) == full, (net, seed, decoupled)
                     ranks[full == net.m_unknown] += 1
         assert ranks[True] >= 100 and ranks[False] >= 100
 
