@@ -59,8 +59,8 @@ from .identifiability import (
     IDENTIFIABLE,
     INCONCLUSIVE,
     NOT_IDENTIFIABLE,
-    NoUnknownEdgesError,
     Verdict,
+    _require_unknowns,
     _Structure,
 )
 from .netmodel import NetworkModel, NotSquareError, decouple
@@ -265,7 +265,8 @@ def exhaustive_degree_bound(net: NetworkModel) -> int:
 
 
 def _walk_guards(net: NetworkModel, structure: _Structure, max_degree: int | None) -> None:
-    """The walk route's input guards: separable, square, not too large, and no negative bound."""
+    """The walk route's input guards, in order: some unknown edge, separable, square, not too large, and no negative bound."""
+    _require_unknowns(net)
     structure.blocks  # NotSeparableError on a network that is not separable
     if not net.is_square:
         raise NotSquareError(net)
@@ -343,8 +344,6 @@ def _first_collection(
     used, remainder, sign) is never searched twice, and an explicit stack
     nests no call per unknown edge.
     """
-    if not layers:  # no unknown edge: only the empty collection, of monomial 1 and sign +1
-        return () if (target, sign) == (0, 1) else None
     m = len(layers)
     dead: set[tuple[int, int, int]] = set()
     chosen: list[Walk] = []
@@ -546,8 +545,6 @@ def _walk_route(
     ``verdict_from_table`` of the table.
     """
     target = decouple(net) if decouple_first else net
-    if target.m_unknown == 0:
-        raise NoUnknownEdgesError()
     structure = _Structure(target)
     _walk_guards(target, structure, max_degree)
     refuted = structure.refutation

@@ -180,15 +180,15 @@ def _plain(v: object) -> object:
 def validate(net: NetworkModel) -> None:
     """Check the invariants ``NetworkModel`` lists, raising ValidationError on the first violation.
 
-    The constructor calls this; nothing else needs to.
+    The constructor calls this, once ``_plain`` has made every integer an
+    exact int, so the type alone tells an index; nothing else needs to.
     """
     n = net.n
-    if not _is_index(n) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValidationError(f"node count {n!r} is not a non-negative integer")
     seen: set[tuple[int, int]] = set()
-    # A plain int passes on its type alone; only other types pay for ``_is_index``.
     for e in net.edges:
-        if not (type(e.src) is type(e.dst) is int or _is_index(e.src) and _is_index(e.dst)):
+        if not (type(e.src) is type(e.dst) is int):
             raise ValidationError(f"non-integer node index in edge (src={e.src!r}, dst={e.dst!r})")
         for v in (e.src, e.dst):
             if not (0 <= v < n):
@@ -200,7 +200,7 @@ def validate(net: NetworkModel) -> None:
         seen.add((e.src, e.dst))
     for where, nodes in (("excited", net.excited), ("measured", net.measured)):
         for node in nodes:
-            if type(node) is not int and not _is_index(node):
+            if type(node) is not int:
                 raise ValidationError(f"non-integer node index {node!r} in {where}")
             if not (0 <= node < n):
                 raise ValidationError(f"node index {node + 1} out of range 1..{n} in {where}")

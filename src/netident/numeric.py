@@ -10,18 +10,18 @@ edge list as dict rows, ``_sparse_factor`` factors them in a fill-reducing
 the steps at once, touching only the stored nonzeros; no n x n matrix is
 laid out.  The last factorization is kept for a draw that repeats its
 matrix exactly: ``netident check`` draws its first closed loop twice, once
-per notion, from one seed.  ``rank_field`` ranks the sensitivity matrix
-K, or its sketch, on packed rows.  Both pack the same way (``_fields``):
-one big integer holds many field values side by side, a row of K in
-``rank_field`` and one node's entry for every right-hand side in
-``_solve``, each field wide enough that no sum carries into the next, so
-a multiply-add on all of them is one big-integer operation, and every
-field is reduced modulo p at once by Mersenne folds.  A sample of the rank
-route needs one factorization and one packed solve per side: K has one
-row per (excitation, measurement) pair but rank at most m, the number of
-unknown edges, so a taller K is ranked through an m x m sketch, and the
-sketch's random weights are the solves' right-hand sides, one field per
-sketch row; K itself comes from unit right-hand sides, one field per port.
+per notion, from one seed.  ``rank_field`` ranks an m x m sketch of
+the sensitivity matrix K on packed rows.  Both pack the same way
+(``_fields``): one big integer holds many field values side by side, a
+row of the sketch in ``rank_field`` and one node's entry for every
+right-hand side in ``_solve``, each field wide enough that no sum carries
+into the next, so a multiply-add on all of them is one big-integer
+operation, and every field is reduced modulo p at once by Mersenne folds.
+A sample of the rank route needs one factorization and one packed solve
+per side: K has one row per (excitation, measurement) pair but rank at
+most m, the number of unknown edges, so every sample ranks an m x m
+sketch R K, and the sketch's random weights are the solves' right-hand
+sides, one field per sketch row.
 
 The identifiability test is a polynomial identity in the edge values, so
 drawing the values from a large prime field instead of the complex numbers
@@ -260,7 +260,7 @@ def _factor_entries(n: int, entries: tuple[tuple[int, int, int], ...]) -> list[t
 
 
 def _products(x: list[int], y: list[int]) -> list[int]:
-    """The entrywise products of ``x`` and ``y`` mod p: one row of K, or of its sketch."""
+    """The entrywise products of ``x`` and ``y`` mod p: one row of the sketch."""
     return [a * b % PRIME for a, b in zip(x, y)]
 
 
@@ -268,59 +268,6 @@ def _unknown_ends(net: NetworkModel) -> tuple[list[int], list[int]]:
     """The head and the tail of each unknown edge, in edge-list order: (heads, tails)."""
     unknown = net.unknown_edges
     return [e.dst for e in unknown], [e.src for e in unknown]
-
-
-def _port_values(
-    net: NetworkModel, unknown_ends: tuple[list[int], list[int]], left: list[tuple], right: list[tuple], beta, alpha
-) -> tuple[list, list]:
-    """beta_i^T T_left at each unknown edge's head and T_right alpha_i at its tail, for every i.
-
-    ``beta`` holds rows over the measured nodes and ``alpha`` rows over the
-    excited nodes; ``left`` and ``right`` are the factors of the two closed
-    loops and ``unknown_ends`` is ``_unknown_ends(net)``.  Returns
-    (at_head, at_tail) with
-
-        at_head[i][a] = sum over c of beta_ic T_left[c, head a],
-        at_tail[i][a] = sum over b of T_right[tail a, b] alpha_ib,
-
-    from one packed solve per side: node c's right-hand side holds beta_ic
-    in field i, so field i of the transposed solve is beta_i^T T_left, and
-    node b's holds alpha_ib, so field i of the direct solve is
-    T_right alpha_i.  Sides with as many weight rows share one packed layout.
-    """
-    heads, tails = unknown_ends
-    layouts = {count: _fields(count, net.n + 1) for count in {len(beta), len(alpha)}}
-    out = []
-    for steps, weights, ports, ends, transposed in (
-        (left, beta, net.measured, heads, True),
-        (right, alpha, net.excited, tails, False),
-    ):
-        count = len(weights)
-        width, _, reduce = layouts[count]
-        rhs = {node: _pack(column, width) for node, column in zip(ports, zip(*weights))}
-        solved = _solve(steps, rhs, reduce, transposed)
-        fields = {v: _unpack(solved[v], width, count) for v in set(ends)}
-        out.append(list(zip(*(fields[v] for v in ends))))  # row i: field i at each unknown edge
-    return out[0], out[1]
-
-
-def _sensitivity(
-    net: NetworkModel, unknown_ends: tuple[list[int], list[int]], left: list[tuple], right: list[tuple]
-) -> list[list[int]]:
-    """The sensitivity matrix K at the sample factored into ``left`` and ``right``, from unit right-hand sides.
-
-    K is the derivative of the measured closed-loop map with respect to the
-    unknown edges: row b_idx * n_measured + c_idx for each (excitation,
-    measurement) pair, one column per unknown edge a in edge-list order,
-    entry T_left[c, head a] * T_right[tail a, b].
-    """
-    at_head, at_tail = _port_values(net, unknown_ends, left, right, _identity(net.n_measured), _identity(net.n_excited))
-    return [_products(h, t) for t in at_tail for h in at_head]
-
-
-def _identity(n: int) -> list[list[int]]:
-    """Unit weights, one row per port: the right-hand sides that give K itself."""
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def rank_field(A: list[list[int]]) -> int:
@@ -382,30 +329,42 @@ def _sample_factors(net: NetworkModel, rng: random.Random, decoupled: bool) -> t
 def _sample_rank(
     net: NetworkModel, unknown_ends: tuple[list[int], list[int]], rng: random.Random, left: list[tuple], right: list[tuple]
 ) -> int:
-    """Rank at one sample: of K when it has at most m rows, else of an m x m sketch of K.
+    """Rank at one sample of the m x m sketch R K of the sensitivity matrix K.
 
-    The sketch is R K, where row i of R is beta_i (x) alpha_i for nonzero
-    values drawn from ``rng`` once the sample's factors exist: beta_i one
-    per measurement, then alpha_i one per excitation.  Its entry for
-    unknown edge a factors as
+    K has one row per (excitation b, measurement c) pair and one column per
+    unknown edge a, entry T_left[c, head a] * T_right[tail a, b]; ``left``
+    and ``right`` are the factors of the two closed loops and
+    ``unknown_ends`` is ``_unknown_ends(net)``.  Row i of R is
+    beta_i (x) alpha_i for nonzero values drawn from ``rng`` once the
+    sample's factors exist: beta_i one per measurement, then alpha_i one
+    per excitation.  Entry (i, a) of R K factors as
 
-        (sum over c of beta_ic T[c, head a]) * (sum over b of T[tail a, b] alpha_ib),
+        (sum over c of beta_ic T_left[c, head a]) * (sum over b of T_right[tail a, b] alpha_ib),
 
-    and both sums are linear in the weights, so one transposed solve with
-    the beta_i as right-hand sides and one direct solve with the alpha_i
-    give all m rows (``_port_values``), with no row or column of T formed.
-    K itself comes from the same two solves on unit right-hand sides.
+    and both sums are linear in the weights, so two packed solves give all
+    m rows, with no row or column of T formed: node c's right-hand side
+    holds beta_ic in field i, so field i of the transposed solve is
+    beta_i^T T_left, and node b's holds alpha_ib, so field i of the direct
+    solve is T_right alpha_i.  Both sides share one layout of m fields.
     rank(R K) <= rank K; ``generic_rank`` bounds the chance it falls short.
     """
-    m = len(unknown_ends[0])
-    if net.n_excited * net.n_measured <= m:
-        return rank_field(_sensitivity(net, unknown_ends, left, right))
+    heads, tails = unknown_ends
+    m = len(heads)
     beta, alpha = [], []
     for _ in range(m):
         beta.append(random_field_values(rng, net.n_measured))
         alpha.append(random_field_values(rng, net.n_excited))
-    at_head, at_tail = _port_values(net, unknown_ends, left, right, beta, alpha)
-    return rank_field(list(map(_products, at_head, at_tail)))
+    width, _, reduce = _fields(m, net.n + 1)
+    sides = []
+    for steps, weights, ports, ends, transposed in (
+        (left, beta, net.measured, heads, True),
+        (right, alpha, net.excited, tails, False),
+    ):
+        rhs = {node: _pack(column, width) for node, column in zip(ports, zip(*weights))}
+        solved = _solve(steps, rhs, reduce, transposed)
+        fields = {v: _unpack(solved[v], width, m) for v in set(ends)}
+        sides.append(zip(*(fields[v] for v in ends)))  # row i: field i at each unknown edge
+    return rank_field(list(map(_products, *sides)))
 
 
 def _samples_needed(n: int, m: int) -> int:
@@ -428,45 +387,41 @@ def _samples_needed(n: int, m: int) -> int:
 
 
 def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -> int:
-    """Max rank of the sensitivity matrix K over random samples, drawn until the failure bound is met.
+    """Generic rank of the sensitivity matrix K: the max rank of its m x m sketch over random samples, drawn until the failure bound is met.
 
     Each sample draws every edge value uniformly from the p - 1 nonzero
     field elements, redrawing while I - G is singular, and factors I - G
     once.  Decoupled mode draws two independent value lists per sample,
-    one per closed-loop factor.  A K with at most m = ``m_unknown`` rows,
-    |B||C| <= m, is ranked as it is; a taller one through an m x m sketch
-    R K (``_sample_rank``), whose rows beta_i (x) alpha_i are drawn after
-    the sample's edge values.  Either way the sample takes one transposed
-    packed solve against the measurements and one direct solve against
-    the excitations, with the weights (unit ones for K) as right-hand
-    sides.  The draws come from one ``random.Random(seed)`` stream: 61
-    random bits per value, drawn again when they read 0 or p
-    (p = 2^61 - 1), which leaves the nonzero elements equally likely
-    (``random_field_values``).  A sample whose RESAMPLE_BUDGET draws are
-    all singular raises AllSamplesSingularError.
+    one per closed-loop factor.  The sample then draws the rows
+    beta_i (x) alpha_i of R, m = ``m_unknown`` of them, and ranks R K
+    (``_sample_rank``) from one transposed packed solve against the
+    measurements and one direct solve against the excitations, with the
+    weights as right-hand sides.  The draws come from one
+    ``random.Random(seed)`` stream: 61 random bits per value, drawn again
+    when they read 0 or p (p = 2^61 - 1), which leaves the nonzero elements
+    equally likely (``random_field_values``).  A sample whose
+    RESAMPLE_BUDGET draws are all singular raises AllSamplesSingularError.
 
-    Failure bound.  No sample exceeds the generic rank r <= m, a sketch
-    R K no more than K, so the maximum falls short of r only if every
-    sample is a zero of a nonzero r x r minor of the matrix it ranks.
-    T = adj(I - G) / det(I - G), and each cofactor has degree at most
-    n - 1 in the edge values, so an entry T[c, head] * T[tail, b] of K is
-    a polynomial of degree at most 2(n - 1) over det(I - G)^2; in
-    decoupled mode it is over det(I - G_1) det(I - G_2), the two draws
-    being separate sets of variables.  An entry of R K,
+    Failure bound.  No sample's R K exceeds rank K, nor K its generic rank
+    r <= m, so the maximum falls short of r only if every sample is a zero
+    of a nonzero r x r minor of R K.  T = adj(I - G) / det(I - G), and each
+    cofactor has degree at most n - 1 in the edge values; in decoupled mode
+    the two draws are separate sets of variables, with denominator
+    det(I - G_1) det(I - G_2).  An entry of R K,
     (sum_c beta_ic T[c, head]) * (sum_b alpha_ib T[tail, b]), is linear in
-    beta_i and in alpha_i, so over the same denominator it has degree at
-    most 2n in the edge values, beta and alpha together.  The sketch keeps
-    a nonzero minor of K nonzero: take one with rows (b_1, c_1), ...,
-    (b_r, c_r); at alpha_i = e_{b_i} and beta_i = e_{c_i} rows 1..r of R K
-    are those rows of K (the rank-one tensors e_b (x) e_c span
-    F^{|B||C|}), so the minor of R K on rows 1..r and the same columns is
-    a nonzero polynomial.  With its denominator cleared, the minor of
-    either matrix is a nonzero polynomial P of degree at most 2rn <= 2mn
-    (2m(n - 1) on K; the one bound covers both), and Schwartz-Zippel over
-    the nonzero values gives Pr[P = 0] <= 2mn / (p - 1).  The redraw rule
-    conditions on Q != 0, Q = det(I - G) (the product of both
-    determinants in decoupled mode): a polynomial of degree at most 2n
-    with constant term 1, so Pr[Q != 0] >= 1 - 2n / (p - 1) and
+    beta_i and in alpha_i, so over det(I - G)^2 (or the product) it has
+    degree at most 2n in the edge values, beta and alpha together.  Some
+    r x r minor of R K is a nonzero polynomial: take a nonzero minor of K
+    with rows (b_1, c_1), ..., (b_r, c_r); at alpha_i = e_{b_i} and
+    beta_i = e_{c_i} rows 1..r of R K are those rows of K, since r <= m
+    leaves R a row for each of them, so the minor of R K on rows 1..r and
+    the same columns is not identically 0.  With its denominator cleared
+    it is a nonzero polynomial P of degree at most 2rn <= 2mn, and
+    Schwartz-Zippel over the nonzero values gives
+    Pr[P = 0] <= 2mn / (p - 1).  The redraw rule conditions on Q != 0,
+    Q = det(I - G) (the product of both determinants in decoupled mode): a
+    polynomial of degree at most 2n with constant term 1, so
+    Pr[Q != 0] >= 1 - 2n / (p - 1) and
 
         Pr[P = 0 | Q != 0] <= Pr[P = 0] / Pr[Q != 0] <= 2mn / (p - 1 - 2n) = q.
 

@@ -2,15 +2,16 @@
 
 The field determinant and null space come from ``_factor``, a plain forward
 elimination on list rows that shares no code with the library's packed
-``numeric.rank_field``, so a rank test can check one against the other.  A
-sample's full sensitivity matrix comes from the library's own per-sample
-factors and packed solves (``numeric._sample_factors`` and
-``numeric._sensitivity``); ``sensitivity_matrix`` builds the same matrix by
-its definition from whole closed loops, and ``closed_loop`` gives those
-from the library's factor and one packed solve on unit right-hand sides.
-The product, identity, polynomial evaluation, the permutation-expansion
-determinant and the largest-minor rank are written out independently so
-tests can check the library against them, and so is the structural rank
+``numeric.rank_field``, so a rank test can check one against the other.  The
+library ranks only a sketch of the sensitivity matrix K; ``sensitivity_matrix``
+builds K itself by its definition from whole closed loops, ``unit_solve``
+gives those from the library's factor and one packed solve on unit
+right-hand sides (``closed_loop`` from edge values), and
+``sample_sensitivity`` applies both to the library's own per-sample factors
+(``numeric._sample_factors``).  The product, identity, polynomial
+evaluation, the permutation-expansion determinant and the largest-minor
+rank are written out independently so tests can check the library against
+them, and so is the structural rank
 bound, from one flow per group with no reach shortcut.  The walk table's
 signed count has a reference too, ``repetition_reference``: the layered
 count split by sign, keeping the first collection of every state, as the
@@ -30,7 +31,7 @@ from typing import Iterable
 from netident import NetworkModel, netmodel, numeric
 from netident.combinatorial import Monomial, Walk, enumerate_walks
 from netident.identifiability import _Structure, _disjoint_paths
-from netident.numeric import PRIME, _sample_factors, _sensitivity, _unknown_ends
+from netident.numeric import PRIME, _sample_factors
 from netident.oracle import Poly
 
 
@@ -108,8 +109,9 @@ def det_field(A: list[list[int]]) -> int:
 
 
 def sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool) -> list[list[int]]:
-    """The full sensitivity matrix K at the next sample ``generic_rank`` would draw from ``rng``, sketch or not."""
-    return _sensitivity(net, _unknown_ends(net), *_sample_factors(net, rng, decoupled))
+    """The full sensitivity matrix K at the next sample ``generic_rank`` would draw from ``rng``, before its sketch weights."""
+    left, right = _sample_factors(net, rng, decoupled)
+    return sensitivity_matrix(net, unit_solve(left), unit_solve(right))
 
 
 def loop_factor(G: list[list[int]]) -> list[tuple]:

@@ -115,6 +115,11 @@ class TestSeparable:
         assert code == 1
         assert "separable: no" in out
         assert "reason:" in out
+        reason = out.split("reason: ", 1)[1].rstrip("\n")
+        code, out, _ = run(capsys, ["separable", path, "--json"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["separable"] is False and report["reason"] == reason
 
     def test_json(self, tmp_path, capsys):
         path = write_net(tmp_path, fan_net())
@@ -191,6 +196,9 @@ class TestCombinatorial:
         code, out, _ = run(capsys, ["combinatorial", write_net(tmp_path, dead_row), "--max-degree", "4"])
         assert code == 1
         assert "  (excitation, measurement) pairs with no walk: (2, 4)" in out
+        code, out, _ = run(capsys, ["combinatorial", write_net(tmp_path, unreachable_net())])
+        assert code == 1
+        assert "  unknown edges with no walk: 2->3" in out
 
     def test_product_bound_names_both_flows(self, tmp_path, capsys):
         """Lift 14 of acceptance criterion 5: three heads reach the measurements, one excitation feeds every tail."""
@@ -528,9 +536,11 @@ class TestErrorsAndDeterminism:
     def test_no_unknown_edges(self, tmp_path, capsys):
         net = NetworkModel(2, [Edge(0, 1, known=True)], [0], [1])
         path = write_net(tmp_path, net)
-        code, _, err = run(capsys, ["check", path])
-        assert code == 3
-        assert "no unknown edges" in err
+        # neither separable-square nor with an unknown edge: the walk route and the oracle name the missing edges first
+        for command in (["check"], ["combinatorial"], ["combinatorial", "--decouple-first"], ["oracle"]):
+            code, _, err = run(capsys, [command[0], path, *command[1:]])
+            assert code == 3, command
+            assert "no unknown edges" in err, command
 
     def test_timing_on_stderr_only(self, tmp_path, capsys):
         path = write_net(tmp_path, minimal_net())

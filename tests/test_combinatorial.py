@@ -311,9 +311,13 @@ class TestRepetitionTable:
         assert verdict_from_table(net, t).decision == IDENTIFIABLE
 
     def test_rejects_non_square(self):
+        """A separable net with two unknown edges and one (excitation, measurement) pair: the table and the oracle refuse it."""
         net = NetworkModel(3, [Edge(0, 2, known=False), Edge(1, 2, known=False)], [0], [2])
+        separate(net)
         with pytest.raises(NotSquareError):
             repetition_table(net, 3)
+        with pytest.raises(NotSquareError):
+            symbolic_det(net, 3)
 
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
@@ -1036,9 +1040,13 @@ class TestVerdicts:
             assert (v.decision == IDENTIFIABLE) == generic_det_nonzero(net), f"split on {net}"
 
     def test_rejects_no_unknowns(self):
+        """The walk route's first guard, ahead of the square one this net also fails, and the table's too."""
         net = NetworkModel(2, [Edge(0, 1, known=True)], [0], [1])
+        assert not net.is_square
         with pytest.raises(NoUnknownEdgesError):
             combinatorial_verdict(net)
+        with pytest.raises(NoUnknownEdgesError):
+            repetition_table(net, 2)
 
 
 class TestNecessaryCondition:

@@ -199,6 +199,22 @@ class TestDecouplingEquivalence:
             assert v.decision == decoupled_identifiability(net).decision
 
 
+def rerouting_nets():
+    """Two graphs whose second augmenting path undoes a node's own unit, excited (sources) to measured (targets).
+
+    The first search takes 0 -> 1 -> 2 -> 3.  The second enters 2 from 6,
+    backs over 1 -> 2 and node 1's own unit, and leaves 0 by 7 to 11, which
+    frees node 1.  In the second graph a third search from 12 passes
+    through the freed node 1 on its way to 22; had node 1 kept its old
+    unit, that search would find no path and the flow would read 2.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 2), (0, 7), (7, 8), (8, 9), (9, 10), (10, 11)]
+    yield NetworkModel(12, [Edge(u, v, known=True) for u, v in edges], [0, 4], [3, 11])
+    through_1 = [12, 13, 14, 15, 1, 16, 17, 18, 19, 20, 21, 22]
+    edges += zip(through_1, through_1[1:])
+    yield NetworkModel(23, [Edge(u, v, known=True) for u, v in edges], [0, 4, 12], [3, 11, 22])
+
+
 class TestStructuralRankBound:
     def test_disjoint_walks_are_the_sampled_rank_of_the_closed_loop(self):
         """van der Woude: the generic rank of T[X, Y] is the largest number of vertex-disjoint walks from Y to X.
@@ -217,6 +233,10 @@ class TestStructuralRankBound:
                 assert paths == rank_field([[T[x][y] for y in ys] for x in xs]), (net, xs, ys)
                 ranks.add(paths)
         assert {0, 1, 2, 3} <= ranks
+        for net in rerouting_nets():
+            T = closed_loop(net, random_field_values(rng, len(net.edges)))
+            paths = _disjoint_paths(_Structure(net).succ, net.excited, net.measured)
+            assert paths == rank_field([[T[x][y] for y in net.excited] for x in net.measured]) == net.n_excited, net
 
     def test_handmade_bounds(self):
         assert _Structure(fan_net()).rank_bound == {"bound": 2, "by": "heads"}

@@ -64,10 +64,18 @@ def exact_values(net, values_by_pair):
     return [values_by_pair[(e.src, e.dst)] for e in net.edges]
 
 
-def library_sensitivity(net, values):
-    """K as the rank route builds it, from one factor of I - G at ``values`` and packed unit solves."""
+def library_sketch(net, values, seed=0):
+    """What ``rank_field`` receives from one sample at ``values``: R K, R's weights drawn from ``random.Random(seed)``."""
     steps = numeric._loop_factor(net, values)
-    return numeric._sensitivity(net, numeric._unknown_ends(net), steps, steps)
+    ends = numeric._unknown_ends(net)
+    seen = calls(rank_field, lambda: numeric._sample_rank(net, ends, field_rng(seed), steps, steps))
+    return seen[0]["A"]
+
+
+def pins_k(net, K, values, seed=0):
+    """The library's sketch at ``values`` is R K, for R replayed from ``seed``, and R has full column rank, so R K pins K."""
+    R = sketch_weights(net, field_rng(seed))
+    return library_sketch(net, values, seed) == mat_mul_field(R, K) and rank_field(R) == len(K)
 
 
 class TestNetworkMatrix:
@@ -201,7 +209,8 @@ class TestSensitivityMatrix:
         net = minimal_net()
         values = exact_values(net, {(0, 1): 9})
         T = closed_loop(net, values)
-        assert sensitivity_matrix(net, T, T) == library_sensitivity(net, values) == [[1]]
+        assert sensitivity_matrix(net, T, T) == [[1]]
+        assert pins_k(net, [[1]], values)
 
     def test_fan_entries_are_known_edge_values(self):
         """Acyclic relays make each entry a single path product."""
@@ -209,13 +218,15 @@ class TestSensitivityMatrix:
         vals = {(0, 2): 2, (0, 3): 3, (1, 2): 5, (1, 3): 7, (2, 4): 11, (3, 4): 13}
         values = exact_values(net, vals)
         T = closed_loop(net, values)
-        assert sensitivity_matrix(net, T, T) == library_sensitivity(net, values) == [[2, 3], [5, 7]]
+        assert sensitivity_matrix(net, T, T) == [[2, 3], [5, 7]]
+        assert pins_k(net, [[2, 3], [5, 7]], values)
 
     def test_unreachable_column_is_zero(self):
         net = unreachable_net()
         values = random_field_values(field_rng(4), len(net.edges))
         T = closed_loop(net, values)
-        assert sensitivity_matrix(net, T, T) == library_sensitivity(net, values) == [[0]]
+        assert sensitivity_matrix(net, T, T) == [[0]]
+        assert pins_k(net, [[0]], values)
 
     def test_null_space_reconstructs_valid_perturbations(self):
         """Kernel vectors, reshaped on the unknown-edge pattern, annihilate the measured response."""
@@ -537,8 +548,8 @@ class TestPackedSolveWidth:
     On a dense closed loop a solve sums up to n - 1 products below p^2 in
     a field.  G = J - I (every off-diagonal entry 1) makes I - G = 2I - J,
     with every off-diagonal entry p - 1; the other G is dense and random.
-    Both directions of the solve and the K of the rank route (every node
-    excited and measured) are checked at each width.
+    Both directions of the solve and the sketch R K of the rank route
+    (every node excited and measured) are checked at each width.
     """
 
     @pytest.mark.parametrize("n, width", [(62, 16), (63, 17)])
@@ -554,7 +565,7 @@ class TestPackedSolveWidth:
         T = solved_inverse(steps)
         assert mat_mul_field(T, M) == identity_field(n)
         assert mat_mul_field(M, T) == identity_field(n)
-        assert numeric._sensitivity(net, numeric._unknown_ends(net), steps, steps) == sensitivity_matrix(net, T, T)
+        assert library_sketch(net, values, n) == replayed_sketch(net, sensitivity_matrix(net, T, T), field_rng(n))
 
 
 def same_draws(net, seed, decoupled):
@@ -628,9 +639,8 @@ class TestSolvePath:
     def test_singular_draw_is_resampled_from_the_next_draws(self, monkeypatch, excited, decoupled, singular_call):
         """A singular I - G discards its draw (and, on the left, skips the right one) and draws again.
 
-        With two excitations |B||C| = 2 > m = 1, so the sample is sketched,
-        and the sketch's weights come from the stream after the redrawn
-        values.
+        The sketch's weights come from the stream after the redrawn values,
+        with |B||C| = m = 1 on one excitation and |B||C| = 2 > m on two.
         """
         net = NetworkModel(
             3,
@@ -661,17 +671,19 @@ class TestSolvePath:
         assert [call["A"] for call in seen] == [replayed_sketch(net, sensitivity_matrix(net, Ts[0], Ts[-1]), gen)]
 
 
-def replayed_sketch(net, K, gen):
-    """K on narrow ports; on wide ones R K, with R's rows beta_i (x) alpha_i drawn next from ``gen``, beta_i first."""
-    if net.n_excited * net.n_measured <= net.m_unknown:
-        return K
-    sketch = []
+def sketch_weights(net, gen):
+    """R, m x |B||C|: row i is beta_i (x) alpha_i, the pair drawn next from ``gen``, beta_i first."""
+    R = []
     for _ in range(net.m_unknown):
         beta = random_field_values(gen, net.n_measured)
         alpha = random_field_values(gen, net.n_excited)
-        weights = [a * b for a in alpha for b in beta]  # row (b, c) of K sits at b * |C| + c
-        sketch.append([sum(w * k for w, k in zip(weights, col)) % PRIME for col in zip(*K)])
-    return sketch
+        R.append([a * b % PRIME for a in alpha for b in beta])  # row (b, c) of K sits at b * |C| + c
+    return R
+
+
+def replayed_sketch(net, K, gen):
+    """R K at every shape, with R's rows drawn next from ``gen`` (``sketch_weights``)."""
+    return mat_mul_field(sketch_weights(net, gen), K)
 
 
 def wide_port_nets(count: int = 200):
@@ -685,25 +697,36 @@ def wide_port_nets(count: int = 200):
         yield random_network(nodes=n, unknowns=m, excited=b, measured=c, known_density=density, seed=seed)
 
 
+def narrow_port_nets(count: int = 60):
+    """Networks whose sensitivity matrix has at most as many rows as unknown edges, |B||C| <= m, about a third of full row rank."""
+    for seed in range(count):
+        gen = field_rng(seed)
+        b, c = gen.randint(1, 2), gen.randint(1, 3)
+        n = gen.randint(max(b, c) + 3, 12)
+        m = gen.randint(b * c, min(2 * b * c + 2, n))
+        density = gen.choice([0.1, 0.2, 0.35])
+        yield random_network(nodes=n, unknowns=m, excited=b, measured=c, known_density=density, seed=seed)
+
+
 class TestSketch:
     def test_sketched_rank_equals_the_rank_of_the_same_samples_k(self):
-        """On wide ports the m x m sketch of a sample has the rank of that sample's full K."""
+        """On wide and narrow ports alike, the m x m sketch of a sample has the rank of that sample's full K."""
         ranks = Counter()
-        for net in wide_port_nets():
-            assert net.n_excited * net.n_measured > net.m_unknown
+        for net in [*wide_port_nets(), *narrow_port_nets()]:
             for seed in range(5):
                 for decoupled in (False, True):
                     gen = field_rng(seed)
                     left, right = numeric._sample_factors(net, gen, decoupled)
-                    ends = numeric._unknown_ends(net)
-                    full = rank_field(numeric._sensitivity(net, ends, left, right))
-                    assert numeric._sample_rank(net, ends, gen, left, right) == full, (net, seed, decoupled)
-                    ranks[full == net.m_unknown] += 1
-        assert ranks[True] >= 100 and ranks[False] >= 100
+                    full = rank_field(sensitivity_matrix(net, unit_solve(left), unit_solve(right)))
+                    sketched = numeric._sample_rank(net, numeric._unknown_ends(net), gen, left, right)
+                    assert sketched == full, (net, seed, decoupled)
+                    rows = net.n_excited * net.n_measured
+                    ranks[rows > net.m_unknown, full == min(rows, net.m_unknown)] += 1
+        assert min(ranks.values()) >= 100 and len(ranks) == 4
 
     @pytest.mark.parametrize("decoupled", [False, True])
-    def test_rank_field_sees_the_sketch_on_wide_ports_and_k_otherwise(self, decoupled):
-        """``rank_field`` gets R K, m x m, when |B||C| > m, R's rows drawn after the edge values; else K itself."""
+    def test_rank_field_sees_the_sketch_on_every_shape(self, decoupled):
+        """``rank_field`` gets R K, m x m, R's rows drawn after the edge values, whether |B||C| exceeds m or not."""
         wide = list(wide_port_nets(12))
         others = [fan_net(), bipartite_net(), *general_square_corpus(4, start_seed=40)]
         others.append(random_network(nodes=9, unknowns=8, excited=2, measured=3, known_density=0.3, seed=1))
@@ -711,16 +734,7 @@ class TestSketch:
             seen = calls(numeric.rank_field, lambda: generic_rank(net, decoupled=decoupled, seed=7))
             assert len(seen) == 1
             gen = field_rng(7)
-            K = sample_sensitivity(net, gen, decoupled)
-            if net.n_excited * net.n_measured <= net.m_unknown:
-                assert seen[0]["A"] == K
-                continue
-            sketch = []
-            for _ in range(net.m_unknown):
-                beta = random_field_values(gen, net.n_measured)
-                alpha = random_field_values(gen, net.n_excited)
-                weights = [a * b for a in alpha for b in beta]  # row (b, c) of K sits at b * |C| + c
-                sketch.append([sum(w * k for w, k in zip(weights, col)) % PRIME for col in zip(*K)])
+            sketch = replayed_sketch(net, sample_sensitivity(net, gen, decoupled), gen)
             assert seen[0]["A"] == sketch
             assert len(sketch) == len(sketch[0]) == net.m_unknown
 
