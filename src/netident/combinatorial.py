@@ -37,9 +37,9 @@ one signed count: the sign of a pairing only multiplies a count, so
 collections of opposite signs share a state, and no collection is kept.
 Within the count a monomial is one packed integer, a bit field per known
 edge holding its multiplicity, so extending a state is one addition.  The
-table keeps its counts under those packed keys: the verdict decodes only
-the least surviving monomial, and the ``Monomial`` tuples of every entry
-are decoded once, when the table is first read.  States and walks are
+table keeps its counts under those packed keys and decodes only the least
+surviving monomial when it is built; the ``Monomial`` tuples of every
+entry are decoded once, when the table is first read.  States and walks are
 visited in order, so the table lists its monomials in the order of their
 lexicographically first collections.  The one collection the verdict
 prints, the first of the least survivor's sign, is rebuilt after the count
@@ -172,6 +172,12 @@ def enumerate_walks(net: NetworkModel, adjacency: dict, pivot: int, max_degree: 
     return walks
 
 
+def _decode(packed: int, fields: tuple[int, ...], width: int) -> Monomial:
+    """The monomial a packed one holds: (edge index, multiplicity) per nonzero field of ``width`` bits."""
+    mask = (1 << width) - 1
+    return tuple((i, c) for j, i in enumerate(fields) if (c := packed >> j * width & mask))
+
+
 @dataclass(frozen=True)
 class RepetitionTable:
     """Signed collection counts per monomial, up to a total-degree bound.
@@ -190,10 +196,10 @@ class RepetitionTable:
     bits j * width up to (j + 1) * width.  ``entries`` is the same dict
     keyed by ``Monomial`` tuples, decoded on first read.  Both list their
     keys in the order of each monomial's lexicographically first
-    collection by edge sequence, of either sign.  ``survivor`` is the least
-    surviving packed monomial by (degree, monomial) with the first
-    collection of its count's sign, the one collection the table keeps;
-    None when every entry cancelled.
+    collection by edge sequence, of either sign.  ``survivor`` is the
+    nonzero entry least by (degree, monomial), decoded, as (monomial,
+    count, first collection of its count's sign), the one collection the
+    table keeps; None when every entry cancelled.
 
     ``witness`` is the structural reason no monomial survives, when the
     graph gives one, as the verdict prints it: the unknown edges no walk
@@ -211,25 +217,11 @@ class RepetitionTable:
     fields: tuple[int, ...] = ()
     width: int = 1
     witness: dict | None = None
-    survivor: tuple[int, tuple[Walk, ...]] | None = field(default=None, repr=False, compare=False)
-
-    def _decode(self, packed: int) -> Monomial:
-        mask = (1 << self.width) - 1
-        return tuple((i, c) for j, i in enumerate(self.fields) if (c := packed >> j * self.width & mask))
+    survivor: tuple[Monomial, int, tuple[Walk, ...]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def entries(self) -> dict[Monomial, int]:
-        return {self._decode(packed): r for packed, r in self.counts.items()}
-
-    def least_survivor(self) -> tuple[Monomial, int, tuple[Walk, ...]] | None:
-        """The nonzero entry least by (degree, monomial), its count and its sign's first collection.
-
-        None when every entry cancelled.  Only the least survivor is decoded.
-        """
-        if self.survivor is None:
-            return None
-        packed, coll = self.survivor
-        return self._decode(packed), self.counts[packed], coll
+        return {_decode(packed, self.fields, self.width): r for packed, r in self.counts.items()}
 
     def sorted_items(self) -> list[tuple[Monomial, int]]:
         return sorted(self.entries.items(), key=lambda kv: (monomial_degree(kv[0]), kv[0]))
@@ -398,8 +390,8 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     reaching it, of either sign, and the table lists its monomials in the
     order of their first collections.  The least survivor
     (``_least_packed``) gets the first collection of its count's sign from
-    one search over the same walks (``_first_collection``); nothing is
-    decoded here.
+    one search over the same walks (``_first_collection``), and it is the
+    one monomial decoded here.
 
     ``structure`` is the caller's ``_Structure`` of ``net``, so that a
     search over bounds separates, sweeps and refutes the network, and
@@ -458,7 +450,8 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     if survivors:
         least = _least_packed(survivors, width)
         guards = ((1 << width * len(fields)) - 1) // ((1 << width) - 1) << width - 1  # every field's top bit
-        survivor = least, _first_collection(layers, guards, least, 1 if counts[least] > 0 else -1)
+        count = counts[least]
+        survivor = _decode(least, fields, width), count, _first_collection(layers, guards, least, 1 if count > 0 else -1)
 
     return RepetitionTable(
         max_degree=max_degree,
@@ -476,14 +469,13 @@ def verdict_from_table(net: NetworkModel, table: RepetitionTable) -> Verdict:
 
     A surviving monomial proves identifiability outright; the witness is
     the least survivor by (degree, monomial), with the first collection of
-    its count's sign, and only that survivor is decoded.  Otherwise an
-    exhaustive table refutes it, with the table's structural witness if it
-    has one, and a partial one leaves the outcome inconclusive at this
-    bound.  A table with a structural witness is always exhaustive.
+    its count's sign, as the table holds it.  Otherwise an exhaustive table
+    refutes it, with the table's structural witness if it has one, and a
+    partial one leaves the outcome inconclusive at this bound.  A table
+    with a structural witness is always exhaustive.
     """
-    least = table.least_survivor()
-    if least is not None:
-        mu, r, coll = least
+    if table.survivor is not None:
+        mu, r, coll = table.survivor
         decision = IDENTIFIABLE
         witness = {
             "monomial": format_monomial(net, mu),

@@ -183,19 +183,6 @@ def _longest_walks(adj: list[list[int]], starts: Iterable[int]) -> dict[int, int
     return longest if len(ordered) == len(adj) else None
 
 
-def _known_adjacency(net: NetworkModel) -> dict[int, list[tuple[int, int]]]:
-    """Known edges as tail -> [(edge index, head)], in net.edges order.
-
-    ``separate`` puts each known-edge component whole into one part, so a
-    walk along them from an excitation or from a head stays in its block.
-    """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for i, e in enumerate(net.edges):
-        if e.known:
-            adj.setdefault(e.src, []).append((i, e.dst))
-    return adj
-
-
 class _Structure:
     """Reach facts of one network, built per verdict and never kept on the model; each sweep runs once.
 
@@ -229,8 +216,16 @@ class _Structure:
 
     @cached_property
     def known_adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """The known-edge graph, as ``_known_adjacency`` lists it, built once for every walk listing."""
-        return _known_adjacency(self.net)
+        """Known edges as tail -> [(edge index, head)], in net.edges order, built once for every walk listing.
+
+        ``separate`` puts each known-edge component whole into one part, so a
+        walk along them from an excitation or from a head stays in its block.
+        """
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for i, e in enumerate(self.net.edges):
+            if e.known:
+                adj.setdefault(e.src, []).append((i, e.dst))
+        return adj
 
     @cached_property
     def zero_columns(self) -> list[Edge]:

@@ -44,13 +44,9 @@ class ValidationError(ValueError):
 class NotSeparableError(ValueError):
     """The network admits no excited/measured bipartition.
 
-    The message says why; ``node`` is the witness, a node that would need
-    to sit in both parts.
+    The message names the witness, a node that would need to sit in both
+    parts, and says why.
     """
-
-    def __init__(self, message: str, node: int):
-        self.node = node
-        super().__init__(message)
 
 
 class NotSquareError(ValueError):
@@ -212,22 +208,6 @@ def validate(net: NetworkModel) -> None:
             listed.add(node)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _cause_text(kind: str, what: int | Edge) -> str:
     """Why ``separate`` forced a component into a part, as its conflict witness words it."""
     if kind in ("excited", "measured"):
@@ -247,31 +227,37 @@ def separate(net: NetworkModel) -> SeparableBlocks:
     Unconstrained components default to the excited part, which makes the
     output deterministic.
     """
-    uf = _UnionFind(net.n)
+    parent = list(range(net.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
     for e in net.edges:
         if e.known:
-            uf.union(e.src, e.dst)
+            parent[find(e.dst)] = find(e.src)
 
     # Why each component was forced: root -> (kind, node or edge), worded only for a witness.
     b_cause: dict[int, tuple[str, int | Edge]] = {}
     c_cause: dict[int, tuple[str, int | Edge]] = {}
     for node in net.excited:
-        b_cause.setdefault(uf.find(node), ("excited", node))
+        b_cause.setdefault(find(node), ("excited", node))
     for node in net.measured:
-        c_cause.setdefault(uf.find(node), ("measured", node))
+        c_cause.setdefault(find(node), ("measured", node))
     for e in net.edges:
         if not e.known:
-            b_cause.setdefault(uf.find(e.src), ("tail", e))
-            c_cause.setdefault(uf.find(e.dst), ("head", e))
+            b_cause.setdefault(find(e.src), ("tail", e))
+            c_cause.setdefault(find(e.dst), ("head", e))
 
-    roots = [uf.find(v) for v in range(net.n)]
+    roots = [find(v) for v in range(net.n)]
     conflict = b_cause.keys() & c_cause.keys()
     if conflict:
         node, root = next((v, root) for v, root in enumerate(roots) if root in conflict)
         raise NotSeparableError(
             f"conflict at node {node + 1}: {_cause_text(*b_cause[root])} but also {_cause_text(*c_cause[root])}"
-            " (connected by known edges)",
-            node=node,
+            " (connected by known edges)"
         )
 
     b_part = frozenset(v for v, root in enumerate(roots) if root not in c_cause)

@@ -259,17 +259,6 @@ def _factor_entries(n: int, entries: tuple[tuple[int, int, int], ...]) -> list[t
     return _sparse_factor(rows)
 
 
-def _products(x: list[int], y: list[int]) -> list[int]:
-    """The entrywise products of ``x`` and ``y`` mod p: one row of the sketch."""
-    return [a * b % PRIME for a, b in zip(x, y)]
-
-
-def _unknown_ends(net: NetworkModel) -> tuple[list[int], list[int]]:
-    """The head and the tail of each unknown edge, in edge-list order: (heads, tails)."""
-    unknown = net.unknown_edges
-    return [e.dst for e in unknown], [e.src for e in unknown]
-
-
 def rank_field(A: list[list[int]]) -> int:
     """Rank over the prime field, by row insertion on rows packed into one int each.
 
@@ -326,15 +315,12 @@ def _sample_factors(net: NetworkModel, rng: random.Random, decoupled: bool) -> t
     raise AllSamplesSingularError(f"{RESAMPLE_BUDGET} draws in a row gave a singular closed loop")
 
 
-def _sample_rank(
-    net: NetworkModel, unknown_ends: tuple[list[int], list[int]], rng: random.Random, left: list[tuple], right: list[tuple]
-) -> int:
+def _sample_rank(net: NetworkModel, rng: random.Random, left: list[tuple], right: list[tuple]) -> int:
     """Rank at one sample of the m x m sketch R K of the sensitivity matrix K.
 
     K has one row per (excitation b, measurement c) pair and one column per
     unknown edge a, entry T_left[c, head a] * T_right[tail a, b]; ``left``
-    and ``right`` are the factors of the two closed loops and
-    ``unknown_ends`` is ``_unknown_ends(net)``.  Row i of R is
+    and ``right`` are the factors of the two closed loops.  Row i of R is
     beta_i (x) alpha_i for nonzero values drawn from ``rng`` once the
     sample's factors exist: beta_i one per measurement, then alpha_i one
     per excitation.  Entry (i, a) of R K factors as
@@ -348,8 +334,8 @@ def _sample_rank(
     solve is T_right alpha_i.  Both sides share one layout of m fields.
     rank(R K) <= rank K; ``generic_rank`` bounds the chance it falls short.
     """
-    heads, tails = unknown_ends
-    m = len(heads)
+    unknown = net.unknown_edges
+    m = len(unknown)
     beta, alpha = [], []
     for _ in range(m):
         beta.append(random_field_values(rng, net.n_measured))
@@ -357,14 +343,14 @@ def _sample_rank(
     width, _, reduce = _fields(m, net.n + 1)
     sides = []
     for steps, weights, ports, ends, transposed in (
-        (left, beta, net.measured, heads, True),
-        (right, alpha, net.excited, tails, False),
+        (left, beta, net.measured, [e.dst for e in unknown], True),
+        (right, alpha, net.excited, [e.src for e in unknown], False),
     ):
         rhs = {node: _pack(column, width) for node, column in zip(ports, zip(*weights))}
         solved = _solve(steps, rhs, reduce, transposed)
         fields = {v: _unpack(solved[v], width, m) for v in set(ends)}
         sides.append(zip(*(fields[v] for v in ends)))  # row i: field i at each unknown edge
-    return rank_field(list(map(_products, *sides)))
+    return rank_field([[a * b % PRIME for a, b in zip(x, y)] for x, y in zip(*sides)])
 
 
 def _samples_needed(n: int, m: int) -> int:
@@ -440,14 +426,13 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     an earlier one, is not factored again (``_loop_factor``).  At one seed
     the decoupled mode's first draw is the plain mode's first, so
     ``netident check``, which asks for both, factors two closed loops
-    where it draws three.  The unknown edges' ends are read once per call.
+    where it draws three.
     """
-    unknown_ends = _unknown_ends(net)
-    m = len(unknown_ends[0])
+    m = net.m_unknown
     rng = random.Random(seed)
     best = 0
     for _ in range(_samples_needed(net.n, m)):
-        best = max(best, _sample_rank(net, unknown_ends, rng, *_sample_factors(net, rng, decoupled)))
+        best = max(best, _sample_rank(net, rng, *_sample_factors(net, rng, decoupled)))
         if best == m:
             break
     return best

@@ -273,7 +273,7 @@ class TestRepetitionTable:
             for d in (0, 3, 8, None):
                 t = repetition_table(net, d or 0)
                 # the table the full enumeration builds
-                assert (t.entries, t.least_survivor(), t.max_degree, t.exhaustive) == ({}, None, d or 0, True)
+                assert (t.entries, t.survivor, t.max_degree, t.exhaustive) == ({}, None, d or 0, True)
                 assert t.witness == witness
                 v = combinatorial_verdict(net, d)
                 assert (v.decision, v.max_degree, v.witness) == (NOT_IDENTIFIABLE, d or 0, witness)
@@ -412,7 +412,7 @@ class TestTableProperties:
                     assert first_collection(net, hi, bumped, 1) is None
                     assert first_collection(net, hi, bumped, -1) is None
         if hi.survivor is not None:
-            mu, r, coll = hi.least_survivor()
+            mu, r, coll = hi.survivor
             assert coll == first[mu, 1 if r > 0 else -1]
 
 
@@ -456,7 +456,7 @@ class TestPackedFieldWidth:
         walk_lists = [walks_of(net, i, max_degree) for i, e in enumerate(net.edges) if not e.known]
         assert table.entries == _brute_force_entries(net, walk_lists, max_degree)
         least = ((0, m),), 1, tuple((0, 2 + j) for j in range(m))
-        assert table.least_survivor() == (least if max_degree >= m else None)
+        assert table.survivor == (least if max_degree >= m else None)
 
 
 def layered_net() -> NetworkModel:
@@ -484,7 +484,7 @@ def _least_by_decoded_entries(net, table):
 
 
 class TestLazyTable:
-    """The table stays packed until read; the verdict decodes only the surviving monomials."""
+    """The table stays packed until read; it decodes only its least survivor, as it is built."""
 
     @staticmethod
     def _cases():
@@ -500,20 +500,22 @@ class TestLazyTable:
         yield net, exhaustive_degree_bound(net)
 
     def test_least_survivor_matches_the_rule_over_decoded_entries(self, monkeypatch):
-        """Only the least survivor is decoded, though all 81 survivors of layered_net have degree 16."""
-        decode = combinatorial.RepetitionTable._decode
+        """Only the least survivor is decoded, once, as the table is built; all 81 survivors of layered_net have degree 16."""
+        decode = combinatorial._decode
         decoded = []
+        monkeypatch.setattr(combinatorial, "_decode", lambda p, f, w: decoded.append(p) or decode(p, f, w))
         survivors = cancelled = 0
         for net, bound in self._cases():
-            table = repetition_table(net, bound)
             decoded.clear()
-            monkeypatch.setattr(combinatorial.RepetitionTable, "_decode", lambda t, p: decoded.append(p) or decode(t, p))
-            least = table.least_survivor()
-            monkeypatch.undo()
+            table = repetition_table(net, bound)
+            least = table.survivor
             assert len(decoded) == (least is not None)
             verdict = verdict_from_table(net, table)
+            assert len(decoded) == (least is not None)
             assert "entries" not in vars(table)
             assert least == _least_by_decoded_entries(net, table), f"{net} at {bound}"
+            if net == layered_net():
+                assert [monomial_degree(mu) for mu, r in table.entries.items() if r] == [16] * 81
             if least is None:
                 cancelled += bool(table.entries)
                 assert verdict.decision != IDENTIFIABLE
@@ -539,7 +541,7 @@ class TestLazyTable:
         assert "entries" not in vars(table)
         fresh = repetition_table(net, bound)
         assert list(table.entries.items()) == list(fresh.entries.items())
-        assert table.least_survivor() == fresh.least_survivor() == _least_by_decoded_entries(net, fresh)
+        assert table.survivor == fresh.survivor == _least_by_decoded_entries(net, fresh)
         assert len(table.entries) == 361
         assert table.entries is table.entries
 
@@ -557,7 +559,7 @@ class TestLazyTable:
         for net in nets:
             table = repetition_table(net, 6)
             # decoding keeps the order of the packed dict
-            assert list(table.entries) == [table._decode(p) for p in table.counts]
+            assert list(table.entries) == [combinatorial._decode(p, table.fields, table.width) for p in table.counts]
             _, first = repetition_reference(net, 6)
             order = list(first.values())
             assert order == sorted(order) and len(set(map(repr, order))) == len(order)
@@ -628,12 +630,12 @@ class TestSignedCountMatchesTheReference:
             assert list(table.counts.values()) == list(entries.values()), (net, d)
             survivors = [mu for mu, r in entries.items() if r]
             if not survivors:
-                assert table.least_survivor() is None, (net, d)
+                assert table.survivor is None, (net, d)
                 kinds["cancelled" if entries else "empty"] += 1
                 continue
             mu = min(survivors, key=lambda mu: (monomial_degree(mu), mu))
             r = entries[mu]
-            assert table.least_survivor() == (mu, r, first[mu, 1 if r > 0 else -1]), (net, d)
+            assert table.survivor == (mu, r, first[mu, 1 if r > 0 else -1]), (net, d)
             kinds["survivor"] += 1
         assert kinds["survivor"] >= 50 and kinds["cancelled"] >= 10, kinds
 
@@ -796,7 +798,7 @@ class TestDefaultSearch:
         searched = 0
         for net in nets:
             tables = calls(repetition_table, lambda: combinatorial_verdict(net))
-            built = calls(identifiability._known_adjacency, lambda: combinatorial_verdict(net))
+            built = calls(identifiability._Structure.known_adjacency.func, lambda: combinatorial_verdict(net))
             walks = calls(enumerate_walks, lambda: combinatorial_verdict(net))
             assert len(built) == (1 if walks else 0), net
             searched += len(tables) >= 2

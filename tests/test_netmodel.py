@@ -85,16 +85,14 @@ class TestSeparate:
 
     def test_conflict_node_excited_and_measured(self):
         net = NetworkModel(4, [Edge(3, 1, known=False)], [3], [3, 1])
-        with pytest.raises(NotSeparableError) as err:
+        with pytest.raises(NotSeparableError, match=r"^conflict at node 4: node 4 is excited but also node 4 is measured "):
             separate(net)
-        assert err.value.node == 3
 
     def test_conflict_chained_unknown_edges(self):
         """A node that is head of one unknown edge and tail of another cannot be labeled."""
         net = NetworkModel(4, [Edge(1, 2, known=False), Edge(2, 3, known=False)], [1], [3])
-        with pytest.raises(NotSeparableError) as err:
+        with pytest.raises(NotSeparableError, match=r"^conflict at node 3: node 3 is the tail of unknown edge 3->4 but "):
             separate(net)
-        assert err.value.node == 2
 
     def test_known_edges_propagate_conflict(self):
         """Known edges glue their endpoints into one component."""

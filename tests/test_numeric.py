@@ -67,8 +67,7 @@ def exact_values(net, values_by_pair):
 def library_sketch(net, values, seed=0):
     """What ``rank_field`` receives from one sample at ``values``: R K, R's weights drawn from ``random.Random(seed)``."""
     steps = numeric._loop_factor(net, values)
-    ends = numeric._unknown_ends(net)
-    seen = calls(rank_field, lambda: numeric._sample_rank(net, ends, field_rng(seed), steps, steps))
+    seen = calls(rank_field, lambda: numeric._sample_rank(net, field_rng(seed), steps, steps))
     return seen[0]["A"]
 
 
@@ -157,6 +156,12 @@ class TestClosedLoop:
         with pytest.raises(SingularMatrixError):
             float_closed_loop(G)
 
+    def test_float_overflow_raises(self):
+        """A finite, unit upper-triangular I - G whose closed loop overflows: entry [0, 2] is 1e200^2, the value of the one walk 2->1->0."""
+        G = np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]], dtype=complex)
+        with pytest.raises(SingularMatrixError, match="^non-finite entries in closed loop$"):
+            float_closed_loop(G)
+
     def test_exact_singular_raises(self):
         net = NetworkModel(2, [Edge(0, 1, known=True), Edge(1, 0, known=True)], [0], [1])
         values = exact_values(net, {(0, 1): 1, (1, 0): 1})
@@ -191,6 +196,10 @@ class TestNeumannSeries:
 
 
 class TestFloatEvaluation:
+    def test_empty_matrix_has_norm_zero(self):
+        assert inf_norm(network_matrix(NetworkModel(0, [], [], []), [])) == 0.0
+        assert inf_norm(np.zeros((0, 0))) == 0.0
+
     def test_norm_bound_enforced(self):
         for seed in range(10):
             values = random_float_values(fan_net(), rng(seed))
@@ -718,7 +727,7 @@ class TestSketch:
                     gen = field_rng(seed)
                     left, right = numeric._sample_factors(net, gen, decoupled)
                     full = rank_field(sensitivity_matrix(net, unit_solve(left), unit_solve(right)))
-                    sketched = numeric._sample_rank(net, numeric._unknown_ends(net), gen, left, right)
+                    sketched = numeric._sample_rank(net, gen, left, right)
                     assert sketched == full, (net, seed, decoupled)
                     rows = net.n_excited * net.n_measured
                     ranks[rows > net.m_unknown, full == min(rows, net.m_unknown)] += 1
@@ -833,6 +842,12 @@ class TestGenericRank:
         n = MAX_NODES
         assert numeric._samples_needed(n, n * (n - 1)) >= 2
         assert numeric._samples_needed(n, n * (n - 1) // 2) >= 2
+
+    def test_no_sample_count_once_q_reaches_one(self):
+        """q = 2mn / (p - 1 - 2n) >= 1 bounds nothing: ValueError, from integer arithmetic alone."""
+        for n, m in ((2**40, 2**40), (1, (PRIME - 3) // 2)):  # the second has 2mn = p - 1 - 2n exactly
+            with pytest.raises(ValueError, match=rf"^no sample count bounds the failure probability at n={n}, m={m}$"):
+                numeric._samples_needed(n, m)
 
     def test_chosen_sample_count_meets_the_bound(self):
         """q^s* <= FAILURE_BOUND < q^(s* - 1), in exact arithmetic."""
