@@ -22,7 +22,7 @@ can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .netmodel import Edge, NetworkModel, SeparableBlocks, separate
@@ -372,13 +372,19 @@ class _Structure:
         return min(sides, key=lambda side: side["bound"])
 
 
-def _rank_verdict(net: NetworkModel, notion: str, rank: int, seed: int) -> Verdict:
+def _rank_verdict(net: NetworkModel, notion: str, rank: int, seed: int, structure: _Structure | None = None) -> Verdict:
     m = net.m_unknown
     if rank == m:
         return Verdict(IDENTIFIABLE, notion, m_unknown=m, seed=seed, rank=rank)
-    zero_cols = _Structure(net).zero_columns
+    zero_cols = (structure or _Structure(net)).zero_columns
     witness = {"zero_columns": [str(e) for e in zero_cols]} if zero_cols else None
     return Verdict(NOT_IDENTIFIABLE, notion, m_unknown=m, seed=seed, rank=rank, witness=witness)
+
+
+@lru_cache(maxsize=1)
+def _local_rank(net: NetworkModel, seed: int) -> int:
+    """``generic_rank(net, seed=seed)``, the last one kept: ``netident check`` asks for the local verdict, then the decoupled one reads the same rank."""
+    return generic_rank(net, seed=seed)
 
 
 def local_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
@@ -389,10 +395,25 @@ def local_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
     no inconclusive outcome on this route.
     """
     _require_unknowns(net)
-    return _rank_verdict(net, LOCAL_GENERIC, generic_rank(net, seed=seed), seed)
+    return _rank_verdict(net, LOCAL_GENERIC, _local_rank(net, seed), seed)
 
 
 def decoupled_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
-    """Generic decoupled identifiability: the two closed-loop factors sampled independently."""
+    """Generic decoupled identifiability: the two closed-loop factors sampled independently.
+
+    Let r be the local rank at ``seed`` (``local_identifiability``), a rank
+    at one sample G.  That sample is the decoupled one at G1 = G2 = G, and
+    no rank at a point exceeds the generic rank, so r bounds the decoupled
+    generic rank from below.  ``_Structure.rank_bound`` holds at every edge
+    value, factors drawn independently or not, so it bounds it from above.
+    So r = m proves the decoupled rank is m, and r = the bound proves it is
+    r, with no decoupled sample.  Only when r is below both is the decoupled
+    mode sampled (``generic_rank(net, decoupled=True, seed=seed)``); the
+    verdict reports the larger of that rank and r, both lower bounds.
+    """
     _require_unknowns(net)
-    return _rank_verdict(net, DECOUPLED_GENERIC, generic_rank(net, decoupled=True, seed=seed), seed)
+    structure = _Structure(net)
+    rank = _local_rank(net, seed)
+    if rank < net.m_unknown and rank < structure.rank_bound["bound"]:
+        rank = max(rank, generic_rank(net, decoupled=True, seed=seed))
+    return _rank_verdict(net, DECOUPLED_GENERIC, rank, seed, structure)

@@ -8,15 +8,14 @@ closed loop I - G is sparse: ``_loop_factor`` builds its nonzeros from the
 edge list as dict rows, ``_sparse_factor`` factors them in a fill-reducing
 (Markowitz) pivot order, and ``_solve`` runs many right-hand sides through
 the steps at once, touching only the stored nonzeros; no n x n matrix is
-laid out.  The last factorization is kept for a draw that repeats its
-matrix exactly: ``netident check`` draws its first closed loop twice, once
-per notion, from one seed.  ``rank_field`` ranks an m x m sketch of
-the sensitivity matrix K on packed rows.  Both pack the same way
-(``_fields``): one big integer holds many field values side by side, a
-row of the sketch in ``rank_field`` and one node's entry for every
-right-hand side in ``_solve``, each field wide enough that no sum carries
-into the next, so a multiply-add on all of them is one big-integer
-operation, and every field is reduced modulo p at once by Mersenne folds.
+laid out, and nothing is kept between calls.  ``rank_field`` ranks an
+m x m sketch of the sensitivity matrix K on packed rows.  Both pack the
+same way (``_fields``): one big integer holds many field values side by
+side, a row of the sketch in ``rank_field`` and one node's entry for
+every right-hand side in ``_solve``, each field wide enough that no sum
+carries into the next, so a multiply-add on all of them is one
+big-integer operation, and every field is reduced modulo p at once by
+Mersenne folds.
 A sample of the rank route needs one factorization and one packed solve
 per side: K has one row per (excitation, measurement) pair but rank at
 most m, the number of unknown edges, so every sample ranks an m x m
@@ -32,7 +31,6 @@ closed loop lives in ``netident.series``.
 
 from __future__ import annotations
 
-import functools
 import random
 
 from .netmodel import NetworkModel, NotSquareError, separate
@@ -235,27 +233,11 @@ def _loop_factor(net: NetworkModel, values) -> list[tuple]:
 
     Edge j -> i with value g puts -g mod p at row i, column j, unless that is
     0; a network has no self-loops, so no edge lands on the diagonal's 1.
-    A closed loop equal to the one factored last, entry for entry, is not
-    factored again (``_factor_entries``).
     """
-    entries = tuple((e.dst, e.src, x) for e, v in zip(net.edges, values) if (x := -v % PRIME))
-    return _factor_entries(net.n, entries)
-
-
-@functools.lru_cache(maxsize=1)
-def _factor_entries(n: int, entries: tuple[tuple[int, int, int], ...]) -> list[tuple]:
-    """``_sparse_factor`` of the n x n identity plus ``entries``, (row, column, value) each; the last one is kept.
-
-    ``netident check`` asks for one closed loop twice: both of its notions
-    draw from ``random.Random(seed)``, so the decoupled verdict's first
-    (left) draw is the local verdict's only one.  Keyed on n and every
-    entry, the one kept factorization answers only for the same matrix; a
-    singular one raises and is not kept.  Callers share the steps it
-    returns, and none mutates them.
-    """
-    rows = [{i: 1} for i in range(n)]
-    for i, j, x in entries:
-        rows[i][j] = x
+    rows = [{i: 1} for i in range(net.n)]
+    for e, v in zip(net.edges, values):
+        if x := -v % PRIME:
+            rows[e.dst][e.src] = x
     return _sparse_factor(rows)
 
 
@@ -422,11 +404,10 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     r is.  s* is 1 until mn exceeds about 2^20.  Deterministic in
     (net, decoupled, seed).
 
-    Cost.  A closed loop equal to the last one factored, in this call or
-    an earlier one, is not factored again (``_loop_factor``).  At one seed
-    the decoupled mode's first draw is the plain mode's first, so
-    ``netident check``, which asks for both, factors two closed loops
-    where it draws three.
+    Cost.  Each draw factors its I - G once.  ``netident check`` samples
+    the decoupled mode only when the local rank and the structural rank
+    bound leave its rank open (``decoupled_identifiability``), so most
+    checks factor one closed loop.
     """
     m = net.m_unknown
     rng = random.Random(seed)

@@ -9,6 +9,8 @@ an array or the lists ``network_matrix`` lays out.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -45,15 +47,35 @@ def random_float_values(
 
 
 def float_closed_loop(G) -> NDArray:
-    """(I - G)^{-1} to machine precision; SingularMatrixError when I - G is singular or the result not finite."""
-    identity = np.eye(len(G), dtype=complex)
+    """(I - G)^{-1} to machine precision; SingularMatrixError when I - G is singular or the result not finite.
+
+    A failed float solve is checked in exact arithmetic: on an invertible
+    I - G a pivot rounded to 0, and the closed loop has no float value.
+    """
+    A = np.eye(len(G), dtype=complex) - np.asarray(G, dtype=complex)
     try:
-        T = np.linalg.solve(identity - np.asarray(G, dtype=complex), identity)
+        T = np.linalg.solve(A, np.eye(len(A), dtype=complex))
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
+        if not np.all(np.isfinite(A)) or _exactly_singular(A):
+            raise SingularMatrixError(str(exc)) from exc
+        raise SingularMatrixError("non-finite entries in closed loop") from exc
     if not np.all(np.isfinite(T)):
         raise SingularMatrixError("non-finite entries in closed loop")
     return T
+
+
+def _exactly_singular(A: NDArray) -> bool:
+    """Whether a finite complex A = B + iC is singular: elimination over the rationals on [[B, -C], [C, B]], of determinant |det A|^2."""
+    rows = [[Fraction(x) for x in row] for row in np.block([[A.real, -A.imag], [A.imag, A.real]]).tolist()]
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return True
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(c + 1, len(rows)):
+            if f := rows[r][c] / rows[c][c]:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return False
 
 
 def neumann_series(G, terms: int) -> NDArray:

@@ -5,17 +5,17 @@ import os
 import pytest
 
 import netident
-from netident import numeric
+from netident import identifiability
 
 
 @pytest.fixture(autouse=True)
-def forget_the_last_closed_loop():
-    """Start every test with no closed loop remembered by ``numeric._loop_factor``.
+def forget_the_last_local_rank():
+    """Start every test with no local rank remembered by ``identifiability._local_rank``.
 
-    A test that patches or counts factorizations then sees the same calls
+    A test that patches or counts samples then sees the same calls
     whichever test ran before it.
     """
-    numeric._factor_entries.cache_clear()
+    identifiability._local_rank.cache_clear()
 
 
 @pytest.fixture

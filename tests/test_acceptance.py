@@ -126,10 +126,14 @@ class TestAcceptance:
     def test_criterion_4_necessity_chain(self):
         """No net is locally identifiable yet decoupled-refuted, over 500 instances.
 
-        Neither sampled rank exceeds the structural rank bound, which holds
-        for every edge value in both notions; the share of rank-deficient
-        nets whose bound is below m is printed, and how many of them each
-        candidate of the bound explains.
+        The decoupled verdict reads its rank off the local one where the
+        local rank is m or meets the structural bound, so the necessity is
+        also checked against the lift's local rank at a disjoint seed
+        (criterion 5's route), which must equal the decoupled rank.  No
+        rank exceeds the structural rank bound, which holds for every edge
+        value in both notions; the share of rank-deficient nets whose bound
+        is below m is printed, and how many of them each candidate of the
+        bound explains.
         """
         started = time.perf_counter()
         failures = []
@@ -138,11 +142,18 @@ class TestAcceptance:
         for net in general_square_corpus(500, start_seed=4000):
             local = local_identifiability(net)
             dec = decoupled_identifiability(net)
+            lifted = local_identifiability(decouple(net), seed=0x5EED)
             if local.decision == IDENTIFIABLE and dec.decision == NOT_IDENTIFIABLE:
                 failures.append(f"necessity violated on {net}")
+            if local.decision == IDENTIFIABLE and lifted.decision == NOT_IDENTIFIABLE:
+                failures.append(f"necessity violated on the lift of {net}")
+            if lifted.rank != dec.rank:
+                failures.append(f"decoupled rank {dec.rank} but rank {lifted.rank} on the lift of {net}")
             bound = _Structure(net).rank_bound["bound"]
-            if max(local.rank, dec.rank) > bound:
-                failures.append(f"sampled ranks {local.rank}, {dec.rank} above the structural bound {bound} on {net}")
+            if max(local.rank, dec.rank, lifted.rank) > bound:
+                failures.append(
+                    f"ranks {local.rank}, {dec.rank}, {lifted.rank} (lift) above the structural bound {bound} on {net}"
+                )
             if local.rank < net.m_unknown:
                 deficient += 1
                 explained += bound < net.m_unknown

@@ -23,10 +23,19 @@ from netident import (
     local_identifiability,
     necessary_condition_any_topology,
 )
+from netident import identifiability, numeric
 from netident.identifiability import _disjoint_paths, _Structure
 from netident.numeric import random_field_values, rank_field
 
-from helpers import closed_loop, perfbench_inputs, rank_bound_candidates, rank_bound_reference, sample_sensitivity
+from helpers import (
+    calls,
+    closed_loop,
+    perfbench_inputs,
+    permute,
+    rank_bound_candidates,
+    rank_bound_reference,
+    sample_sensitivity,
+)
 
 from corpus import (
     chain_net,
@@ -101,14 +110,21 @@ class TestDecoupled:
         assert v.notion == DECOUPLED_GENERIC
 
     def test_local_implies_decoupled(self):
-        """The decoupled notion is necessary for the local one, never stricter."""
+        """The decoupled notion is necessary for the local one, never stricter.
+
+        ``decoupled_identifiability`` reads a full local rank as its own, so
+        the lift's local rank at a disjoint seed checks the same necessity
+        from an independent sample.
+        """
         nets = list(general_square_corpus(25, start_seed=300))
         nets += [minimal_net(), chain_net(), fan_net(), unreachable_net()]
         for net in nets:
             local = local_identifiability(net).decision
             dec = decoupled_identifiability(net).decision
+            lifted = local_identifiability(decouple(net), seed=DISJOINT_SEED).decision
             if local == IDENTIFIABLE:
                 assert dec == IDENTIFIABLE, f"necessity broken on {net}"
+                assert lifted == IDENTIFIABLE, f"necessity broken on the lift of {net}"
 
     def test_two_cycle_separates_the_notions(self):
         """Both directions of a 2-cycle unknown: locally identifiable, decoupled not.
@@ -120,6 +136,72 @@ class TestDecoupled:
         net = NetworkModel(2, [Edge(0, 1, known=False), Edge(1, 0, known=False)], [0], [1])
         assert local_identifiability(net).m_unknown == 2
         assert decoupled_identifiability(net).decision == NOT_IDENTIFIABLE
+
+
+def settled_by(net: NetworkModel, seed: int) -> str:
+    """Which rule of ``decoupled_identifiability`` gives its rank: "m", "bound" or "sampled"."""
+    rank = local_identifiability(net, seed=seed).rank
+    if rank == net.m_unknown:
+        return "m"
+    return "bound" if rank == _Structure(net).rank_bound["bound"] else "sampled"
+
+
+def open_criterion_4_net() -> NetworkModel:
+    """Net 20 of acceptance criterion 4's corpus: n = 4, m = 3, local rank 1 below the structural bound 2."""
+    return list(general_square_corpus(21, start_seed=4000))[20]
+
+
+class TestDecoupledShortcut:
+    """The decoupled rank is read off the local rank and the structural bound, and sampled only when they differ."""
+
+    @staticmethod
+    def factorizations(action) -> int:
+        return len(calls(numeric._sparse_factor, action))
+
+    @pytest.mark.parametrize(
+        "make, rule, factored",
+        [
+            (fan_net, "m", 1),
+            (unreachable_net, "bound", 1),
+            # items 0 and 1 of the ``check`` pool at seed 1: rank 14 of 14, and 16 of 23 at a bound of 16
+            (lambda: perfbench_inputs().check_net(1, 0), "m", 1),
+            (lambda: perfbench_inputs().check_net(1, 1), "bound", 1),
+            (open_criterion_4_net, "sampled", 3),
+        ],
+        ids=["fan", "unreachable", "check-full-rank", "check-deficient", "criterion-4-open"],
+    )
+    def test_check_factorizations(self, make, rule, factored):
+        """Local then decoupled at one seed: one closed loop, and two more when the decoupled mode is sampled."""
+        net = make()
+        assert numeric._samples_needed(net.n, net.m_unknown) == 1
+        assert settled_by(net, 1) == rule
+        identifiability._local_rank.cache_clear()
+        assert self.factorizations(lambda: (local_identifiability(net, seed=1), decoupled_identifiability(net, seed=1))) == factored
+
+    def test_only_the_last_net_and_seed_are_answered(self):
+        """An equal net at the same seed reads the kept rank; a relabeled net or another seed samples it again."""
+        net = perfbench_inputs().check_net(1, 1)
+        perm = list(range(net.n))
+        random.Random(1).shuffle(perm)
+
+        def sampled(action) -> list[tuple[bool, int]]:
+            return [(c["decoupled"], c["seed"]) for c in calls(numeric.generic_rank, action)]
+
+        local_identifiability(net, seed=1)
+        equal = NetworkModel(net.n, net.edges, net.excited, net.measured)
+        assert sampled(lambda: decoupled_identifiability(equal, seed=1)) == []
+        for other, seed in ((permute(net, perm), 1), (net, 2)):
+            assert sampled(lambda: decoupled_identifiability(other, seed=seed)) == [(False, seed)]
+            assert sampled(lambda: local_identifiability(other, seed=seed)) == []
+
+    def test_equals_sampled_rank_on_criterion_4_corpus(self):
+        """On all 500 nets the verdict's rank is the one sampling the decoupled mode at the same seed gives."""
+        rules = Counter()
+        for net in general_square_corpus(500, start_seed=4000):
+            rules[settled_by(net, 0)] += 1
+            assert decoupled_identifiability(net).rank == numeric.generic_rank(net, decoupled=True), net
+        print(f"decoupled rank settled by r = m on {rules['m']}, by r = bound on {rules['bound']}, sampled on {rules['sampled']}")
+        assert rules == {"m": 83, "bound": 408, "sampled": 9}
 
 
 class TestSeparableGlobal:

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -49,8 +48,6 @@ from helpers import (
     loop_factor,
     mat_mul_field,
     minor_rank,
-    perfbench_inputs,
-    permute,
     sample_sensitivity,
     sensitivity_matrix,
     unit_solve,
@@ -157,10 +154,23 @@ class TestClosedLoop:
             float_closed_loop(G)
 
     def test_float_overflow_raises(self):
-        """A finite, unit upper-triangular I - G whose closed loop overflows: entry [0, 2] is 1e200^2, the value of the one walk 2->1->0."""
+        """A unit triangular I - G, det 1, whose closed loop overflows, names the overflow; a singular one of any scale reads singular.
+
+        One entry of the closed loop is 1e200^2, the value of the one walk
+        of length 2.  Upper triangular, the float solve succeeds and
+        overflows; lower triangular, partial pivoting takes -1e200 as a
+        pivot, the next one underflows to 0 and the solve fails.  A 3-cycle
+        of gain exactly 1 makes I - G singular, with edges 1, 1, 1 or 2^500,
+        2^500, 2^-1000; the float solve fails on both.
+        """
         G = np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]], dtype=complex)
-        with pytest.raises(SingularMatrixError, match="^non-finite entries in closed loop$"):
-            float_closed_loop(G)
+        for chain in (G, G.T):
+            with pytest.raises(SingularMatrixError, match="^non-finite entries in closed loop$"):
+                float_closed_loop(chain)
+        for scale in (1.0, 2.0**500):
+            cycle = np.array([[0.0, 0.0, scale**-2], [scale, 0.0, 0.0], [0.0, scale, 0.0]], dtype=complex)
+            with pytest.raises(SingularMatrixError, match="^Singular matrix$"):
+                float_closed_loop(cycle)
 
     def test_exact_singular_raises(self):
         net = NetworkModel(2, [Edge(0, 1, known=True), Edge(1, 0, known=True)], [0], [1])
@@ -485,55 +495,7 @@ class TestSparseFactor:
 
 
 class TestLastClosedLoop:
-    """``_loop_factor`` keeps the last factorization and gives it back only for the same matrix."""
-
-    @staticmethod
-    def factorizations(action) -> int:
-        return len(calls(numeric._sparse_factor, action))
-
-    @pytest.mark.parametrize(
-        "make, full_rank",
-        [
-            (fan_net, True),
-            (unreachable_net, False),
-            # items 0 and 1 of the ``check`` pool at seed 1: rank 14 of 14, and 16 of 23 (sketched)
-            (lambda: perfbench_inputs().check_net(1, 0), True),
-            (lambda: perfbench_inputs().check_net(1, 1), False),
-        ],
-        ids=["fan", "unreachable", "check-full-rank", "check-deficient"],
-    )
-    def test_check_factors_two_closed_loops(self, make, full_rank):
-        """Local then decoupled at one seed factor the shared first draw once: 2 factorizations, 3 at two seeds."""
-        net = make()
-        assert numeric._samples_needed(net.n, net.m_unknown) == 1
-        assert (local_identifiability(net, seed=1).rank == net.m_unknown) is full_rank
-        numeric._factor_entries.cache_clear()
-        assert self.factorizations(lambda: (local_identifiability(net, seed=1), decoupled_identifiability(net, seed=1))) == 2
-        assert self.factorizations(lambda: (local_identifiability(net, seed=2), decoupled_identifiability(net, seed=3))) == 3
-
-    def test_only_the_same_matrix_is_answered(self):
-        """A changed value, a reversed edge and a relabeling each get a fresh factorization that solves as an uncached one."""
-        net = cyclic9_net()
-        values = random_field_values(field_rng(9), len(net.edges))
-        flipped = next(i for i, e in enumerate(net.edges) if (e.dst, e.src) not in {(f.src, f.dst) for f in net.edges})
-        reversed_edge = [replace(e, src=e.dst, dst=e.src) if i == flipped else e for i, e in enumerate(net.edges)]
-        perm = list(range(net.n))
-        field_rng(1).shuffle(perm)
-        others = [
-            (net, [values[0] + 1, *values[1:]]),
-            (NetworkModel(net.n, reversed_edge, net.excited, net.measured), values),
-            (permute(net, perm), values),
-        ]
-        first = numeric._loop_factor(net, values)
-        again = []
-        assert self.factorizations(lambda: again.append(numeric._loop_factor(net, values))) == 0
-        assert again[0] is first
-        for other, other_values in others:
-            uncached = loop_factor(network_matrix(other, other_values))
-            numeric._loop_factor(net, values)  # the kept loop is net's again
-            steps = []
-            assert self.factorizations(lambda: steps.append(numeric._loop_factor(other, other_values))) == 1
-            assert solved_inverse(steps[0]) == solved_inverse(uncached)
+    """No factorization outlives its draw: a replay factors every closed loop again."""
 
     @pytest.mark.parametrize("decoupled", [False, True])
     def test_singular_draws_are_factored_again_on_replay(self, monkeypatch, decoupled):
