@@ -66,7 +66,7 @@ class OptionError(ValueError):
     """A command-line option or NETIDENT_SEED lies outside its range."""
 
 
-# Smallest value each numeric option accepts; seeds feed numpy in `gen` and `decouple`, which refuses negatives.
+# Smallest value each numeric option accepts; the seed feeds numpy in `gen`, which refuses negatives.
 _OPTION_MINIMUM = {"max_degree": 0, "seed": 0}
 
 

@@ -8,8 +8,8 @@ Two notions decided by a randomized exact test on the sensitivity matrix:
   a dichotomy).
 * decoupled-generic: recoverability when the two closed-loop factors
   surrounding the unknown-edge perturbation vary independently.  A
-  necessary condition for the local notion, and exactly what the 2n-node
-  decoupled construction turns into a separable problem.
+  necessary condition for the local notion, and the local notion of the
+  2n-node decoupled construction (``decouple``), a separable problem.
 
 The third notion, global-separable, is the walk verdict of
 ``combinatorial``: on separable networks the local and global questions
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from .netmodel import Edge, NetworkModel, SeparableBlocks, separate
+from .netmodel import Edge, NetworkModel, SeparableBlocks, decouple, separate
 from .numeric import generic_rank
 
 __all__ = [
@@ -324,9 +324,8 @@ class _Structure:
         others lie on no such walk.  With at most one node left on a side
         the flow is that count and no max-flow runs, so a head or tail that
         holds one unknown edge never runs one.
-        Decoupled sampling draws the two factors of each column
-        independently, which the argument never uses, so the bound holds
-        there too.
+        The argument never uses that a column's two factors come from one
+        closed loop, so the bound holds for the decoupled rank too.
 
         Returns the least candidate, the first in the order above on a tie,
         as ``{"bound": ..., "by": "heads" | "tails" | "product"}``.
@@ -399,21 +398,27 @@ def local_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
 
 
 def decoupled_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
-    """Generic decoupled identifiability: the two closed-loop factors sampled independently.
+    """Generic decoupled identifiability: the local rank of the 2n-node lift ``decouple(net)``.
 
-    Let r be the local rank at ``seed`` (``local_identifiability``), a rank
-    at one sample G.  That sample is the decoupled one at G1 = G2 = G, and
-    no rank at a point exceeds the generic rank, so r bounds the decoupled
-    generic rank from below.  ``_Structure.rank_bound`` holds at every edge
-    value, factors drawn independently or not, so it bounds it from above.
-    So r = m proves the decoupled rank is m, and r = the bound proves it is
-    r, with no decoupled sample.  Only when r is below both is the decoupled
-    mode sampled (``generic_rank(net, decoupled=True, seed=seed)``); the
-    verdict reports the larger of that rank and r, both lower bounds.
+    The lift's closed loop holds G1 on its measured copy and G2 on its
+    excited copy, so its sensitivity matrix is the one of ``net`` with the
+    two closed-loop factors drawn independently.  Let r be the local rank
+    at ``seed`` (``local_identifiability``), a rank at one sample G.  That
+    sample is the lift's at G1 = G2 = G, and no rank at a point exceeds the
+    generic rank, so r bounds the decoupled generic rank from below.
+    ``_Structure.rank_bound`` holds at every edge value, factors drawn
+    independently or not, so it bounds it from above.  So r = m proves the
+    decoupled rank is m, and r = the bound proves it is r, with no sample
+    of the lift.  Only when r is below both is the lift ranked
+    (``generic_rank(decouple(net), seed=seed)``); the verdict reports the
+    larger of that rank and r, both lower bounds.  That rank's failure
+    bound is ``generic_rank``'s at 2n nodes, q = 4mn / (p - 1 - 4n), so a
+    deficient lift with mn in (2^19, 2^20] draws two samples where one of
+    n nodes would do.
     """
     _require_unknowns(net)
     structure = _Structure(net)
     rank = _local_rank(net, seed)
     if rank < net.m_unknown and rank < structure.rank_bound["bound"]:
-        rank = max(rank, generic_rank(net, decoupled=True, seed=seed))
+        rank = max(rank, generic_rank(decouple(net), seed=seed))
     return _rank_verdict(net, DECOUPLED_GENERIC, rank, seed, structure)

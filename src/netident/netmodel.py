@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+import random
 import sys
 from dataclasses import dataclass, replace
 
@@ -285,21 +286,17 @@ def decouple(net: NetworkModel, seed: int = 0) -> NetworkModel:
     separable by construction.
 
     ``seed`` only matters when the input edges carry concrete values: the
-    measured copy inherits them and the excited copy gets fresh ones drawn
-    from the seed by numpy, so the two copies never share coefficient values.
+    measured copy inherits them and the excited copy gets fresh standard
+    normals from ``random.Random(seed)``, one per edge that carries a value,
+    so the two copies never share coefficient values.
     """
     n = net.n
-    rng = None
-    if any(e.value is not None for e in net.edges):
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-
+    rng = random.Random(seed)
     edges: list[Edge] = []
     for e in net.edges:
         edges.append(Edge(e.src, e.dst, known=True, value=e.value))
     for e in net.edges:
-        fresh = float(rng.standard_normal()) if (rng is not None and e.value is not None) else None
+        fresh = None if e.value is None else rng.gauss(0.0, 1.0)
         edges.append(Edge(n + e.src, n + e.dst, known=True, value=fresh))
     for e in net.edges:
         if not e.known:

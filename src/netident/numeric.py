@@ -279,41 +279,37 @@ def rank_field(A: list[list[int]]) -> int:
     return len(basis)
 
 
-def _sample_factors(net: NetworkModel, rng: random.Random, decoupled: bool) -> tuple[list, list]:
-    """One sample's factors of I - G, (left, right), resampling singular draws.
+def _sample_factors(net: NetworkModel, rng: random.Random) -> list[tuple]:
+    """One sample's factor of I - G, resampling singular draws.
 
-    Each draw factors I - G once; in decoupled mode the left factor comes
-    from the first draw and the right one from the second, and otherwise
-    they are the same.  Raises AllSamplesSingularError when all
+    Each draw factors I - G once.  Raises AllSamplesSingularError when all
     RESAMPLE_BUDGET draws are singular.
     """
     for _ in range(RESAMPLE_BUDGET):
         try:
-            left = _loop_factor(net, random_field_values(rng, len(net.edges)))
-            right = _loop_factor(net, random_field_values(rng, len(net.edges))) if decoupled else left
+            return _loop_factor(net, random_field_values(rng, len(net.edges)))
         except SingularMatrixError:
-            continue
-        return left, right
+            pass
     raise AllSamplesSingularError(f"{RESAMPLE_BUDGET} draws in a row gave a singular closed loop")
 
 
-def _sample_rank(net: NetworkModel, rng: random.Random, left: list[tuple], right: list[tuple]) -> int:
+def _sample_rank(net: NetworkModel, rng: random.Random, steps: list[tuple]) -> int:
     """Rank at one sample of the m x m sketch R K of the sensitivity matrix K.
 
     K has one row per (excitation b, measurement c) pair and one column per
-    unknown edge a, entry T_left[c, head a] * T_right[tail a, b]; ``left``
-    and ``right`` are the factors of the two closed loops.  Row i of R is
-    beta_i (x) alpha_i for nonzero values drawn from ``rng`` once the
-    sample's factors exist: beta_i one per measurement, then alpha_i one
-    per excitation.  Entry (i, a) of R K factors as
+    unknown edge a, entry T[c, head a] * T[tail a, b], T the closed loop
+    factored into ``steps``.  Row i of R is beta_i (x) alpha_i for nonzero
+    values drawn from ``rng`` once the sample's factor exists: beta_i one
+    per measurement, then alpha_i one per excitation.  Entry (i, a) of R K
+    factors as
 
-        (sum over c of beta_ic T_left[c, head a]) * (sum over b of T_right[tail a, b] alpha_ib),
+        (sum over c of beta_ic T[c, head a]) * (sum over b of T[tail a, b] alpha_ib),
 
     and both sums are linear in the weights, so two packed solves give all
     m rows, with no row or column of T formed: node c's right-hand side
     holds beta_ic in field i, so field i of the transposed solve is
-    beta_i^T T_left, and node b's holds alpha_ib, so field i of the direct
-    solve is T_right alpha_i.  Both sides share one layout of m fields.
+    beta_i^T T, and node b's holds alpha_ib, so field i of the direct
+    solve is T alpha_i.  Both sides share one layout of m fields.
     rank(R K) <= rank K; ``generic_rank`` bounds the chance it falls short.
     """
     unknown = net.unknown_edges
@@ -324,9 +320,9 @@ def _sample_rank(net: NetworkModel, rng: random.Random, left: list[tuple], right
         alpha.append(random_field_values(rng, net.n_excited))
     width, _, reduce = _fields(m, net.n + 1)
     sides = []
-    for steps, weights, ports, ends, transposed in (
-        (left, beta, net.measured, [e.dst for e in unknown], True),
-        (right, alpha, net.excited, [e.src for e in unknown], False),
+    for weights, ports, ends, transposed in (
+        (beta, net.measured, [e.dst for e in unknown], True),
+        (alpha, net.excited, [e.src for e in unknown], False),
     ):
         rhs = {node: _pack(column, width) for node, column in zip(ports, zip(*weights))}
         solved = _solve(steps, rhs, reduce, transposed)
@@ -354,42 +350,38 @@ def _samples_needed(n: int, m: int) -> int:
     return s
 
 
-def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -> int:
+def generic_rank(net: NetworkModel, *, seed: int = 0) -> int:
     """Generic rank of the sensitivity matrix K: the max rank of its m x m sketch over random samples, drawn until the failure bound is met.
 
     Each sample draws every edge value uniformly from the p - 1 nonzero
     field elements, redrawing while I - G is singular, and factors I - G
-    once.  Decoupled mode draws two independent value lists per sample,
-    one per closed-loop factor.  The sample then draws the rows
-    beta_i (x) alpha_i of R, m = ``m_unknown`` of them, and ranks R K
-    (``_sample_rank``) from one transposed packed solve against the
-    measurements and one direct solve against the excitations, with the
-    weights as right-hand sides.  The draws come from one
-    ``random.Random(seed)`` stream: 61 random bits per value, drawn again
-    when they read 0 or p (p = 2^61 - 1), which leaves the nonzero elements
-    equally likely (``random_field_values``).  A sample whose
-    RESAMPLE_BUDGET draws are all singular raises AllSamplesSingularError.
+    once.  The sample then draws the rows beta_i (x) alpha_i of R,
+    m = ``m_unknown`` of them, and ranks R K (``_sample_rank``) from one
+    transposed packed solve against the measurements and one direct solve
+    against the excitations, with the weights as right-hand sides.  The
+    draws come from one ``random.Random(seed)`` stream: 61 random bits per
+    value, drawn again when they read 0 or p (p = 2^61 - 1), which leaves
+    the nonzero elements equally likely (``random_field_values``).  A
+    sample whose RESAMPLE_BUDGET draws are all singular raises
+    AllSamplesSingularError.
 
     Failure bound.  No sample's R K exceeds rank K, nor K its generic rank
     r <= m, so the maximum falls short of r only if every sample is a zero
     of a nonzero r x r minor of R K.  T = adj(I - G) / det(I - G), and each
-    cofactor has degree at most n - 1 in the edge values; in decoupled mode
-    the two draws are separate sets of variables, with denominator
-    det(I - G_1) det(I - G_2).  An entry of R K,
+    cofactor has degree at most n - 1 in the edge values.  An entry of R K,
     (sum_c beta_ic T[c, head]) * (sum_b alpha_ib T[tail, b]), is linear in
-    beta_i and in alpha_i, so over det(I - G)^2 (or the product) it has
-    degree at most 2n in the edge values, beta and alpha together.  Some
-    r x r minor of R K is a nonzero polynomial: take a nonzero minor of K
-    with rows (b_1, c_1), ..., (b_r, c_r); at alpha_i = e_{b_i} and
-    beta_i = e_{c_i} rows 1..r of R K are those rows of K, since r <= m
-    leaves R a row for each of them, so the minor of R K on rows 1..r and
-    the same columns is not identically 0.  With its denominator cleared
-    it is a nonzero polynomial P of degree at most 2rn <= 2mn, and
-    Schwartz-Zippel over the nonzero values gives
-    Pr[P = 0] <= 2mn / (p - 1).  The redraw rule conditions on Q != 0,
-    Q = det(I - G) (the product of both determinants in decoupled mode): a
-    polynomial of degree at most 2n with constant term 1, so
-    Pr[Q != 0] >= 1 - 2n / (p - 1) and
+    beta_i and in alpha_i, so over det(I - G)^2 it has degree at most 2n
+    in the edge values, beta and alpha together.  Some r x r minor of R K
+    is a nonzero polynomial: take a nonzero minor of K with rows
+    (b_1, c_1), ..., (b_r, c_r); at alpha_i = e_{b_i} and beta_i = e_{c_i}
+    rows 1..r of R K are those rows of K, since r <= m leaves R a row for
+    each of them, so the minor of R K on rows 1..r and the same columns is
+    not identically 0.  With its denominator cleared it is a nonzero
+    polynomial P of degree at most 2rn <= 2mn, and Schwartz-Zippel over the
+    nonzero values gives Pr[P = 0] <= 2mn / (p - 1).  The redraw rule
+    conditions on Q != 0, Q = det(I - G): a polynomial of degree at most n
+    with constant term 1, so Pr[Q != 0] >= 1 - n / (p - 1) > 1 - 2n / (p - 1)
+    and
 
         Pr[P = 0 | Q != 0] <= Pr[P = 0] / Pr[Q != 0] <= 2mn / (p - 1 - 2n) = q.
 
@@ -402,18 +394,17 @@ def generic_rank(net: NetworkModel, *, decoupled: bool = False, seed: int = 0) -
     is fixed by (n, m) before any sample is drawn and needs no
     optional-stopping argument; it also bounds the reported rank, whatever
     r is.  s* is 1 until mn exceeds about 2^20.  Deterministic in
-    (net, decoupled, seed).
+    (net, seed).
 
-    Cost.  Each draw factors its I - G once.  ``netident check`` samples
-    the decoupled mode only when the local rank and the structural rank
-    bound leave its rank open (``decoupled_identifiability``), so most
-    checks factor one closed loop.
+    The decoupled notion is this rank on the 2n-node lift
+    (``netmodel.decouple``), sampled by ``decoupled_identifiability`` only
+    when the local rank and the structural rank bound leave it open.
     """
     m = net.m_unknown
     rng = random.Random(seed)
     best = 0
     for _ in range(_samples_needed(net.n, m)):
-        best = max(best, _sample_rank(net, rng, *_sample_factors(net, rng, decoupled)))
+        best = max(best, _sample_rank(net, rng, _sample_factors(net, rng)))
         if best == m:
             break
     return best

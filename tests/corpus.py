@@ -154,3 +154,11 @@ def general_square_corpus(count: int, *, start_seed: int = 0, max_nodes: int = 7
         seed += 1
         made += 1
         yield net
+
+
+def open_criterion_4_net() -> NetworkModel:
+    """Net 20 of acceptance criterion 4's corpus: n = 4, m = 3, local rank 1 below the structural bound 2.
+
+    The decoupled verdict on it is the one that ranks the 2n-node lift.
+    """
+    return list(general_square_corpus(21, start_seed=4000))[20]

@@ -108,10 +108,9 @@ def det_field(A: list[list[int]]) -> int:
     return _factor(A)[1]
 
 
-def sample_sensitivity(net: NetworkModel, rng: random.Random, decoupled: bool) -> list[list[int]]:
+def sample_sensitivity(net: NetworkModel, rng: random.Random) -> list[list[int]]:
     """The full sensitivity matrix K at the next sample ``generic_rank`` would draw from ``rng``, before its sketch weights."""
-    left, right = _sample_factors(net, rng, decoupled)
-    return sensitivity_matrix(net, unit_solve(left), unit_solve(right))
+    return sensitivity_matrix(net, unit_solve(_sample_factors(net, rng)))
 
 
 def loop_factor(G: list[list[int]]) -> list[tuple]:
@@ -138,19 +137,17 @@ def closed_loop(net: NetworkModel, values) -> list[list[int]]:
     return unit_solve(numeric._loop_factor(net, values))
 
 
-def sensitivity_matrix(net: NetworkModel, T_left: list[list[int]], T_right: list[list[int]]) -> list[list[int]]:
-    """The sensitivity matrix K by its definition, from whole closed loops.
+def sensitivity_matrix(net: NetworkModel, T: list[list[int]]) -> list[list[int]]:
+    """The sensitivity matrix K by its definition, from the whole closed loop T.
 
     Rows are (excitation, measurement) pairs at flat index
     b_idx * n_measured + c_idx; columns are the unknown edges in edge-list
     order.  Entry at row (b, c), column for unknown edge a is
-    T_left[c, head(a)] * T_right[tail(a), b]: T_left propagates the edge's
-    head to the measurement, T_right the excitation to its tail.  The local
-    test uses T_left = T_right; the decoupled test feeds two independently
-    sampled closed loops.
+    T[c, head(a)] * T[tail(a), b]: the closed loop propagates the edge's
+    head to the measurement and the excitation to its tail.
     """
     return [
-        [T_left[c][e.dst] * T_right[e.src][b] % PRIME for e in net.unknown_edges]
+        [T[c][e.dst] * T[e.src][b] % PRIME for e in net.unknown_edges]
         for b in net.excited
         for c in net.measured
     ]

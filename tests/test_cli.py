@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from netident import numeric
 from netident.cli import OptionError, _build_parser, _default_seed, main
 from netident.netmodel import network_to_dict
 
-from corpus import cyclic9_net, fan_net, minimal_net, unreachable_net
+from corpus import cyclic9_net, fan_net, minimal_net, open_criterion_4_net, unreachable_net
 from helpers import perfbench_inputs, validate_calls
 
 
@@ -587,43 +588,50 @@ sys.exit(code)
 """
 
 
+def valued_open_net() -> NetworkModel:
+    """``open_criterion_4_net`` with a value on every edge: its decoupled verdict ranks the lift, which carries values too."""
+    net = open_criterion_4_net()
+    return NetworkModel(net.n, [replace(e, value=0.25 * (i + 1)) for i, e in enumerate(net.edges)], net.excited, net.measured)
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, make, code",
     [
-        [],
-        ["check", "{path}", "--json"],
-        ["separable", "{path}", "--json"],
-        ["combinatorial", "{path}", "--json"],
-        ["combinatorial", "{path}", "--decouple-first"],
-        ["oracle", "{path}"],
+        pytest.param([], fan_net, 0, id="import"),
+        pytest.param(["check", "{path}", "--json"], fan_net, 0, id="check"),
+        pytest.param(["separable", "{path}", "--json"], fan_net, 0, id="separable"),
+        pytest.param(["combinatorial", "{path}", "--json"], fan_net, 0, id="combinatorial"),
+        pytest.param(["combinatorial", "{path}", "--decouple-first"], fan_net, 0, id="decouple-first"),
+        pytest.param(["oracle", "{path}"], fan_net, 0, id="oracle"),
+        pytest.param(["check", "{path}", "--json"], valued_open_net, 1, id="check-valued-lift"),
+        pytest.param(["combinatorial", "{path}", "--decouple-first"], valued_open_net, 1, id="decouple-first-valued"),
     ],
-    ids=["import", "check", "separable", "combinatorial", "decouple-first", "oracle"],
 )
-def test_verdict_commands_never_import_numpy(tmp_path, cli_env, argv):
-    """numpy is for ``gen``, ``decouple`` of valued files and ``netident.series``; the verdict path is exact."""
-    path = write_net(tmp_path, fan_net())
+def test_verdict_commands_never_import_numpy(tmp_path, cli_env, argv, make, code):
+    """numpy is for ``gen`` and ``netident.series``; the verdict path is exact, on a lift of a valued file too."""
+    path = write_net(tmp_path, make())
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_FREE_CHILD, *(a.format(path=path) for a in argv)],
         capture_output=True,
         text=True,
         env=cli_env,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code and "numpy was imported" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize(
-    "argv, validations",
+    "argv, make, validations",
     [
-        (["check", "{path}"], 1),
-        (["combinatorial", "{path}"], 1),
-        (["separable", "{path}"], 1),
-        (["combinatorial", "{path}", "--decouple-first"], 2),
+        pytest.param(["check", "{path}"], fan_net, 1, id="check"),
+        pytest.param(["combinatorial", "{path}"], fan_net, 1, id="combinatorial"),
+        pytest.param(["separable", "{path}"], fan_net, 1, id="separable"),
+        pytest.param(["combinatorial", "{path}", "--decouple-first"], fan_net, 2, id="decouple-first"),
+        pytest.param(["check", "{path}"], open_criterion_4_net, 2, id="check-lift"),
     ],
-    ids=["check", "combinatorial", "separable", "decouple-first"],
 )
-def test_each_network_is_validated_once(tmp_path, capsys, argv, validations):
+def test_each_network_is_validated_once(tmp_path, capsys, argv, make, validations):
     """Loading builds, and so validates, the file's network; the lift is one more network; no verdict validates again."""
-    path = write_net(tmp_path, fan_net())
+    path = write_net(tmp_path, make())
     assert validate_calls(lambda: main([a.format(path=path) for a in argv])) == validations
     capsys.readouterr()
 

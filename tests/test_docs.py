@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import netident
 from netident.netmodel import network_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +55,26 @@ def test_public_names_are_the_kept_api_and_six_submodules(cli_env):
     names = json.loads(proc.stdout)
     assert len(PUBLIC) == 32
     assert sorted(names) == sorted(PUBLIC | SUBMODULES)
+
+
+def imports_numpy(source: str) -> bool:
+    """Whether ``source`` imports numpy or one of its submodules anywhere, inside a function too."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module == "numpy" or module.startswith("numpy.") for module in modules):
+            return True
+    return False
+
+
+def test_only_gen_and_series_import_numpy():
+    """Only ``generate`` (``gen``) and ``series`` import numpy, so no verdict route can load it, whatever file it reads."""
+    package = Path(netident.__file__).parent
+    assert {path.name for path in package.glob("*.py") if imports_numpy(path.read_text())} == {"generate.py", "series.py"}
 
 
 def test_demos_and_readme_import_only_public_names():

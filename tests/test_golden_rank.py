@@ -2,7 +2,7 @@
 
 `golden_rank_verdicts.json` holds, per draw, `Verdict.to_dict()` of the
 local and decoupled verdicts, plus the SHA-256 of the first sensitivity
-matrix each mode samples.  Separable square draws are among them; their
+matrix sampled on the draw and on its 2n-node lift.  Separable square draws are among them; their
 global-separable verdict comes from the walk route, whose reports
 `golden_walk_verdicts.json` records.  Any change to the seed stream, the
 field arithmetic or the evidence fields shows up here.  The file was
@@ -22,6 +22,7 @@ import random
 from pathlib import Path
 
 from netident import (
+    decouple,
     decoupled_identifiability,
     local_identifiability,
     random_network,
@@ -41,8 +42,8 @@ SHAPES = [
 ]
 
 
-def _k_digest(net, seed: int, decoupled: bool) -> str:
-    K = sample_sensitivity(net, random.Random(seed), decoupled)
+def _k_digest(net, seed: int) -> str:
+    K = sample_sensitivity(net, random.Random(seed))
     return hashlib.sha256(json.dumps(K).encode()).hexdigest()
 
 
@@ -52,7 +53,7 @@ def record(kwargs: dict, seed: int) -> dict:
         "network": {**kwargs, "seed": seed},
         "local": local_identifiability(net, seed=seed).to_dict(),
         "decoupled": decoupled_identifiability(net, seed=seed).to_dict(),
-        "k_sha256": {"local": _k_digest(net, seed, False), "decoupled": _k_digest(net, seed, True)},
+        "k_sha256": {"local": _k_digest(net, seed), "decoupled": _k_digest(decouple(net), seed)},
     }
 
 

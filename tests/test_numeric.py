@@ -13,6 +13,7 @@ from netident import (
     NetworkModel,
     NotSeparableError,
     NotSquareError,
+    decouple,
     decoupled_identifiability,
     local_identifiability,
     random_network,
@@ -57,6 +58,11 @@ rng = np.random.default_rng
 field_rng = random.Random
 
 
+def lift_if(net, lifted: bool):
+    """The 2n-node lift of ``net`` when ``lifted``, whose local rank is the decoupled rank of ``net``; ``net`` otherwise."""
+    return decouple(net) if lifted else net
+
+
 def exact_values(net, values_by_pair):
     return [values_by_pair[(e.src, e.dst)] for e in net.edges]
 
@@ -64,7 +70,7 @@ def exact_values(net, values_by_pair):
 def library_sketch(net, values, seed=0):
     """What ``rank_field`` receives from one sample at ``values``: R K, R's weights drawn from ``random.Random(seed)``."""
     steps = numeric._loop_factor(net, values)
-    seen = calls(rank_field, lambda: numeric._sample_rank(net, field_rng(seed), steps, steps))
+    seen = calls(rank_field, lambda: numeric._sample_rank(net, field_rng(seed), steps))
     return seen[0]["A"]
 
 
@@ -228,7 +234,7 @@ class TestSensitivityMatrix:
         net = minimal_net()
         values = exact_values(net, {(0, 1): 9})
         T = closed_loop(net, values)
-        assert sensitivity_matrix(net, T, T) == [[1]]
+        assert sensitivity_matrix(net, T) == [[1]]
         assert pins_k(net, [[1]], values)
 
     def test_fan_entries_are_known_edge_values(self):
@@ -237,14 +243,14 @@ class TestSensitivityMatrix:
         vals = {(0, 2): 2, (0, 3): 3, (1, 2): 5, (1, 3): 7, (2, 4): 11, (3, 4): 13}
         values = exact_values(net, vals)
         T = closed_loop(net, values)
-        assert sensitivity_matrix(net, T, T) == [[2, 3], [5, 7]]
+        assert sensitivity_matrix(net, T) == [[2, 3], [5, 7]]
         assert pins_k(net, [[2, 3], [5, 7]], values)
 
     def test_unreachable_column_is_zero(self):
         net = unreachable_net()
         values = random_field_values(field_rng(4), len(net.edges))
         T = closed_loop(net, values)
-        assert sensitivity_matrix(net, T, T) == [[0]]
+        assert sensitivity_matrix(net, T) == [[0]]
         assert pins_k(net, [[0]], values)
 
     def test_null_space_reconstructs_valid_perturbations(self):
@@ -261,7 +267,7 @@ class TestSensitivityMatrix:
             [3],
         )
         T = closed_loop(net, random_field_values(field_rng(5), len(net.edges)))
-        K = sensitivity_matrix(net, T, T)
+        K = sensitivity_matrix(net, T)
         basis = kernel_field(K)
         assert len(basis) == len(net.unknown_edges) - rank_field(K)
         assert basis, "this network must have a nontrivial null space"
@@ -497,8 +503,8 @@ class TestSparseFactor:
 class TestLastClosedLoop:
     """No factorization outlives its draw: a replay factors every closed loop again."""
 
-    @pytest.mark.parametrize("decoupled", [False, True])
-    def test_singular_draws_are_factored_again_on_replay(self, monkeypatch, decoupled):
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_singular_draws_are_factored_again_on_replay(self, monkeypatch, lifted):
         """With every factorization singular, the budget still sees RESAMPLE_BUDGET draws, and a replay factors each again."""
         factored = []
 
@@ -509,7 +515,7 @@ class TestLastClosedLoop:
         monkeypatch.setattr(numeric, "_sparse_factor", singular)
         for runs in (1, 2):
             with pytest.raises(numeric.AllSamplesSingularError):
-                generic_rank(unreachable_net(), decoupled=decoupled)
+                generic_rank(lift_if(unreachable_net(), lifted))
             assert len(factored) == runs * numeric.RESAMPLE_BUDGET
 
 
@@ -536,14 +542,13 @@ class TestPackedSolveWidth:
         T = solved_inverse(steps)
         assert mat_mul_field(T, M) == identity_field(n)
         assert mat_mul_field(M, T) == identity_field(n)
-        assert library_sketch(net, values, n) == replayed_sketch(net, sensitivity_matrix(net, T, T), field_rng(n))
+        assert library_sketch(net, values, n) == replayed_sketch(net, sensitivity_matrix(net, T), field_rng(n))
 
 
-def same_draws(net, seed, decoupled):
-    """The closed loops ``sample_sensitivity`` draws at ``seed`` (no singular draw expected), in full."""
-    gen = field_rng(seed)
-    draws = [random_field_values(gen, len(net.edges)) for _ in range(2 if decoupled else 1)]
-    return [network_matrix(net, values) for values in draws], [closed_loop(net, values) for values in draws]
+def same_draw(net, seed):
+    """G and the closed loop of the draw ``sample_sensitivity`` makes at ``seed`` (no singular draw expected), in full."""
+    values = random_field_values(field_rng(seed), len(net.edges))
+    return network_matrix(net, values), closed_loop(net, values)
 
 
 def solve_path_nets():
@@ -558,14 +563,11 @@ class TestSolvePath:
         """The rows and columns solved from one factor give the matrix built from the whole inverse."""
         for net in solve_path_nets():
             for seed in (0, 1):
-                for decoupled in (False, True):
-                    Gs, Ts = same_draws(net, seed, decoupled)
-                    for G, T in zip(Gs, Ts):
-                        M = [[int(i == j) - G[i][j] for j in range(net.n)] for i in range(net.n)]
-                        assert mat_mul_field(T, M) == identity_field(net.n)
-                    T_left, T_right = Ts[0], Ts[-1]
-                    K = sample_sensitivity(net, field_rng(seed), decoupled)
-                    assert K == sensitivity_matrix(net, T_left, T_right)
+                for target in (net, decouple(net)):
+                    G, T = same_draw(target, seed)
+                    M = [[int(i == j) - G[i][j] for j in range(target.n)] for i in range(target.n)]
+                    assert mat_mul_field(T, M) == identity_field(target.n)
+                    assert sample_sensitivity(target, field_rng(seed)) == sensitivity_matrix(target, T)
 
     def test_solves_through_row_exchanges(self):
         """g(0->1) * g(1->0) = 1 zeroes the (1, 1) pivot a natural-order elimination would take.
@@ -597,7 +599,7 @@ class TestSolvePath:
         assert [[route(net).to_dict() for route in routes] for net in solve_path_nets()] == expected
 
     @pytest.mark.parametrize(
-        "excited, decoupled, singular_call",
+        "excited, lifted, copy",
         [
             pytest.param([0], False, 0, id="False-0"),
             pytest.param([0], True, 0, id="True-0"),
@@ -607,18 +609,21 @@ class TestSolvePath:
             pytest.param([0, 1], True, 1, id="wide-True-1"),
         ],
     )
-    def test_singular_draw_is_resampled_from_the_next_draws(self, monkeypatch, excited, decoupled, singular_call):
-        """A singular I - G discards its draw (and, on the left, skips the right one) and draws again.
+    def test_singular_draw_is_resampled_from_the_next_draws(self, monkeypatch, excited, lifted, copy):
+        """A singular I - G discards its draw and draws again; on the lift, a singular measured (0) or excited (1) copy does.
 
         The sketch's weights come from the stream after the redrawn values,
         with |B||C| = m = 1 on one excitation and |B||C| = 2 > m on two.
         """
-        net = NetworkModel(
+        base = NetworkModel(
             3,
             [Edge(0, 1, known=True), Edge(1, 0, known=True), Edge(1, 2, known=False)],
             excited,
             [2],
         )
+        net = lift_if(base, lifted)
+        # g(0->1) * g(1->0) = 1 makes det(I - G) = 0; the lift lists each copy's edges in the order of ``base``
+        cycle = {copy * len(base.edges) + i for i, e in enumerate(base.edges) if e.known}
         draws = []
 
         def patched(gen, count):
@@ -626,20 +631,17 @@ class TestSolvePath:
             if count != len(net.edges):  # a sketch row's weights
                 return values
             draws.append(values)
-            if len(draws) - 1 == singular_call:
-                # g(0->1) * g(1->0) = 1 makes det(I - G) = 0
-                return [1 if e.known else v for e, v in zip(net.edges, values)]
+            if len(draws) == 1:
+                return [1 if i in cycle else v for i, v in enumerate(values)]
             return values
 
         monkeypatch.setattr(numeric, "random_field_values", patched)
-        seen = calls(numeric.rank_field, lambda: generic_rank(net, decoupled=decoupled, seed=3))
-        # the real draws from the same stream, with the singular round dropped
+        seen = calls(numeric.rank_field, lambda: generic_rank(net, seed=3))
+        # the real draws from the same stream, with the singular one dropped
         gen = field_rng(3)
         real = [random_field_values(gen, len(net.edges)) for _ in range(len(draws))]
-        kept = real[2:] if (decoupled and singular_call == 1) else real[1:]
-        Ts = [closed_loop(net, values) for values in kept]
-        assert len(draws) == (4 if singular_call == 1 else 3 if decoupled else 2)
-        assert [call["A"] for call in seen] == [replayed_sketch(net, sensitivity_matrix(net, Ts[0], Ts[-1]), gen)]
+        assert len(draws) == 2
+        assert [call["A"] for call in seen] == [replayed_sketch(net, sensitivity_matrix(net, closed_loop(net, real[1])), gen)]
 
 
 def sketch_weights(net, gen):
@@ -685,32 +687,32 @@ class TestSketch:
         ranks = Counter()
         for net in [*wide_port_nets(), *narrow_port_nets()]:
             for seed in range(5):
-                for decoupled in (False, True):
+                for target in (net, decouple(net)):
                     gen = field_rng(seed)
-                    left, right = numeric._sample_factors(net, gen, decoupled)
-                    full = rank_field(sensitivity_matrix(net, unit_solve(left), unit_solve(right)))
-                    sketched = numeric._sample_rank(net, gen, left, right)
-                    assert sketched == full, (net, seed, decoupled)
+                    steps = numeric._sample_factors(target, gen)
+                    full = rank_field(sensitivity_matrix(target, unit_solve(steps)))
+                    sketched = numeric._sample_rank(target, gen, steps)
+                    assert sketched == full, (target, seed)
                     rows = net.n_excited * net.n_measured
                     ranks[rows > net.m_unknown, full == min(rows, net.m_unknown)] += 1
         assert min(ranks.values()) >= 100 and len(ranks) == 4
 
-    @pytest.mark.parametrize("decoupled", [False, True])
-    def test_rank_field_sees_the_sketch_on_every_shape(self, decoupled):
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_rank_field_sees_the_sketch_on_every_shape(self, lifted):
         """``rank_field`` gets R K, m x m, R's rows drawn after the edge values, whether |B||C| exceeds m or not."""
         wide = list(wide_port_nets(12))
         others = [fan_net(), bipartite_net(), *general_square_corpus(4, start_seed=40)]
         others.append(random_network(nodes=9, unknowns=8, excited=2, measured=3, known_density=0.3, seed=1))
-        for net in wide + others:
-            seen = calls(numeric.rank_field, lambda: generic_rank(net, decoupled=decoupled, seed=7))
+        for net in [lift_if(net, lifted) for net in wide + others]:
+            seen = calls(numeric.rank_field, lambda: generic_rank(net, seed=7))
             assert len(seen) == 1
             gen = field_rng(7)
-            sketch = replayed_sketch(net, sample_sensitivity(net, gen, decoupled), gen)
+            sketch = replayed_sketch(net, sample_sensitivity(net, gen), gen)
             assert seen[0]["A"] == sketch
             assert len(sketch) == len(sketch[0]) == net.m_unknown
 
-    @pytest.mark.parametrize("decoupled", [False, True])
-    def test_each_sample_draws_its_weights_after_its_own_values(self, monkeypatch, decoupled):
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_each_sample_draws_its_weights_after_its_own_values(self, monkeypatch, lifted):
         """Over three samples of a deficient wide-port net, ``rank_field`` gets R_s K_s, sample by sample.
 
         Each sample draws its edge values, then its m pairs (beta_i, alpha_i),
@@ -719,14 +721,15 @@ class TestSketch:
         net = next(
             net
             for net in wide_port_nets()
-            if max(generic_rank(net, decoupled=d, seed=7) for d in (False, True)) < net.m_unknown
+            if max(generic_rank(lift_if(net, lift), seed=7) for lift in (False, True)) < net.m_unknown
         )
+        net = lift_if(net, lifted)
         monkeypatch.setattr(numeric, "_samples_needed", lambda n, m: 3)
-        seen = calls(numeric.rank_field, lambda: generic_rank(net, decoupled=decoupled, seed=7))
+        seen = calls(numeric.rank_field, lambda: generic_rank(net, seed=7))
         assert len(seen) == 3
         gen = field_rng(7)
         for call in seen:
-            K = sample_sensitivity(net, gen, decoupled)
+            K = sample_sensitivity(net, gen)
             assert call["A"] == replayed_sketch(net, K, gen)
             assert len(K) > net.m_unknown == len(call["A"])
 
@@ -769,20 +772,20 @@ class TestGenericRank:
             assert len(draws) == expected_draws
 
     def test_deficient_net_draws_exactly_the_needed_samples(self, monkeypatch):
-        """A deficient net draws s* samples in both modes; a full-rank one still stops at its first."""
+        """A deficient net and its lift draw s* samples; a full-rank net still stops at its first."""
         draws = self._count_draws(monkeypatch)
         monkeypatch.setattr(numeric, "_samples_needed", lambda n, m: 3)
         assert generic_rank(unreachable_net()) == 0
         assert len(draws) == 3
         draws.clear()
-        assert generic_rank(unreachable_net(), decoupled=True) == 0
+        assert generic_rank(decouple(unreachable_net())) == 0
         assert len(draws) == 3
         draws.clear()
         assert generic_rank(fan_net()) == 2
         assert len(draws) == 1
 
-    @pytest.mark.parametrize("decoupled", [False, True])
-    def test_singular_budget_exhausted_raises(self, monkeypatch, decoupled):
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_singular_budget_exhausted_raises(self, monkeypatch, lifted):
         """A sample whose RESAMPLE_BUDGET draws are all singular ends the rank test; no later sample retries."""
         draws = []
 
@@ -793,7 +796,7 @@ class TestGenericRank:
         monkeypatch.setattr(numeric, "_loop_factor", singular)
         monkeypatch.setattr(numeric, "_samples_needed", lambda n, m: 3)
         with pytest.raises(numeric.AllSamplesSingularError):
-            generic_rank(unreachable_net(), decoupled=decoupled)
+            generic_rank(lift_if(unreachable_net(), lifted))
         assert len(draws) == numeric.RESAMPLE_BUDGET
 
     def test_one_sample_meets_the_bound_at_benchmark_sizes(self):

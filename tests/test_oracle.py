@@ -152,6 +152,6 @@ class TestAgreementWithWalkCounts:
             det = symbolic_det(net, bound)
             edge_values = random_field_values(rng, len(net.edges))
             T = closed_loop(net, edge_values)
-            K = sensitivity_matrix(net, T, T)
+            K = sensitivity_matrix(net, T)
             values = {i: v for i, (e, v) in enumerate(zip(net.edges, edge_values)) if e.known}
             assert det_field(K) == eval_poly(det, values, PRIME)

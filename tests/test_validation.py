@@ -14,6 +14,7 @@ from netident import (
     NetworkModel,
     ValidationError,
     combinatorial_verdict,
+    decouple,
     decoupled_identifiability,
     local_identifiability,
     repetition_table,
@@ -106,7 +107,7 @@ def index_past_n_net() -> NetworkModel:
 
 ENTRY_POINTS = {
     "generic_rank": generic_rank,
-    "generic_rank-decoupled": lambda net: generic_rank(net, decoupled=True),
+    "generic_rank-decoupled": lambda net: generic_rank(decouple(net)),
     "generic_det_nonzero": generic_det_nonzero,
     "repetition_table": lambda net: repetition_table(net, 4),
     "exhaustive_degree_bound": exhaustive_degree_bound,
