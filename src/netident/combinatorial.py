@@ -35,11 +35,13 @@ One layered count adds the unknown edges one at a time, merging partial
 collections that reach the same (rows used, monomial so far) state into
 one signed count: the sign of a pairing only multiplies a count, so
 collections of opposite signs share a state, and no collection is kept.
-Within the count a monomial is one packed integer, a bit field per known
-edge holding its multiplicity, so extending a state is one addition.  The
-table keeps its counts under those packed keys and decodes only the least
-surviving monomial when it is built; the ``Monomial`` tuples of every
-entry are decoded once, when the table is first read.  States and walks are
+A state is one integer: from the top down its degree, its monomial (a
+bit field per known edge holding its multiplicity) and its rows used.  A
+walk is the same integer, so extending a state is one addition, and no
+field carries into the next (``repetition_table`` says why).  The table
+keeps its counts under packed monomials and decodes only the least
+surviving one when it is built; the ``Monomial`` tuples of every entry
+are decoded once, when the table is first read.  States and walks are
 visited in order, so the table lists its monomials in the order of their
 lexicographically first collections.  The one collection the verdict
 prints, the first of the least survivor's sign, is rebuilt after the count
@@ -270,16 +272,16 @@ def _walk_guards(net: NetworkModel, structure: _Structure, max_degree: int | Non
 
 def _walk_layers(
     net: NetworkModel, structure: _Structure, spare: int, width: int
-) -> tuple[list[list[tuple[Walk, int, int, int]]], tuple[int, ...]]:
-    """Per unknown edge in net.edges order, its walks as (walk, row, degree, packed monomial), and the field edges.
+) -> tuple[list[list[tuple[Walk, int]]], tuple[int, ...]]:
+    """Per unknown edge in net.edges order, its walks as (walk, step), and the field edges.
 
-    Each layer is in edge-sequence order; the row is the walk's
-    (excitation, measurement) pair and the monomial its known edges.  An
-    edge's walks are listed up to its least degree
-    (``_Structure.least_degrees``) plus ``spare``, the degree the bound
-    leaves it once every other unknown edge takes its shortest walk.  Each
-    known edge some listed walk uses owns a field of ``width`` bits, in
-    ascending edge order, holding its multiplicity.
+    Each layer is in edge-sequence order.  A step is the walk's degree, its
+    known edges' packed monomial and the bit of its (excitation,
+    measurement) row, in ``repetition_table``'s state layout.  An edge's
+    walks are listed up to its least degree (``_Structure.least_degrees``)
+    plus ``spare``, the degree the bound leaves it once every other unknown
+    edge takes its shortest walk.  Each known edge some listed walk uses
+    owns a field of ``width`` bits, in ascending edge order.
     """
     b_slot = {b: i for i, b in enumerate(net.excited)}
     c_slot = {c: i for i, c in enumerate(net.measured)}
@@ -291,74 +293,72 @@ def _walk_layers(
         for i, shortest in zip(pivots, structure.least_degrees)
     ]
     fields = sorted(set().union(*chain.from_iterable(steps)).difference(pivots))
-    # A walk packs to the sum of its edges' units, its one pivot's unit being 0.
+    # A step is its row bit plus its edges' units; a known edge adds 1 to the degree and its field, a pivot nothing.
+    m, top = len(pivots), len(pivots) + width * len(fields)
     unit = dict.fromkeys(pivots, 0)
-    unit.update((i, 1 << j * width) for j, i in enumerate(fields))
+    unit.update((i, 1 << top | 1 << m + j * width) for j, i in enumerate(fields))
     layers = [
-        [
-            (w, b_slot[edges[w[0]].src] * n_c + c_slot[edges[w[-1]].dst], len(w) - 1, sum(map(unit.__getitem__, w)))
-            for w in walks
-        ]
+        [(w, (1 << b_slot[edges[w[0]].src] * n_c + c_slot[edges[w[-1]].dst]) + sum(map(unit.__getitem__, w))) for w in walks]
         for walks in steps
     ]
     return layers, tuple(fields)
 
 
-def _least_packed(survivors: list[tuple[int, int]], width: int) -> int:
-    """The packed monomial least by (degree, monomial) among nonempty (degree, packed monomial) pairs.
+def _least_packed(survivors: list[int], width: int, span: int) -> int:
+    """The least of nonempty (degree, packed monomial) integers, the monomial in the low ``span`` bits, by (degree, monomial).
 
     Among monomials of one degree none is a prefix of another, so the least
     one is found field by field from the lowest edge up: a multiplicity
     there beats none, which leaves the field to a higher edge, and a smaller
     multiplicity beats a larger one.  Nothing is decoded.
     """
-    low = min(survivors)[0]
-    least = [packed for degree, packed in survivors if degree == low]
+    low = min(survivors) >> span
+    least = [pair for pair in survivors if pair >> span == low]
     mask, shift = (1 << width) - 1, 0
     while len(least) > 1:
-        lowest = min((c for packed in least if (c := packed >> shift & mask)), default=0)
+        lowest = min((c for pair in least if (c := pair >> shift & mask)), default=0)
         if lowest:
-            least = [packed for packed in least if packed >> shift & mask == lowest]
+            least = [pair for pair in least if pair >> shift & mask == lowest]
         shift += width
     return least[0]
 
 
 def _first_collection(
-    layers: list[list[tuple[Walk, int, int, int]]], guards: int, target: int, sign: int
+    layers: list[list[tuple[Walk, int]]], guards: int, goal: int, sign: int
 ) -> tuple[Walk, ...] | None:
-    """The lexicographically first collection with packed monomial ``target`` and pairing sign ``sign``; None if none.
+    """The lexicographically first collection whose steps sum to the state ``goal``, of pairing sign ``sign``; None if none.
 
     A depth-first search over ``_walk_layers``, each layer in edge order,
     so the first complete collection it meets is the least.  ``guards``
     holds every field's top bit, which no monomial uses: with the guards
-    set in the remainder of the target, subtracting a walk's monomial
-    clears the guard of exactly the fields it overfills.  A dead (rows
-    used, remainder, sign) is never searched twice, and an explicit stack
+    set in what is left of the goal, its row mask the rows still free,
+    subtracting a step clears the guard of exactly the fields it overfills.
+    A dead (remainder, sign) is never searched twice, and an explicit stack
     nests no call per unknown edge.
     """
-    m = len(layers)
-    dead: set[tuple[int, int, int]] = set()
+    m, full = len(layers), (1 << len(layers)) - 1
+    dead: set[tuple[int, int]] = set()
     chosen: list[Walk] = []
-    frames = [(0, target | guards, 1, iter(layers[0]))]
+    frames = [(goal | guards, 1, iter(layers[0]))]
     while frames:
-        used, rest, parity, walks = frames[-1]
+        rest, parity, walks = frames[-1]
         nxt = len(chosen) + 1  # the layer a walk of this one leads to
-        for w, row, _, w_mono in walks:
-            left = rest - w_mono
-            if used >> row & 1 or left & guards != guards:
+        for w, step in walks:
+            row = step & full
+            left = rest - step
+            if not rest & row or left & guards != guards:
                 continue
-            flipped = -parity if (used >> row).bit_count() & 1 else parity
+            flipped = -parity if (full & ~rest & -row).bit_count() & 1 else parity  # used rows above the new one
             if nxt == m:
                 if left == guards and flipped == sign:
                     return (*chosen, w)
                 continue
-            key = (used | 1 << row, left, flipped)
-            if key not in dead:
+            if (left, flipped) not in dead:
                 chosen.append(w)
-                frames.append((*key, iter(layers[nxt])))
+                frames.append((left, flipped, iter(layers[nxt])))
                 break
         else:
-            dead.add((used, rest, parity))
+            dead.add((rest, parity))
             frames.pop()
             if chosen:
                 chosen.pop()
@@ -379,13 +379,16 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     (``_Structure.refutation``) is still counted in full, and its table is
     exhaustive and carries that witness.
 
-    A state is (rows used, packed monomial) and holds the signed count of
-    the collections reaching it, cancelled states included; no collection
-    is kept.  A field is max(max_degree, 1).bit_length() + 1 bits wide, and
-    pruning keeps every degree, so every multiplicity, at or below
-    max_degree: no field overflows, packing is one-to-one, a sum of packed
-    monomials is the packed product, and each field's top bit is free as a
-    guard for the search.  States and walks are extended in order, so a
+    A state is one integer, from the top field down (degree so far, packed
+    monomial, mask of the m rows used), and maps to the signed count of the
+    collections reaching it, cancelled states included; no collection is
+    kept.  A walk's step has the same layout and a state extends by one
+    addition, with no carry between fields: pruning keeps the degree at or
+    below max_degree; a field is max(max_degree, 1).bit_length() + 1 bits
+    wide, so every multiplicity stays below its top bit; and a row bit is
+    only added where it is clear.  So a sum of steps is the state of their
+    collection, and each field's top bit is free as a guard for the
+    search.  States and walks are extended in order, so a
     state is first inserted by the lexicographically first collection
     reaching it, of either sign, and the table lists its monomials in the
     order of their first collections.  The least survivor
@@ -409,49 +412,46 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     if spare < 0:
         return RepetitionTable(max_degree=max_degree, exhaustive=exhaustive, width=width, witness=witness)
     layers, fields = _walk_layers(net, structure, spare, width)
-    m = len(layers)
+    m, span = len(layers), width * len(fields)
+    full, top = (1 << m) - 1, m + span
 
     # Least degree of the remaining unknown edges, for pruning.
     min_rest = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         min_rest[k] = min_rest[k + 1] + least[k]
 
-    # One layer per unknown edge.  A state (rows used as a bit mask, packed
-    # monomial so far) maps to [signed count, degree]; a new row flips the
-    # sign once per used row above it.  The fitting walks, each with its new
-    # row mask, sign flip, packed monomial and degree, are listed once per
-    # layer, rows used and room: a filter of the edge-ordered list.
-    layer: dict[tuple[int, int], list[int]] = {(0, 0): [1, 0]}
+    # One layer per unknown edge; a new row flips the sign once per used row
+    # above it.  The fitting walks, each with its sign flip, are listed once
+    # per layer, rows used and room: a filter of the edge-ordered list.
+    layer: dict[int, int] = {0: 1}
     for k, walks in enumerate(layers):
-        extended: dict[tuple[int, int], list[int]] = {}
-        fitting: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-        for (used, mono), (count, degree) in layer.items():
-            room = max_degree - degree - min_rest[k + 1]
-            options = fitting.get((used, room))
+        extended: dict[int, int] = {}
+        fitting: dict[int, list[tuple[int, int]]] = {}
+        for state, count in layer.items():
+            used, room = state & full, max_degree - (state >> top) - min_rest[k + 1]
+            options = fitting.get(used | room << m)  # room >= 0, so the key is one-to-one
             if options is None:
-                options = fitting[used, room] = [
-                    (used | 1 << row, -1 if (used >> row).bit_count() & 1 else 1, w_mono, w_degree)
-                    for _, row, w_degree, w_mono in walks
-                    if w_degree <= room and not used >> row & 1
+                options = fitting[used | room << m] = [
+                    (step, -1 if (used & -(step & full)).bit_count() & 1 else 1)  # used rows above the step's
+                    for _, step in walks
+                    if step >> top <= room and not used & step
                 ]
-            for new_used, flip, w_mono, w_degree in options:
-                key = (new_used, mono + w_mono)
-                state = extended.get(key)
-                if state is None:
-                    extended[key] = [flip * count, degree + w_degree]
-                else:
-                    state[0] += flip * count
+            for step, flip in options:
+                key = state + step
+                extended[key] = extended.get(key, 0) + flip * count
         layer = extended
 
     # Every collection uses all rows, so a final state is one monomial.
-    counts = {mono: count for (_, mono), (count, _) in layer.items()}
-    survivors = [(degree, mono) for (_, mono), (count, degree) in layer.items() if count]
+    mono_mask = (1 << span) - 1
+    counts = {state >> m & mono_mask: count for state, count in layer.items()}
+    survivors = [state >> m for state, count in layer.items() if count]  # (degree, monomial)
     survivor = None
     if survivors:
-        least = _least_packed(survivors, width)
-        guards = ((1 << width * len(fields)) - 1) // ((1 << width) - 1) << width - 1  # every field's top bit
-        count = counts[least]
-        survivor = _decode(least, fields, width), count, _first_collection(layers, guards, least, 1 if count > 0 else -1)
+        least = _least_packed(survivors, width, span)
+        guards = mono_mask // ((1 << width) - 1) << m + width - 1  # every field's top bit
+        count = counts[least & mono_mask]
+        collection = _first_collection(layers, guards, least << m | full, 1 if count > 0 else -1)
+        survivor = _decode(least & mono_mask, fields, width), count, collection
 
     return RepetitionTable(
         max_degree=max_degree,

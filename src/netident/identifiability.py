@@ -323,7 +323,8 @@ class _Structure:
         tails an excitation reaches, as the two reach sweeps give them; the
         others lie on no such walk.  With at most one node left on a side
         the flow is that count and no max-flow runs, so a head or tail that
-        holds one unknown edge never runs one.
+        holds one unknown edge never runs one; any other flow runs once per
+        pair of node sets, so heads that share their tails share it.
         The argument never uses that a column's two factors come from one
         closed loop, so the bound holds for the decoupled rank too.
 
@@ -336,10 +337,16 @@ class _Structure:
         """
         net = self.net
         from_excited, to_measured = self.sweep(net.excited), self.sweep(net.measured, True)
+        flows: dict[tuple[frozenset[int], frozenset[int]], int] = {}
 
         def flow(sources: Sequence[int], targets: Sequence[int]) -> int:
             most = min(len(sources), len(targets))
-            return _disjoint_paths(self.succ, sources, targets) if most > 1 else most
+            if most < 2:
+                return most
+            key = frozenset(sources), frozenset(targets)
+            if key not in flows:
+                flows[key] = _disjoint_paths(self.succ, sources, targets)
+            return flows[key]
 
         def into(heads: Iterable[int]) -> int:
             """rank T[C, heads]."""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 from typing import Iterable
 
@@ -120,9 +121,11 @@ def known_of(net: NetworkModel, walk) -> list[int]:
 def first_collection(net: NetworkModel, table, mu, sign):
     """``combinatorial._first_collection`` for any (monomial, sign), over the walk lists ``table`` was counted from.
 
-    The monomial is packed into the table's fields, a top guard bit per
-    field, and the guards are summed field by field; a monomial with an
-    edge no listed walk uses has no collection.
+    The goal is the final state of a collection of ``mu``: from the top
+    field down its degree, ``mu`` packed into the table's fields, and every
+    one of the m rows used.  The guards are every field's top bit, summed
+    field by field; a monomial with an edge no listed walk uses has no
+    collection.
     """
     width, fields, structure = table.width, table.fields, identifiability._Structure(net)
     spare = table.max_degree - sum(structure.least_degrees)
@@ -130,9 +133,11 @@ def first_collection(net: NetworkModel, table, mu, sign):
     assert listed == fields
     if any(i not in fields for i, _ in mu):
         return None
-    target = sum(c << fields.index(i) * width for i, c in mu)
-    guards = sum(1 << j * width + width - 1 for j in range(len(fields)))
-    return combinatorial._first_collection(layers, guards, target, sign)
+    m = len(layers)
+    packed = sum(c << fields.index(i) * width for i, c in mu)
+    goal = monomial_degree(mu) << m + width * len(fields) | packed << m | (1 << m) - 1
+    guards = sum(1 << m + j * width + width - 1 for j in range(len(fields)))
+    return combinatorial._first_collection(layers, guards, goal, sign)
 
 
 class TestEnumerateWalks:
@@ -471,6 +476,25 @@ def layered_net() -> NetworkModel:
     return NetworkModel(12, known + unknown, layers[0], layers[-1])
 
 
+def ported_net(p: int, q: int, seed: int) -> NetworkModel:
+    """A p x q net: excitations -> p tails -> every (tail, head) pair unknown -> q heads -> measurements.
+
+    Both known layers are complete and each block gets one random chord,
+    so K is a Kronecker product of full rank and every walk has degree 2,
+    or more through the chords.  The unknown edges are listed in a seeded
+    order, which sets the pairing sign of each collection.
+    """
+    rng = random.Random(seed)
+    excited, tails = list(range(p)), list(range(p, 2 * p))
+    heads, measured = list(range(2 * p, 2 * p + q)), list(range(2 * p + q, 2 * (p + q)))
+    known = [(b, t) for b in excited for t in tails] + [(h, c) for h in heads for c in measured]
+    known += [tuple(rng.sample(tails, 2)), tuple(rng.sample(heads, 2))]
+    unknown = [(t, h) for t in tails for h in heads]
+    rng.shuffle(unknown)
+    edges = [Edge(u, v, known=True) for u, v in known] + [Edge(u, v, known=False) for u, v in unknown]
+    return NetworkModel(2 * (p + q), edges, excited, measured)
+
+
 def _least_by_decoded_entries(net, table):
     """The verdict's selection rule over the decoded table: least nonzero entry by (degree, monomial).
 
@@ -581,20 +605,25 @@ class TestWitnessSearch:
     def test_fit_is_tested_field_by_field(self):
         """Four walks of one edge are not one walk of the next, though their packed sum is.
 
-        Two 2-bit fields (multiplicity bit, guard bit): four layers, one row
-        each, offer walk (0,) with monomial g_0 and, on layer 0, walk (1,)
-        with g_1, else (2,) with monomial 1.  4 * g_0 packs to the integer
-        of g_1, so only the per-field fit keeps the least walks (0,) out of
-        the collection for g_1.
+        Two 2-bit fields (multiplicity bit, guard bit) between a 4-row mask
+        and the degree: four layers, one row each, offer walk (0,) with
+        monomial g_0 and, on layer 0, walk (1,) with g_1, else (2,) with
+        monomial 1.  4 * g_0 packs to the integer of g_1, so only the
+        per-field fit keeps the least walks (0,) out of the collection for
+        g_1.
         """
-        layers = [[((0,), 0, 1, 0b01), ((1,), 0, 1, 0b0100)]]
-        layers += [[((0,), k, 1, 0b01), ((2,), k, 0, 0)] for k in (1, 2, 3)]
-        guards = 0b1010
-        assert combinatorial._first_collection(layers, guards, 0b0100, 1) == ((1,), (2,), (2,), (2,))
-        assert combinatorial._first_collection(layers, guards, 0b0100, -1) is None
-        assert combinatorial._first_collection(layers, guards, 0b01, 1) == ((0,), (2,), (2,), (2,))
-        assert combinatorial._first_collection(layers, guards, 0b0101, 1) == ((1,), (0,), (2,), (2,))
-        assert combinatorial._first_collection(layers, guards, 0, 1) is None
+
+        def state(degree: int, packed: int, rows: int) -> int:
+            return degree << 8 | packed << 4 | rows
+
+        layers = [[((0,), state(1, 0b01, 0b0001)), ((1,), state(1, 0b0100, 0b0001))]]
+        layers += [[((0,), state(1, 0b01, 1 << k)), ((2,), state(0, 0, 1 << k))] for k in (1, 2, 3)]
+        guards = state(0, 0b1010, 0)
+        assert combinatorial._first_collection(layers, guards, state(1, 0b0100, 0b1111), 1) == ((1,), (2,), (2,), (2,))
+        assert combinatorial._first_collection(layers, guards, state(1, 0b0100, 0b1111), -1) is None
+        assert combinatorial._first_collection(layers, guards, state(1, 0b01, 0b1111), 1) == ((0,), (2,), (2,), (2,))
+        assert combinatorial._first_collection(layers, guards, state(2, 0b0101, 0b1111), 1) == ((1,), (0,), (2,), (2,))
+        assert combinatorial._first_collection(layers, guards, state(0, 0, 0b1111), 1) is None
 
 
 class TestSignedCountMatchesTheReference:
@@ -638,6 +667,27 @@ class TestSignedCountMatchesTheReference:
             assert table.survivor == (mu, r, first[mu, 1 if r > 0 else -1]), (net, d)
             kinds["survivor"] += 1
         assert kinds["survivor"] >= 50 and kinds["cancelled"] >= 10, kinds
+
+    @pytest.mark.parametrize(
+        "p, q, seed, max_degree",
+        [(2, 3, 0, 12), (2, 3, 0, 13), (2, 3, 1, 13), (2, 3, 1, 14), (3, 3, 0, 18), (3, 3, 1, 18)],
+    )
+    def test_six_and_nine_rows_equal_the_reference(self, p, q, seed, max_degree):
+        """The row mask and the pairing sign beyond the corpus's 4 rows: 2 x 3 and 3 x 3 ports.
+
+        For 2 x 3 the entries are also the determinant's coefficients.
+        """
+        net = ported_net(p, q, seed)
+        table = repetition_table(net, max_degree)
+        entries, first = repetition_reference(net, max_degree)
+        assert list(table.entries.items()) == list(entries.items())
+        mu = min((mu for mu, r in entries.items() if r), key=lambda mu: (monomial_degree(mu), mu))
+        r = entries[mu]
+        assert table.survivor == (mu, r, first[mu, 1 if r > 0 else -1])
+        if p * q == 6:
+            assert {mu: r for mu, r in table.entries.items() if r} == dict(terms_sorted(symbolic_det(net, max_degree)))
+        if max_degree > 2 * p * q:
+            assert 0 in entries.values()
 
 
 class TestExhaustiveBound:

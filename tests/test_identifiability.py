@@ -313,6 +313,22 @@ class TestStructuralRankBound:
             "bound": 2, "by": "product", "heads_to_measured": 1, "excited_to_tails": 2,
         }
 
+    def test_heads_with_the_same_tails_share_one_flow(self):
+        """Two heads fed by the same two tails run the excitations-to-tails flow once.
+
+        Each head's group and the product ask for the same flow from
+        excitations 1, 2 to tails 3, 4; every other flow has one node on a
+        side, so ``_disjoint_paths`` runs once in all.
+        """
+        known = [Edge(0, 2, known=True), Edge(1, 3, known=True), Edge(4, 6, known=True), Edge(5, 6, known=True)]
+        unknown = [Edge(t, h, known=False) for h in (4, 5) for t in (2, 3)]
+        net = NetworkModel(7, known + unknown, [0, 1], [6])
+        seen = calls(_disjoint_paths, lambda: _Structure(net).rank_bound)
+        assert [(set(c["sources"]), set(c["targets"])) for c in seen] == [({0, 1}, {2, 3})]
+        assert _Structure(net).rank_bound == rank_bound_reference(net) == {
+            "bound": 2, "by": "tails", "node": 3, "unknown_edges": 2, "rank": 1,
+        }
+
     def test_equals_the_flow_per_group_reference(self):
         """The reach shortcut for one-edge groups and the live heads and tails of the product change no bound.
 
