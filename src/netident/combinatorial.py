@@ -35,17 +35,19 @@ One layered count adds the unknown edges one at a time, merging partial
 collections that reach the same (rows used, monomial so far) state into
 one signed count: the sign of a pairing only multiplies a count, so
 collections of opposite signs share a state, and no collection is kept.
-A state is one integer: from the top down its degree, its monomial (a
-bit field per known edge holding its multiplicity) and its rows used.  A
-walk is the same integer, so extending a state is one addition, and no
-field carries into the next (``repetition_table`` says why).  The table
-keeps its counts under packed monomials and decodes only the least
-surviving one when it is built; the ``Monomial`` tuples of every entry
-are decoded once, when the table is first read.  States and walks are
-visited in order, so the table lists its monomials in the order of their
-lexicographically first collections.  The one collection the verdict
-prints, the first of the least survivor's sign, is rebuilt after the count
-by one ordered search over the same walk lists.
+A state is one integer: from the top down the degree it spends beyond
+the shortest walks, its monomial (a bit field per known edge holding its
+multiplicity, the lowest edge on top) and its rows used.  A walk is the
+same integer, so extending a state is one addition, and no field carries
+into the next (``repetition_table`` says why).  Under one bitwise key the
+final states sort by (degree, monomial), so the least survivor is one
+integer ``min``, and it is the one monomial decoded when the table is
+built; the ``Monomial`` tuples of every entry are decoded once, when the
+table is first read.  States and walks are visited in order, so the table
+lists its monomials in the order of their lexicographically first
+collections.  The one collection the verdict prints, the first of the
+least survivor's sign, is rebuilt after the count by one ordered search
+over the same walk lists.
 """
 
 from __future__ import annotations
@@ -175,9 +177,9 @@ def enumerate_walks(net: NetworkModel, adjacency: dict, pivot: int, max_degree: 
 
 
 def _decode(packed: int, fields: tuple[int, ...], width: int) -> Monomial:
-    """The monomial a packed one holds: (edge index, multiplicity) per nonzero field of ``width`` bits."""
+    """The monomial a packed one holds: (edge index, multiplicity) per nonzero field of ``width`` bits, ascending by edge."""
     mask = (1 << width) - 1
-    return tuple((i, c) for j, i in enumerate(fields) if (c := packed >> j * width & mask))
+    return tuple((i, c) for j, i in reversed(list(enumerate(fields))) if (c := packed >> j * width & mask))
 
 
 @dataclass(frozen=True)
@@ -195,9 +197,11 @@ class RepetitionTable:
     collections of the parity of their pairings.  A collection is one walk
     per unknown edge, the k-th through the k-th unknown edge in net.edges
     order.  A packed monomial holds the multiplicity of ``fields[j]`` in
-    bits j * width up to (j + 1) * width.  ``entries`` is the same dict
-    keyed by ``Monomial`` tuples, decoded on first read.  Both list their
-    keys in the order of each monomial's lexicographically first
+    bits j * width up to (j + 1) * width, ``fields`` descending by edge; with
+    each field c read as c - 1 mod 2**width, packed monomials of one degree
+    sort as their tuples, the lowest edge deciding first.  ``entries`` is
+    the same dict keyed by ``Monomial`` tuples, decoded on first read.  Both
+    list their keys in the order of each monomial's lexicographically first
     collection by edge sequence, of either sign.  ``survivor`` is the
     nonzero entry least by (degree, monomial), decoded, as (monomial,
     count, first collection of its count's sign), the one collection the
@@ -275,52 +279,36 @@ def _walk_layers(
 ) -> tuple[list[list[tuple[Walk, int]]], tuple[int, ...]]:
     """Per unknown edge in net.edges order, its walks as (walk, step), and the field edges.
 
-    Each layer is in edge-sequence order.  A step is the walk's degree, its
-    known edges' packed monomial and the bit of its (excitation,
-    measurement) row, in ``repetition_table``'s state layout.  An edge's
-    walks are listed up to its least degree (``_Structure.least_degrees``)
-    plus ``spare``, the degree the bound leaves it once every other unknown
-    edge takes its shortest walk.  Each known edge some listed walk uses
-    owns a field of ``width`` bits, in ascending edge order.
+    Each layer is in edge-sequence order.  A step is the walk's degree less
+    its edge's least degree, its known edges' packed monomial and the bit of
+    its (excitation, measurement) row, in ``repetition_table``'s state
+    layout.  An edge's walks are listed up to its least degree
+    (``_Structure.least_degrees``) plus ``spare``, the degree the bound
+    leaves it once every other unknown edge takes its shortest walk.  Each
+    known edge some listed walk uses owns a field of ``width`` bits, in
+    descending edge order.
     """
     b_slot = {b: i for i, b in enumerate(net.excited)}
     c_slot = {c: i for i, c in enumerate(net.measured)}
     n_c = net.n_measured
     edges = net.edges
     pivots = [i for i, e in enumerate(edges) if not e.known]
+    least = structure.least_degrees
     steps = [
         sorted(enumerate_walks(net, structure.known_adjacency, i, shortest + spare))
-        for i, shortest in zip(pivots, structure.least_degrees)
+        for i, shortest in zip(pivots, least)
     ]
-    fields = sorted(set().union(*chain.from_iterable(steps)).difference(pivots))
-    # A step is its row bit plus its edges' units; a known edge adds 1 to the degree and its field, a pivot nothing.
+    fields = sorted(set().union(*chain.from_iterable(steps)).difference(pivots), reverse=True)
+    # A step is its row bit plus its edges' units: a known edge adds 1 to the
+    # top field and to its own, a pivot takes its least degree off the top.
     m, top = len(pivots), len(pivots) + width * len(fields)
-    unit = dict.fromkeys(pivots, 0)
+    unit = {i: -(shortest << top) for i, shortest in zip(pivots, least)}
     unit.update((i, 1 << top | 1 << m + j * width) for j, i in enumerate(fields))
     layers = [
         [(w, (1 << b_slot[edges[w[0]].src] * n_c + c_slot[edges[w[-1]].dst]) + sum(map(unit.__getitem__, w))) for w in walks]
         for walks in steps
     ]
     return layers, tuple(fields)
-
-
-def _least_packed(survivors: list[int], width: int, span: int) -> int:
-    """The least of nonempty (degree, packed monomial) integers, the monomial in the low ``span`` bits, by (degree, monomial).
-
-    Among monomials of one degree none is a prefix of another, so the least
-    one is found field by field from the lowest edge up: a multiplicity
-    there beats none, which leaves the field to a higher edge, and a smaller
-    multiplicity beats a larger one.  Nothing is decoded.
-    """
-    low = min(survivors) >> span
-    least = [pair for pair in survivors if pair >> span == low]
-    mask, shift = (1 << width) - 1, 0
-    while len(least) > 1:
-        lowest = min((c for pair in least if (c := pair >> shift & mask)), default=0)
-        if lowest:
-            least = [pair for pair in least if pair >> shift & mask == lowest]
-        shift += width
-    return least[0]
 
 
 def _first_collection(
@@ -379,22 +367,25 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     (``_Structure.refutation``) is still counted in full, and its table is
     exhaustive and carries that witness.
 
-    A state is one integer, from the top field down (degree so far, packed
-    monomial, mask of the m rows used), and maps to the signed count of the
-    collections reaching it, cancelled states included; no collection is
-    kept.  A walk's step has the same layout and a state extends by one
-    addition, with no carry between fields: pruning keeps the degree at or
-    below max_degree; a field is max(max_degree, 1).bit_length() + 1 bits
-    wide, so every multiplicity stays below its top bit; and a row bit is
-    only added where it is clear.  So a sum of steps is the state of their
-    collection, and each field's top bit is free as a guard for the
-    search.  States and walks are extended in order, so a
-    state is first inserted by the lexicographically first collection
+    A state is one integer, from the top field down (degree spent beyond
+    the unknown edges' least degrees, packed monomial, mask of the m rows
+    used), and maps to the signed count of the collections reaching it,
+    cancelled states included; no collection is kept.  A walk's step has
+    the same layout and a state extends by one addition, with no carry
+    between fields: a step is nonnegative, every walk being at least its
+    edge's least degree, and pruning keeps the top field at or below
+    ``spare``, max_degree less the least degrees; a field is
+    max(max_degree, 1).bit_length() + 1 bits wide, so every multiplicity
+    stays below its top bit; and a row bit is only added where it is clear.
+    So a sum of steps is the state of their collection, and each field's
+    top bit is free as a guard.  States and walks are extended in order, so
+    a state is first inserted by the lexicographically first collection
     reaching it, of either sign, and the table lists its monomials in the
-    order of their first collections.  The least survivor
-    (``_least_packed``) gets the first collection of its count's sign from
-    one search over the same walks (``_first_collection``), and it is the
-    one monomial decoded here.
+    order of their first collections.  Every final state spends the same
+    offset, so the least survivor is the least nonzero one under the key of
+    ``RepetitionTable``; it gets the first collection of its count's sign
+    from one search over the same walks (``_first_collection``), and it is
+    the one monomial decoded here.
 
     ``structure`` is the caller's ``_Structure`` of ``net``, so that a
     search over bounds separates, sweeps and refutes the network, and
@@ -403,32 +394,24 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
     structure = _Structure(net) if structure is None else structure
     _walk_guards(net, structure, max_degree)
     witness = structure.refutation
-    if structure.no_collection:
-        return RepetitionTable(max_degree=max_degree, exhaustive=True, witness=witness)
     exhaustive = witness is not None or max_degree >= structure.completeness_bound
-    width = max(max_degree, 1).bit_length() + 1
-    least = structure.least_degrees
-    spare = max_degree - sum(least)  # degree a collection may spend beyond its shortest walks
+    spare = -1 if structure.no_collection else max_degree - sum(structure.least_degrees)
     if spare < 0:
-        return RepetitionTable(max_degree=max_degree, exhaustive=exhaustive, width=width, witness=witness)
+        return RepetitionTable(max_degree=max_degree, exhaustive=exhaustive, witness=witness)
+    width = max(max_degree, 1).bit_length() + 1
     layers, fields = _walk_layers(net, structure, spare, width)
     m, span = len(layers), width * len(fields)
     full, top = (1 << m) - 1, m + span
-
-    # Least degree of the remaining unknown edges, for pruning.
-    min_rest = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        min_rest[k] = min_rest[k + 1] + least[k]
 
     # One layer per unknown edge; a new row flips the sign once per used row
     # above it.  The fitting walks, each with its sign flip, are listed once
     # per layer, rows used and room: a filter of the edge-ordered list.
     layer: dict[int, int] = {0: 1}
-    for k, walks in enumerate(layers):
+    for walks in layers:
         extended: dict[int, int] = {}
         fitting: dict[int, list[tuple[int, int]]] = {}
         for state, count in layer.items():
-            used, room = state & full, max_degree - (state >> top) - min_rest[k + 1]
+            used, room = state & full, spare - (state >> top)
             options = fitting.get(used | room << m)  # room >= 0, so the key is one-to-one
             if options is None:
                 options = fitting[used | room << m] = [
@@ -441,17 +424,18 @@ def repetition_table(net: NetworkModel, max_degree: int, *, structure: _Structur
                 extended[key] = extended.get(key, 0) + flip * count
         layer = extended
 
-    # Every collection uses all rows, so a final state is one monomial.
+    # Every collection uses all rows, so a final state is one monomial.  The key maps each field c to c - 1 mod 2**width.
     mono_mask = (1 << span) - 1
     counts = {state >> m & mono_mask: count for state, count in layer.items()}
-    survivors = [state >> m for state, count in layer.items() if count]  # (degree, monomial)
+    ones = mono_mask // ((1 << width) - 1) << m  # every field's low bit
+    guards = ones << width - 1  # every field's top bit
+    survivors = (state for state, count in layer.items() if count)
+    least = min(survivors, key=lambda state: ((state | guards) - ones) ^ guards, default=None)
     survivor = None
-    if survivors:
-        least = _least_packed(survivors, width, span)
-        guards = mono_mask // ((1 << width) - 1) << m + width - 1  # every field's top bit
-        count = counts[least & mono_mask]
-        collection = _first_collection(layers, guards, least << m | full, 1 if count > 0 else -1)
-        survivor = _decode(least & mono_mask, fields, width), count, collection
+    if least is not None:
+        count = counts[least >> m & mono_mask]
+        collection = _first_collection(layers, guards, least, 1 if count > 0 else -1)
+        survivor = _decode(least >> m & mono_mask, fields, width), count, collection
 
     return RepetitionTable(
         max_degree=max_degree,
@@ -514,7 +498,7 @@ def _least_decided_table(net: NetworkModel, structure: _Structure) -> Repetition
     degree = min(sum(structure.least_degrees), cap)
     while True:
         table = repetition_table(net, degree, structure=structure)
-        if degree == cap or any(table.counts.values()):
+        if degree == cap or table.survivor is not None:
             return table
         degree += 1
 

@@ -122,10 +122,10 @@ def first_collection(net: NetworkModel, table, mu, sign):
     """``combinatorial._first_collection`` for any (monomial, sign), over the walk lists ``table`` was counted from.
 
     The goal is the final state of a collection of ``mu``: from the top
-    field down its degree, ``mu`` packed into the table's fields, and every
-    one of the m rows used.  The guards are every field's top bit, summed
-    field by field; a monomial with an edge no listed walk uses has no
-    collection.
+    field down the degree it spends beyond the unknown edges' least degrees,
+    ``mu`` packed into the table's fields, and every one of the m rows used.
+    The guards are every field's top bit, summed field by field; a monomial
+    with an edge no listed walk uses has no collection.
     """
     width, fields, structure = table.width, table.fields, identifiability._Structure(net)
     spare = table.max_degree - sum(structure.least_degrees)
@@ -135,7 +135,7 @@ def first_collection(net: NetworkModel, table, mu, sign):
         return None
     m = len(layers)
     packed = sum(c << fields.index(i) * width for i, c in mu)
-    goal = monomial_degree(mu) << m + width * len(fields) | packed << m | (1 << m) - 1
+    goal = monomial_degree(mu) - sum(structure.least_degrees) << m + width * len(fields) | packed << m | (1 << m) - 1
     guards = sum(1 << m + j * width + width - 1 for j in range(len(fields)))
     return combinatorial._first_collection(layers, guards, goal, sign)
 
@@ -522,6 +522,11 @@ class TestLazyTable:
         yield cyclic9_net(), 5
         net = layered_net()
         yield net, exhaustive_degree_bound(net)
+        # the benchmark's acyclic pool: every table with a survivor there ties at the least degree
+        inputs = perfbench_inputs()
+        for i in range(32):
+            net = inputs.acyclic_net(1, i)
+            yield net, exhaustive_degree_bound(net)
 
     def test_least_survivor_matches_the_rule_over_decoded_entries(self, monkeypatch):
         """Only the least survivor is decoded, once, as the table is built; all 81 survivors of layered_net have degree 16."""

@@ -68,6 +68,10 @@ class TestRandomNetwork:
         assert len(full.known_edges) == 5 * 4 - 2
 
     def test_infeasible_requests_raise(self):
+        with pytest.raises(GenerationError, match=r"^need at least one node$"):
+            random_network(nodes=0, unknowns=1, excited=1, measured=1)
+        with pytest.raises(GenerationError, match=r"^need at least one unknown edge$"):
+            random_network(nodes=3, unknowns=0, excited=1, measured=1)
         with pytest.raises(GenerationError):
             random_network(nodes=2, unknowns=5, excited=1, measured=1)
         with pytest.raises(GenerationError):
