@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .netmodel import Edge, NetworkModel, SeparableBlocks, decouple, separate
 from .numeric import generic_rank
@@ -162,6 +162,11 @@ def _disjoint_paths(succ: list[list[int]], sources: Iterable[int], targets: Iter
     return min(len(sources), len(targets))
 
 
+def _node_count(sources: Sequence[int], targets: Sequence[int]) -> int:
+    """At least ``_disjoint_paths(succ, sources, targets)``: no more walks than sources or targets."""
+    return min(len(sources), len(targets))
+
+
 def _longest_walks(adj: list[list[int]], starts: Iterable[int]) -> dict[int, int] | None:
     """Longest walk along ``adj`` from ``starts`` to each node they reach, or None when ``adj`` has a cycle.
 
@@ -188,19 +193,26 @@ class _Structure:
 
     The rank witness reads ``zero_columns``: one sweep from all excitations
     and one into all measurements.  ``dead_rows`` adds one per port.
-    ``rank_bound`` reads those two sweeps, and runs a flow only where
-    two or more nodes are left on both of its sides.  The walk route reads
-    ``refutation``, ``least_degrees`` and ``known_adjacency``, once per verdict.
+    ``rank_bound`` reads those two sweeps, and runs a max-flow only where
+    two or more nodes are left on both of its sides; the decoupled route
+    asks only ``rank_bound_at_most``, which tries node counts first.  The
+    walk route reads ``refutation``, ``least_degrees`` and
+    ``known_adjacency``, once per verdict.
     """
 
     def __init__(self, net: NetworkModel):
         self.net = net
-        self.succ: list[list[int]] = [[] for _ in range(net.n)]
-        self.pred: list[list[int]] = [[] for _ in range(net.n)]
+        succ: list[list[int]] = [[] for _ in range(net.n)]
+        pred: list[list[int]] = [[] for _ in range(net.n)]
+        unknown: list[Edge] = []  # in edge-list order, as ``net.unknown_edges``
         for e in net.edges:
-            self.succ[e.src].append(e.dst)
-            self.pred[e.dst].append(e.src)
+            succ[e.src].append(e.dst)
+            pred[e.dst].append(e.src)
+            if not e.known:
+                unknown.append(e)
+        self.succ, self.pred, self.unknown = succ, pred, unknown
         self._sweeps: dict[tuple[tuple[int, ...], bool], dict[int, int]] = {}
+        self._flows: dict[tuple[frozenset[int], frozenset[int]], int] = {}
 
     def sweep(self, starts: tuple[int, ...], backward: bool = False) -> dict[int, int]:
         """Nodes reached from ``starts``, or with ``backward`` the nodes that reach them, each with its distance."""
@@ -236,7 +248,7 @@ class _Structure:
         zero exactly when no walk joins its ends.
         """
         from_excited, to_measured = self.sweep(self.net.excited), self.sweep(self.net.measured, True)
-        return [e for e in self.net.unknown_edges if e.src not in from_excited or e.dst not in to_measured]
+        return [e for e in self.unknown if e.src not in from_excited or e.dst not in to_measured]
 
     @cached_property
     def dead_rows(self) -> list[tuple[int, int]]:
@@ -250,7 +262,7 @@ class _Structure:
         for b in self.net.excited:
             out_of = self.sweep((b,))
             for c, to_c in into:
-                if not any(e.src in out_of and e.dst in to_c for e in self.net.unknown_edges):
+                if not any(e.src in out_of and e.dst in to_c for e in self.unknown):
                     dead.append((b, c))
         return dead
 
@@ -269,7 +281,7 @@ class _Structure:
         sweeps over every edge measure them.
         """
         into_tail, out_of_head = self.sweep(self.net.excited), self.sweep(self.net.measured, True)
-        return [into_tail[e.src] + out_of_head[e.dst] for e in self.net.unknown_edges]
+        return [into_tail[e.src] + out_of_head[e.dst] for e in self.unknown]
 
     @cached_property
     def refutation(self) -> dict | None:
@@ -298,7 +310,7 @@ class _Structure:
             walked = self.sweep(net.excited).keys() & self.sweep(net.measured, True).keys()
             return net.m_unknown * (len(walked) - 2)
         out_of_head = _longest_walks(self.pred, net.measured)  # acyclic too: the same edges reversed
-        return sum(into_tail[e.src] + out_of_head[e.dst] for e in net.unknown_edges)
+        return sum(into_tail[e.src] + out_of_head[e.dst] for e in self.unknown)
 
     @cached_property
     def rank_bound(self) -> dict:
@@ -310,72 +322,101 @@ class _Structure:
         rank T[C, H] * rank T[J, B] dimensions.  The generic rank of T[X, Y]
         is the largest number of vertex-disjoint walks from Y to X (van der
         Woude 1991), and it holds at every edge value since a rank only
-        drops there.  Three candidates bound rank K this way:
-
-        * ``heads``: the sum over each head h of the flow from the
-          excitations to its tails, 0 when h reaches no measurement;
-        * ``tails``: the same sum mirrored, over each tail;
-        * ``product``: all unknown edges as one group, the flow from the
-          heads to the measurements times the flow from the excitations to
-          the tails.  It is at most the row count |B||C|.
-
-        Each flow keeps only the heads that reach a measurement and the
-        tails an excitation reaches, as the two reach sweeps give them; the
-        others lie on no such walk.  With at most one node left on a side
-        the flow is that count and no max-flow runs, so a head or tail that
-        holds one unknown edge never runs one; any other flow runs once per
-        pair of node sets, so heads that share their tails share it.
+        drops there.  The three candidates of ``_rank_groups`` bound rank K
+        this way; the flows run once each (``_flow``).
         The argument never uses that a column's two factors come from one
         closed loop, so the bound holds for the decoupled rank too.
 
-        Returns the least candidate, the first in the order above on a tie,
+        Returns the least candidate, the first of heads, tails, product on a tie,
         as ``{"bound": ..., "by": "heads" | "tails" | "product"}``.
         A heads or tails sum below the number of unknown edges also names
         the first ``node`` (1-based) whose ``unknown_edges`` span less than
         their count, and that ``rank``; the product names its two flows,
         ``heads_to_measured`` and ``excited_to_tails``.
         """
-        net = self.net
-        from_excited, to_measured = self.sweep(net.excited), self.sweep(net.measured, True)
-        flows: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+        return min(self._candidates(self._rank_groups(), self._flow), key=lambda side: side["bound"])
 
-        def flow(sources: Sequence[int], targets: Sequence[int]) -> int:
-            most = min(len(sources), len(targets))
-            if most < 2:
-                return most
-            key = frozenset(sources), frozenset(targets)
-            if key not in flows:
-                flows[key] = _disjoint_paths(self.succ, sources, targets)
-            return flows[key]
+    def rank_bound_at_most(self, rank: int) -> bool:
+        """Whether ``rank_bound["bound"] <= rank``, running as few max-flows as it can.
 
-        def into(heads: Iterable[int]) -> int:
-            """rank T[C, heads]."""
-            return flow([h for h in heads if h in to_measured], net.measured)
+        A group's node count, min(|sources|, |targets|), is at least its
+        flow, so a candidate read with counts for flows is at least the
+        candidate itself.  Counts alone answer whenever some candidate
+        counts to at most ``rank``; only then do the flows run, candidate
+        by candidate in tie order, up to the first at most ``rank``.
+        """
+        groups = self._rank_groups()
+        return any(side["bound"] <= rank for side in self._candidates(groups, _node_count)) or any(
+            side["bound"] <= rank for side in self._candidates(groups, self._flow)
+        )
 
-        def out_of(tails: Iterable[int]) -> int:
-            """rank T[tails, B]."""
-            return flow(net.excited, [t for t in tails if t in from_excited])
+    def _rank_groups(self) -> list[tuple[str, list[tuple[int | None, int, list[int], list[int]]]]]:
+        """The candidates of ``rank_bound`` in tie order, each as (by, groups); a group is (node, unknown edges, heads, tails).
 
+        * ``heads``: one group per head h, of the unknown edges into h, node
+          h; its term is 0 when h reaches no measurement;
+        * ``tails``: the same mirrored, one group per tail;
+        * ``product``: all unknown edges as one group, node None.  Its term
+          is at most the row count |B||C|.
+
+        A group keeps only the heads that reach a measurement and the tails
+        an excitation reaches, as the two reach sweeps give them; the others
+        lie on no such walk.
+        """
+        from_excited, to_measured = self.sweep(self.net.excited), self.sweep(self.net.measured, True)
         by_head: dict[int, list[int]] = {}
         by_tail: dict[int, list[int]] = {}
-        for e in net.unknown_edges:
+        for e in self.unknown:
             by_head.setdefault(e.dst, []).append(e.src)
             by_tail.setdefault(e.src, []).append(e.dst)
-        sides = []
-        for by, groups, span in (
-            ("heads", by_head, lambda head, tails: into((head,)) * out_of(tails)),
-            ("tails", by_tail, lambda tail, heads: into(heads) * out_of((tail,))),
-        ):
+
+        def heads(nodes: Iterable[int]) -> list[int]:
+            return [h for h in nodes if h in to_measured]
+
+        def tails(nodes: Iterable[int]) -> list[int]:
+            return [t for t in nodes if t in from_excited]
+
+        return [
+            ("heads", [(h, len(ends), heads((h,)), tails(ends)) for h, ends in by_head.items()]),
+            ("tails", [(t, len(ends), heads(ends), tails((t,))) for t, ends in by_tail.items()]),
+            ("product", [(None, len(self.unknown), heads(by_head), tails(by_tail))]),
+        ]
+
+    def _candidates(self, groups: list, flow) -> Iterator[dict]:
+        """The candidates of ``rank_bound`` in tie order from their ``_rank_groups``, with ``flow(sources, targets)`` for each group's two flows.
+
+        A group's term is rank T[C, heads] * rank T[tails, B], the flow from
+        its heads to the measurements times the flow from the excitations
+        to its tails.  A generator, so a caller that stops early reads no
+        further candidate.
+        """
+        net = self.net
+        for by, sides in groups:
             total, limit = 0, {}
-            for v, ends in groups.items():
-                rank = span(v, ends)
+            for node, count, heads, tails in sides:
+                into, out_of = flow(heads, net.measured), flow(net.excited, tails)
+                rank = into * out_of
                 total += rank
-                if rank < len(ends) and not limit:
-                    limit = {"node": v + 1, "unknown_edges": len(ends), "rank": rank}
-            sides.append({"bound": total, "by": by, **limit})
-        heads, tails = into(by_head), out_of(by_tail)
-        sides.append({"bound": heads * tails, "by": "product", "heads_to_measured": heads, "excited_to_tails": tails})
-        return min(sides, key=lambda side: side["bound"])
+                if node is None:
+                    limit = {"heads_to_measured": into, "excited_to_tails": out_of}
+                elif rank < count and not limit:
+                    limit = {"node": node + 1, "unknown_edges": count, "rank": rank}
+            yield {"bound": total, "by": by, **limit}
+
+    def _flow(self, sources: Sequence[int], targets: Sequence[int]) -> int:
+        """``_disjoint_paths`` from ``sources`` to ``targets``, run once per pair of node sets.
+
+        With at most one node on a side the flow is that count and no
+        max-flow runs, so a head or tail that holds one unknown edge never
+        runs one; heads that share their tails share their flow.
+        """
+        most = min(len(sources), len(targets))
+        if most < 2:
+            return most
+        key = frozenset(sources), frozenset(targets)
+        if key not in self._flows:
+            self._flows[key] = _disjoint_paths(self.succ, sources, targets)
+        return self._flows[key]
 
 
 def _rank_verdict(net: NetworkModel, notion: str, rank: int, seed: int, structure: _Structure | None = None) -> Verdict:
@@ -416,7 +457,12 @@ def decoupled_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
     ``_Structure.rank_bound`` holds at every edge value, factors drawn
     independently or not, so it bounds it from above.  So r = m proves the
     decoupled rank is m, and r = the bound proves it is r, with no sample
-    of the lift.  Only when r is below both is the lift ranked
+    of the lift.  The bound is the least of three candidates, each an upper
+    bound in its own right, so it is at most r exactly when some candidate
+    is; ``_Structure.rank_bound_at_most`` asks that first with each flow
+    read as its node count, an upper bound on the flow, and runs max-flows
+    only when no count reaches r.  Only when r is below both m and the
+    bound is the lift ranked
     (``generic_rank(decouple(net), seed=seed)``); the verdict reports the
     larger of that rank and r, both lower bounds.  That rank's failure
     bound is ``generic_rank``'s at 2n nodes, q = 4mn / (p - 1 - 4n), so a
@@ -426,6 +472,6 @@ def decoupled_identifiability(net: NetworkModel, seed: int = 0) -> Verdict:
     _require_unknowns(net)
     structure = _Structure(net)
     rank = _local_rank(net, seed)
-    if rank < net.m_unknown and rank < structure.rank_bound["bound"]:
+    if rank < net.m_unknown and not structure.rank_bound_at_most(rank):
         rank = max(rank, generic_rank(decouple(net), seed=seed))
     return _rank_verdict(net, DECOUPLED_GENERIC, rank, seed, structure)

@@ -15,7 +15,9 @@ side, a row of the sketch in ``rank_field`` and one node's entry for
 every right-hand side in ``_solve``, each field wide enough that no sum
 carries into the next, so a multiply-add on all of them is one
 big-integer operation, and every field is reduced modulo p at once by
-Mersenne folds.
+Mersenne folds.  Values move in and out of a packed int by one ``struct``
+call each (``_pack``, ``_unpack``), as canonical field elements, so each
+below 2^64.
 A sample of the rank route needs one factorization and one packed solve
 per side: K has one row per (excitation, measurement) pair but rank at
 most m, the number of unknown edges, so every sample ranks an m x m
@@ -32,6 +34,7 @@ closed loop lives in ``netident.series``.
 from __future__ import annotations
 
 import random
+import struct
 
 from .netmodel import NetworkModel, NotSquareError, separate
 
@@ -135,7 +138,7 @@ def _sparse_factor(rows: list[dict[int, int]]) -> list[tuple]:
 
 
 def _fields(count: int, k: int):
-    """The packed layout of ``count`` fields that each hold a value below (k + 1) p^2: (width, low, reduce).
+    """The packed layout of ``count`` fields that each hold a value below (k + 1) p^2: (width, low, reduce, layout).
 
     Field i of a packed int is bytes i * width to (i + 1) * width - 1,
     little-endian.  A field has 122 + b bits, b = k.bit_length(), rounded
@@ -153,6 +156,12 @@ def _fields(count: int, k: int):
     2^61 and to v + 1 - p above it, at least 1 either way, so no field
     borrows.  Canonical fields make a packed int zero mod p exactly when it
     is 0.
+
+    ``layout`` is the ``struct.Struct`` of the packed int's bytes: per
+    field one little-endian unsigned 64-bit value, then width - 8 pad
+    bytes.  ``_pack`` and ``_unpack`` move fields through it, so only
+    values below 2^64 go in or come out, and every one they move is a
+    canonical field element, below p.
     """
     width = (122 + k.bit_length() + 7) // 8  # bytes per field
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
@@ -163,18 +172,26 @@ def _fields(count: int, k: int):
         r = (r & low) + (r >> 61 & high) + ones
         return (r & low) + (r >> 61 & high) - ones
 
-    return width, low, reduce
+    layout = struct.Struct("<" + f"Q{width - 8}x" * count)
+    return width, low, reduce, layout
 
 
-def _pack(values, width: int) -> int:
-    """Nonnegative ints below 2^(8 width) as one int, a little-endian field of ``width`` bytes each."""
-    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+def _pack(values, layout: struct.Struct) -> int:
+    """Nonnegative ints below 2^64 as one packed int of ``layout`` (``_fields``), by one ``struct`` call.
+
+    A value of 2^64 or more raises ``struct.error``; it would not fit the
+    field's low 8 bytes.
+    """
+    return int.from_bytes(layout.pack(*values), "little")
 
 
-def _unpack(r: int, width: int, count: int) -> list[int]:
-    """The ``count`` fields of ``width`` bytes each of the packed int ``r``, lowest first."""
-    data = r.to_bytes(width * count, "little")
-    return [int.from_bytes(data[k : k + width], "little") for k in range(0, width * count, width)]
+def _unpack(r: int, layout: struct.Struct) -> tuple[int, ...]:
+    """The fields of the packed int ``r`` of ``layout`` (``_fields``), lowest first, by one ``struct`` call.
+
+    Reads each field's low 8 bytes only, so every field must hold a value
+    below 2^64; ``_solve`` leaves every field canonical, below p.
+    """
+    return layout.unpack(r.to_bytes(layout.size, "little"))
 
 
 def _solve(steps: list[tuple], rhs: dict[int, int], reduce, transposed: bool = False) -> list[int]:
@@ -262,12 +279,12 @@ def rank_field(A: list[list[int]]) -> int:
     sits at its lowest set bit.
     """
     ncols = len(A[0]) if A else 0
-    width, low, reduce = _fields(ncols, ncols)
+    width, low, reduce, layout = _fields(ncols, ncols)
     bits = 8 * width
     full = (1 << bits) - 1
     basis = []  # (bit offset of the pivot field, the row scaled to pivot 1, negated)
     for row in A:
-        r = _pack([x % PRIME for x in row], width)
+        r = _pack([x % PRIME for x in row], layout)
         for shift, neg in basis:
             f = (r >> shift & full) % PRIME
             if f:
@@ -318,15 +335,15 @@ def _sample_rank(net: NetworkModel, rng: random.Random, steps: list[tuple]) -> i
     for _ in range(m):
         beta.append(random_field_values(rng, net.n_measured))
         alpha.append(random_field_values(rng, net.n_excited))
-    width, _, reduce = _fields(m, net.n + 1)
+    _, _, reduce, layout = _fields(m, net.n + 1)
     sides = []
     for weights, ports, ends, transposed in (
         (beta, net.measured, [e.dst for e in unknown], True),
         (alpha, net.excited, [e.src for e in unknown], False),
     ):
-        rhs = {node: _pack(column, width) for node, column in zip(ports, zip(*weights))}
+        rhs = {node: _pack(column, layout) for node, column in zip(ports, zip(*weights))}
         solved = _solve(steps, rhs, reduce, transposed)
-        fields = {v: _unpack(solved[v], width, m) for v in set(ends)}
+        fields = {v: _unpack(solved[v], layout) for v in set(ends)}
         sides.append(zip(*(fields[v] for v in ends)))  # row i: field i at each unknown edge
     return rank_field([[a * b % PRIME for a, b in zip(x, y)] for x, y in zip(*sides)])
 

@@ -8,7 +8,9 @@ builds K itself by its definition from whole closed loops, ``unit_solve``
 gives those from the library's factor and one packed solve on unit
 right-hand sides (``closed_loop`` from edge values), and
 ``sample_sensitivity`` applies both to the library's own per-sample factors
-(``numeric._sample_factors``).  The product, identity, polynomial
+(``numeric._sample_factors``).  ``pack_reference`` and ``unpack_reference``
+lay packed fields out by byte join and byte slices, the reference for
+the ``struct`` layout of ``numeric._fields``.  The product, identity, polynomial
 evaluation, the permutation-expansion determinant and the largest-minor
 rank are written out independently so tests can check the library against
 them, and so is the structural rank
@@ -127,9 +129,20 @@ def unit_solve(steps: list[tuple], transposed: bool = False) -> list[list[int]]:
     transposed solve's entry j is T[k][j].
     """
     n = len(steps)
-    width, _, reduce = numeric._fields(n, n + 1)
+    width, _, reduce, layout = numeric._fields(n, n + 1)
     units = {k: 1 << 8 * width * k for k in range(n)}
-    return [numeric._unpack(x, width, n) for x in numeric._solve(steps, units, reduce, transposed)]
+    return [list(numeric._unpack(x, layout)) for x in numeric._solve(steps, units, reduce, transposed)]
+
+
+def pack_reference(values: Iterable[int], width: int) -> int:
+    """``numeric._pack`` by byte join: each value as a little-endian field of ``width`` bytes, the first lowest."""
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+
+
+def unpack_reference(r: int, width: int, count: int) -> list[int]:
+    """``numeric._unpack`` by byte slices: the ``count`` fields of ``width`` bytes each of ``r``, lowest first."""
+    data = r.to_bytes(width * count, "little")
+    return [int.from_bytes(data[k : k + width], "little") for k in range(0, width * count, width)]
 
 
 def closed_loop(net: NetworkModel, values) -> list[list[int]]:

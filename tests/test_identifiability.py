@@ -24,7 +24,7 @@ from netident import (
     necessary_condition_any_topology,
 )
 from netident import identifiability, numeric
-from netident.identifiability import _disjoint_paths, _Structure
+from netident.identifiability import _disjoint_paths, _node_count, _Structure
 from netident.numeric import random_field_values, rank_field
 
 from helpers import (
@@ -197,6 +197,59 @@ class TestDecoupledShortcut:
             assert decoupled_identifiability(net).rank == numeric.generic_rank(decouple(net), seed=DISJOINT_SEED), net
         print(f"decoupled rank settled by r = m on {rules['m']}, by r = bound on {rules['bound']}, sampled on {rules['sampled']}")
         assert rules == {"m": 83, "bound": 408, "sampled": 9}
+
+
+class TestDecoupledCountsFirst:
+    """The decoupled route asks only whether some rank-bound candidate is at most r, by node counts before any max-flow."""
+
+    @staticmethod
+    def bound_rule(net: NetworkModel, seed: int) -> int:
+        """The decoupled rank by the whole bound: r when r = m or r >= ``rank_bound["bound"]``, else the larger of r and the lift's rank."""
+        rank = local_identifiability(net, seed=seed).rank
+        if rank == net.m_unknown or rank >= _Structure(net).rank_bound["bound"]:
+            return rank
+        return max(rank, numeric.generic_rank(decouple(net), seed=seed))
+
+    @staticmethod
+    def settled_by(net: NetworkModel, seed: int) -> str:
+        """"m", or which pass of ``rank_bound_at_most`` finds a candidate at most r: "counts" or "flows"; "lift" when none does."""
+        rank = local_identifiability(net, seed=seed).rank
+        structure = _Structure(net)
+        if rank == net.m_unknown:
+            return "m"
+        for rule, flow in (("counts", _node_count), ("flows", structure._flow)):
+            if any(side["bound"] <= rank for side in structure._candidates(structure._rank_groups(), flow)):
+                return rule
+        return "lift"
+
+    @pytest.mark.parametrize(
+        "nets, seed, split",
+        [
+            (lambda: general_square_corpus(500, start_seed=4000), 0, {"m": 83, "counts": 327, "flows": 81, "lift": 9}),
+            (lambda: [perfbench_inputs().check_net(1, i) for i in range(120)], 1, {"m": 57, "counts": 39, "flows": 24}),
+        ],
+        ids=["criterion-4", "check-pool"],
+    )
+    def test_same_rank_as_the_whole_bound(self, nets, seed, split):
+        rules = Counter()
+        for net in nets():
+            rules[self.settled_by(net, seed)] += 1
+            assert decoupled_identifiability(net, seed=seed).rank == self.bound_rule(net, seed), net
+        assert rules == split
+
+    def test_check_pool_runs_73_max_flows(self):
+        """The whole bound ran 262 max-flows over the pool's 63 rank-deficient nets; the counts leave 73."""
+        nets = [perfbench_inputs().check_net(1, i) for i in range(120)]
+
+        def check():
+            for net in nets:
+                local_identifiability(net, seed=1)
+                decoupled_identifiability(net, seed=1)
+
+        assert len(calls(_disjoint_paths, check)) == 73
+        deficient = [net for net in nets if local_identifiability(net, seed=1).rank < net.m_unknown]
+        assert len(deficient) == 63
+        assert len(calls(_disjoint_paths, lambda: [_Structure(net).rank_bound for net in deficient])) == 262
 
 
 class TestSeparableGlobal:

@@ -1,6 +1,7 @@
 """Exact field arithmetic, closed loops, series truncation and generic rank/determinant."""
 
 import random
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -49,9 +50,11 @@ from helpers import (
     loop_factor,
     mat_mul_field,
     minor_rank,
+    pack_reference,
     sample_sensitivity,
     sensitivity_matrix,
     unit_solve,
+    unpack_reference,
 )
 
 rng = np.random.default_rng
@@ -543,6 +546,55 @@ class TestPackedSolveWidth:
         assert mat_mul_field(T, M) == identity_field(n)
         assert mat_mul_field(M, T) == identity_field(n)
         assert library_sketch(net, values, n) == replayed_sketch(net, sensitivity_matrix(net, T), field_rng(n))
+
+
+class TestFieldPacking:
+    """``_pack`` and ``_unpack`` move every field by one ``struct`` call: the byte-join layout, for values below 2^64."""
+
+    # a k that gives each width: 122 + k.bit_length() bits, in whole bytes
+    K_OF_WIDTH = {16: 1, 17: 64, 24: 1 << 62}
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 24])
+    @pytest.mark.parametrize("width", [16, 17, 24])
+    def test_equals_the_byte_join_layout(self, width, count):
+        got_width, _, _, layout = numeric._fields(count, self.K_OF_WIDTH[width])
+        assert got_width == width and layout.size == width * count
+        draw = field_rng(width * 100 + count)
+        for _ in range(20):
+            values = [draw.randrange(PRIME) for _ in range(count)]
+            packed = numeric._pack(values, layout)
+            assert packed == pack_reference(values, width)
+            assert list(numeric._unpack(packed, layout)) == unpack_reference(packed, width, count) == values
+
+    def test_a_value_of_64_bits_or_more_raises(self):
+        layout = numeric._fields(2, 1)[3]
+        top = (1 << 64) - 1
+        assert numeric._pack([top, 0], layout) == pack_reference([top, 0], 16)
+        for wide in (1 << 64, PRIME**2):
+            with pytest.raises(struct.error):
+                numeric._pack([0, wide], layout)
+
+    def test_every_solved_field_is_canonical(self, monkeypatch):
+        """``_unpack`` reads a field's low 8 bytes, so every field of every solve the rank route runs is below p."""
+        solve = numeric._solve
+        solved = []
+
+        def recorded(steps, rhs, reduce, transposed=False):
+            out = solve(steps, rhs, reduce, transposed)
+            solved.append(out)
+            return out
+
+        monkeypatch.setattr(numeric, "_solve", recorded)
+        for net in solve_path_nets():
+            for target in (net, decouple(net)):
+                solved.clear()
+                generic_rank(target)
+                width, m = numeric._fields(target.m_unknown, target.n + 1)[0], target.m_unknown
+                assert solved
+                for out in solved:
+                    for x in out:
+                        assert x < 1 << 8 * width * m
+                        assert all(v < PRIME for v in unpack_reference(x, width, m)), target
 
 
 def same_draw(net, seed):
